@@ -4,7 +4,7 @@ PYTHON ?= python
 WORKERS ?= 4
 CACHE ?= .repro-cache
 
-.PHONY: install test bench bench-full scale-bench coverage tables tables-parallel sweeps-fast figures report db-report serve calibrate clean lint lint-sarif lint-waivers test-sanitized typecheck
+.PHONY: install test bench bench-full bench-e2e bench-compare scale-bench coverage tables tables-parallel sweeps-fast figures report db-report serve calibrate clean lint lint-sarif lint-waivers test-sanitized typecheck
 
 PORT ?= 8765
 
@@ -46,6 +46,24 @@ bench:
 
 bench-full:
 	REPRO_BENCH_CYCLES=30000 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The repository benchmark (bench/README.md): all six workloads, seeds
+# 1-10, one result file per run in $(OUT) (about 20 s per run).
+OUT ?= bench-results
+BENCH_WORKLOADS = tables sweep-vectorized stream service-cold service-warm service-dedup
+bench-e2e:
+	mkdir -p $(OUT)
+	for w in $(BENCH_WORKLOADS); do \
+		for s in 1 2 3 4 5 6 7 8 9 10; do \
+			$(PYTHON) bench/run.py --workload $$w --seed $$s --seconds 12 \
+				--out $(OUT)/$$w-$$s-t0.json || exit 1; \
+		done; \
+	done
+
+# Medians, quartiles, pair wins and verdicts of two result sets:
+# `make bench-compare A=parent-results B=change-results`.
+bench-compare:
+	$(PYTHON) bench/compare.py $(A) $(B)
 
 # The million-replica scale benchmark alone: peak-RSS bound at R=1e5
 # plus the sharded >= 2x speedup (CPU-gated); emits BENCH_scale.json

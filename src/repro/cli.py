@@ -113,11 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--sanitize",
         action="store_true",
-        help="arm the runtime sanitizer: per-cycle invariant checks "
-        "(finite statistics, non-negative queue depths, message "
-        "conservation, shard-merge consistency) that raise "
-        "SanitizerError with cycle/stage coordinates; equivalent to "
-        "REPRO_SANITIZE=1 (see docs/simulator.md)",
+        help="arm the runtime sanitizer: invariant checks (finite "
+        "statistics, non-negative queue depths, message conservation, "
+        "shard-merge consistency) after every cycle of serial and "
+        "stacked runs and every window of streamed runs, raising "
+        "SanitizerError with cycle/stage/replica coordinates; "
+        "equivalent to REPRO_SANITIZE=1 (see docs/simulator.md)",
     )
 
     parser = argparse.ArgumentParser(

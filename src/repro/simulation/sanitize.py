@@ -121,6 +121,7 @@ def check_conservation(
     dropped: int = 0,
     *,
     cycle: Optional[int] = None,
+    replica: Optional[int] = None,
 ) -> None:
     """``injected == completed + in_flight + dropped``."""
     if injected != completed + in_flight + dropped:
@@ -129,6 +130,7 @@ def check_conservation(
             f"completed={completed} + in_flight={in_flight} + "
             f"dropped={dropped}",
             cycle=cycle,
+            replica=replica,
         )
 
 

@@ -129,14 +129,22 @@ class TrackedMessages:
     Slots are handed out sequentially; messages beyond ``limit`` are
     simply not tracked (the streaming accumulators still see them).
     A message's row is *complete* once its last-stage wait is recorded.
+    :attr:`waits` holds a row for every slot handed out (it grows by
+    doubling, up to ``limit`` rows), so a short run with the default
+    limit does not allocate the full matrix.
     """
+
+    #: rows allocated up front; :meth:`allocate` grows the matrix
+    INITIAL_ROWS = 1024
 
     def __init__(self, limit: int, n_stages: int) -> None:
         if limit < 1:
             raise SimulationError(f"tracking limit must be >= 1, got {limit}")
         self.limit = limit
         self.n_stages = n_stages
-        self.waits = np.full((limit, n_stages), -1.0, dtype=np.float32)
+        self.waits = np.full(
+            (min(limit, self.INITIAL_ROWS), n_stages), -1.0, dtype=np.float32
+        )
         self._next = 0
 
     @classmethod
@@ -153,7 +161,7 @@ class TrackedMessages:
         rows = np.asarray(rows, dtype=np.float32).reshape(-1, n_stages)
         tracker = cls(limit=max(1, rows.shape[0]), n_stages=n_stages)
         if rows.shape[0]:
-            tracker.waits[: rows.shape[0]] = rows
+            tracker.waits = rows.copy()
             tracker._next = rows.shape[0]
         return tracker
 
@@ -165,6 +173,15 @@ class TrackedMessages:
         granted = stop - start
         if granted > 0:
             ids[:granted] = np.arange(start, stop)
+            rows = self.waits.shape[0]
+            if stop > rows:
+                grown = np.full(
+                    (min(self.limit, max(stop, 2 * rows)), self.n_stages),
+                    -1.0,
+                    dtype=np.float32,
+                )
+                grown[:rows] = self.waits
+                self.waits = grown
         self._next = stop
         return ids
 

@@ -13,9 +13,10 @@ independent replicas:
 * each replica's arrivals are pre-drawn in one fixed canonical order
   (injection coins cycle-major, then destinations, favourite gate, bulk
   expansion, service samples -- O(1) RNG calls per replica);
-* the pre-drawn replicas are then assembled into one stacked cycle loop
-  (the same pre-drawn kernel the JIT backend uses, or an equivalent
-  vectorised NumPy pass).
+* the pre-drawn replicas are then assembled into one stacked batch and
+  evaluated by the pre-drawn cycle-loop kernel the JIT backend uses, or
+  on the NumPy path by the bit-identical stage-wise pass
+  (:mod:`repro.simulation.stagewise`).
 
 Replica dynamics are disjoint -- each replica owns its block of ports --
 so a replica's :class:`~repro.simulation.network.NetworkResult` is a
@@ -51,19 +52,14 @@ from repro.simulation.batched import STACK_SHAPE_FIELDS
 from repro.simulation.engine import build_routing_tables
 from repro.simulation.network import NetworkConfig, NetworkResult
 from repro.simulation.rng import spawn_rngs
-from repro.simulation.sanitize import (
-    check_conservation,
-    check_queue_depths,
-    check_stage_stats,
-    sanitizer_enabled,
-)
+from repro.simulation.sanitize import check_stage_stats, sanitizer_enabled
+from repro.simulation.stagewise import Hops, Recorder, StagewisePass, window_end
 from repro.simulation.stats import (
     BatchedTrackedMessages,
     StageAccumulator,
     StreamingTotals,
     TrackedMessages,
 )
-from repro.simulation.switch import RingBufferQueues
 
 __all__ = ["StreamedBatch", "run_streamed"]
 
@@ -315,13 +311,13 @@ def run_streamed(
         if not streaming
         else None
     )
-    completed = np.zeros(n_replicas, dtype=np.int64)
     msg_total = np.zeros(max(pre.n_measured, 1) if streaming else 1, dtype=np.float64)
     msg_done = np.zeros(msg_total.size, dtype=np.uint8)
 
     if kernel is not None:
         busy = np.zeros(n_ports, dtype=np.int64)
-        q_high = np.zeros(n_ports, dtype=np.int64)
+        completed = np.zeros(n_replicas, dtype=np.int64)
+        high_water = np.zeros(n_ports, dtype=np.int64)
         kernel(
             n_cycles,
             warmup,
@@ -345,7 +341,7 @@ def run_streamed(
             stats.total_sq,
             tracker.waits if tracker is not None else np.zeros((1, n_stages), np.float32),
             completed,
-            q_high,
+            high_water,
             streaming,
             msg_total,
             msg_done,
@@ -356,24 +352,25 @@ def run_streamed(
             # moment bins and per-replica completion counts are what can
             # still be vouched for
             check_stage_stats(stats, cycle=n_cycles - 1, n_stages=n_stages)
-        high_water = q_high
     else:
-        high_water = _run_numpy_stream(
+        record = (
+            tracker.record
+            if tracker is not None
+            else _streaming_recorder(msg_total, msg_done, n_stages)
+        )
+        evaluator = _run_stagewise(
             pre,
-            topology,
             perm_stack,
             shifts,
+            topology.k,
             first.transfer == "cut_through",
             n_cycles,
             warmup,
-            n_replicas,
             stats,
-            tracker,
-            completed,
-            msg_total,
-            msg_done,
-            streaming,
+            record,
         )
+        completed = evaluator.completed
+        high_water = evaluator.high_water
 
     if tracker is not None:
         tracker._next = np.minimum(pre.measured_per_replica, track_limit)
@@ -425,117 +422,64 @@ def run_streamed(
     return StreamedBatch(results=results, totals=totals)
 
 
-def _run_numpy_stream(
+def _streaming_recorder(
+    msg_total: np.ndarray, msg_done: np.ndarray, n_stages: int
+) -> Recorder:
+    """Summary-mode sink: per-message total wait and completion flag."""
+
+    def record(tids: np.ndarray, stages: np.ndarray, waits: np.ndarray) -> None:
+        live = tids >= 0
+        msg_total[tids[live]] += waits[live]
+        msg_done[tids[live & (stages == n_stages - 1)]] = 1
+
+    return record
+
+
+def _run_stagewise(
     pre: _Predrawn,
-    topology,
     perm_stack: np.ndarray,
     shifts: np.ndarray,
+    k: int,
     cut_through: bool,
     n_cycles: int,
     warmup: int,
-    n_replicas: int,
     stats: StageAccumulator,
-    tracker: Optional[BatchedTrackedMessages],
-    completed: np.ndarray,
-    msg_total: np.ndarray,
-    msg_done: np.ndarray,
-    streaming: bool,
-) -> np.ndarray:
-    """Vectorised per-cycle reference loop over the pre-drawn arrivals.
+    record: Recorder,
+) -> StagewisePass:
+    """The NumPy path: the stage-wise pass over the pre-drawn arrivals.
 
-    Mirrors the NumPy reference backend's inject/serve/forward/tick
-    phases, but injects from the assembled pre-drawn slices instead of a
-    live traffic generator.  Bit-identical to the kernel path: waiting
-    times are integers, so every accumulation is exact.  Returns the
-    per-port occupancy high-water array.
+    Bit-identical to the kernel path (see
+    :mod:`repro.simulation.stagewise`); with the sanitizer armed the pass
+    checks its invariants at every window end.
     """
-    width = topology.width
-    n_stages = topology.n_stages
-    ppr = n_stages * width
-    n_ports = n_replicas * ppr
-    k = topology.k
-    fields = {
-        "dest": np.int64,
-        "service": np.int64,
-        "arrival": np.int64,
-        "track": np.int64,
-    }
-    queues = RingBufferQueues(n_ports, fields, capacity=64)
-    busy = np.zeros(n_ports, dtype=np.int64)
-    sanitize = sanitizer_enabled()
-    for t in range(n_cycles):
-        measuring = t >= warmup
-        lo, hi = int(pre.offsets[t]), int(pre.offsets[t + 1])
-        if hi > lo:
-            queues.push_batch(
+    n_replicas = pre.injected.size
+    evaluator = StagewisePass(
+        perm_stack,
+        shifts,
+        k,
+        n_replicas,
+        cut_through,
+        stats,
+        record,
+        sanitize=sanitizer_enabled(),
+    )
+    t0 = 0
+    while t0 < n_cycles:
+        t1 = window_end(pre.offsets, t0, n_cycles)
+        lo, hi = int(pre.offsets[t0]), int(pre.offsets[t1])
+        arrival = np.repeat(
+            np.arange(t0, t1, dtype=np.int64), np.diff(pre.offsets[t0 : t1 + 1])
+        )
+        evaluator.advance(
+            t1,
+            Hops(
                 pre.ports[lo:hi],
-                dest=pre.dests[lo:hi],
-                service=pre.services[lo:hi],
-                arrival=np.full(hi - lo, t, dtype=np.int64),
-                track=pre.tracks[lo:hi],
-            )
-        candidates = np.flatnonzero((busy == 0) & (queues.counts > 0))
-        if candidates.size:
-            head_arrival = queues.peek(candidates, "arrival")
-            ready = candidates[head_arrival <= t]
-        else:
-            ready = candidates
-        if ready.size:
-            msg = queues.pop(ready)
-            waits = (t - msg["arrival"]).astype(np.float64)
-            reps = ready // ppr
-            local = ready - reps * ppr
-            stages = local // width
-            if measuring:
-                stats.add(reps * n_stages + stages, waits)
-                tids = msg["track"]
-                if streaming:
-                    live = tids >= 0
-                    if live.any():
-                        msg_total[tids[live]] += waits[live]
-                elif tracker is not None:
-                    tracker.record(tids, stages, waits)
-            busy[ready] = msg["service"]
-            moving = stages < n_stages - 1
-            done = ~moving
-            if done.any():
-                completed += np.bincount(reps[done], minlength=n_replicas)
-                if streaming:
-                    done_tids = msg["track"][done]
-                    done_tids = done_tids[done_tids >= 0]
-                    if done_tids.size:
-                        msg_done[done_tids] = 1
-            if moving.any():
-                f_reps = reps[moving]
-                f_stages = stages[moving]
-                dest = msg["dest"][moving]
-                lines = local[moving] % width
-                in_lines = perm_stack[f_stages + 1, lines]
-                digits = (dest // shifts[f_stages + 1]) % k
-                next_lines = (in_lines // k) * k + digits
-                next_ports = f_reps * ppr + (f_stages + 1) * width + next_lines
-                if cut_through:
-                    arrival = np.full(f_reps.size, t + 1, dtype=np.int64)
-                else:
-                    arrival = t + msg["service"][moving]
-                queues.push_batch(
-                    next_ports,
-                    dest=dest,
-                    service=msg["service"][moving],
-                    arrival=arrival,
-                    track=msg["track"][moving],
-                )
-        np.subtract(busy, 1, out=busy, where=busy > 0)
-        if sanitize:
-            check_stage_stats(stats, cycle=t, n_stages=n_stages)
-            check_queue_depths(queues.counts, cycle=t, ports_per_replica=ppr)
-            # every pre-drawn arrival through cycle t is either done or
-            # still buffered (a popped message re-queues or completes
-            # within its cycle)
-            check_conservation(
-                int(pre.offsets[t + 1]),
-                int(completed.sum()),
-                int(queues.counts.sum()),
-                cycle=t,
-            )
-    return queues.high_water()
+                arrival,
+                pre.dests[lo:hi],
+                pre.services[lo:hi],
+                pre.tracks[lo:hi],
+            ),
+            warmup,
+        )
+        t0 = t1
+    return evaluator

@@ -207,6 +207,38 @@ class RingBufferQueues:
         """
         np.maximum(self._high_water, values, out=self._high_water)
 
+    def restore(
+        self, queues: np.ndarray, high_water: np.ndarray, **values: np.ndarray
+    ) -> None:
+        """Load known contents into empty infinite-buffer queues at once.
+
+        ``queues`` must be grouped by queue, each queue's messages in
+        FIFO order, and ``values`` must supply every field; the
+        occupancy high-water marks become ``high_water``.  Used after a
+        run evaluated without the ring buffers
+        (:mod:`repro.simulation.stagewise`) so the engine can go on
+        cycle by cycle from the same state.
+        """
+        if self.finite or self._count.any():
+            raise SimulationError("restore needs empty infinite-buffer queues")
+        if set(values) != set(self._fields):
+            raise SimulationError(
+                f"restore needs fields {sorted(self._fields)}, got {sorted(values)}"
+            )
+        queues = np.asarray(queues, dtype=np.int64)
+        counts = np.bincount(queues, minlength=self.n_queues)
+        np.maximum(self._high_water, high_water, out=self._high_water)
+        if queues.size == 0:
+            return
+        needed = int(counts.max())
+        if needed > self.capacity:
+            self._grow(needed)
+        self._head[:] = 0
+        slots = np.arange(queues.size) - (np.cumsum(counts) - counts)[queues]
+        for name, arr in values.items():
+            self._fields[name][queues, slots] = arr
+        self._count[:] = counts
+
     def pop(self, queues: np.ndarray) -> Dict[str, np.ndarray]:
         """Remove and return the head message of each queue in ``queues``.
 

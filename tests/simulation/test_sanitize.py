@@ -19,6 +19,7 @@ import pytest
 
 from repro.errors import SanitizerError
 from repro.exec.context import use_execution
+from repro.simulation import stagewise
 from repro.simulation.batched import run_stacked
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.sanitize import (
@@ -124,12 +125,28 @@ class TestNanInjection:
         assert err.stage is not None and 0 <= err.stage < CFG.n_stages
         assert err.replica is not None and 0 <= err.replica < 2
 
+    def test_streamed_pass_nan_raises_with_replica(self, armed, monkeypatch):
+        """The streamed NumPy path checks at every window end: the NaN
+        is caught in its window, with the replica it poisoned."""
+        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", 500)
+        poison_nan_at(monkeypatch, 5)
+        cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
+        with pytest.raises(SanitizerError) as info:
+            run_streamed(cfgs, 2_000, warmup=0, backend="numpy")
+        err = info.value
+        assert err.cycle is not None and err.cycle < 2_000
+        assert err.stage is not None and 0 <= err.stage < CFG.n_stages
+        assert err.replica is not None and 0 <= err.replica < 2
+        assert "non-finite" in str(err)
+
     def test_unsanitized_run_does_not_raise(self, monkeypatch):
         """Without arming, the poison sails through (and would surface
         as a silently wrong table entry -- the failure mode the
-        sanitizer exists for)."""
+        sanitizer exists for).  The run is evaluated stage by stage,
+        one statistics call per stage and window, so the second call is
+        poisoned."""
         monkeypatch.delenv(SANITIZE_ENV, raising=False)
-        poison_nan_at(monkeypatch, 30)
+        poison_nan_at(monkeypatch, 2)
         result = NetworkSimulator(CFG).run(2_000, warmup=0)
         assert np.isnan(result.stage_means).any()
 

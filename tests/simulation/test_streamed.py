@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError, SimulationError
-from repro.simulation.backends.jit import cycle_loop_kernel
+from repro.simulation import stagewise
+from repro.simulation.backends.jit import compiled_kernel, cycle_loop_kernel
 from repro.simulation.batched import run_stacked
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.stats import StreamingTotals
@@ -34,7 +35,7 @@ def assert_results_identical(a, b):
 
 
 class TestBackendEquivalence:
-    """NumPy per-cycle path == pre-drawn kernel, bit for bit."""
+    """NumPy stage-wise pass == pre-drawn cycle-loop kernel, bit for bit."""
 
     def test_basic_stack(self):
         cfgs = configs()
@@ -63,6 +64,14 @@ class TestBackendEquivalence:
         for ra, rb in zip(a.results, b.results, strict=True):
             assert_results_identical(ra, rb)
 
+    @pytest.mark.skipif(compiled_kernel() is None, reason="numba is not installed")
+    def test_compiled_kernel(self):
+        cfgs = configs(q=0.2)
+        a = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend="numpy")
+        b = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend="numba")
+        for ra, rb in zip(a.results, b.results, strict=True):
+            assert_results_identical(ra, rb)
+
     def test_streaming_mode_equivalence(self):
         cfgs = configs(track_limit=0)
         a = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend="numpy")
@@ -72,6 +81,14 @@ class TestBackendEquivalence:
         assert a.totals.mean == b.totals.mean
         assert a.totals.variance == b.totals.variance
         assert np.array_equal(a.totals.tail, b.totals.tail)
+
+
+class TestBackendEquivalenceWindows(TestBackendEquivalence):
+    """The same comparisons with the pass's windows closed far more often."""
+
+    @pytest.fixture(autouse=True, params=[0, 1, 50, 700])
+    def window(self, request, monkeypatch):
+        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", request.param)
 
 
 class TestShardInvariance:

@@ -197,3 +197,25 @@ class TestHighWater:
         q.push_batch(np.array([2, 2]), val=np.array([4, 5]))
         assert q.high_water().tolist() == [2, 0, 3, 0]
         assert q.max_occupancy == 3
+
+
+class TestRestore:
+    def test_restore_equals_pushing_the_same_fifos(self):
+        queues = np.array([0, 0, 0, 0, 0, 0, 2, 3, 3])  # queue 0 outgrows cap=4
+        vals = np.arange(queues.size) * 10
+        restored, pushed = make(), make()
+        restored.restore(queues, np.array([7, 0, 1, 2]), val=vals)
+        pushed.push_batch(queues, val=vals)
+        assert restored.counts.tolist() == pushed.counts.tolist()
+        assert restored.high_water().tolist() == [7, 0, 1, 2]
+        while restored.total_occupancy():
+            live = np.flatnonzero(restored.counts)
+            assert restored.pop(live)["val"].tolist() == pushed.pop(live)["val"].tolist()
+
+    def test_restore_refuses_occupied_or_finite_queues(self):
+        q = make()
+        q.push_batch(np.array([1]), val=np.array([5]))
+        with pytest.raises(SimulationError, match="empty infinite-buffer"):
+            q.restore(np.array([0]), np.zeros(4, dtype=np.int64), val=np.array([1]))
+        with pytest.raises(SimulationError, match="empty infinite-buffer"):
+            make(finite=True).restore(np.array([0]), np.zeros(4, np.int64), val=np.array([1]))
