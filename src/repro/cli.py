@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="arm the runtime sanitizer: invariant checks (finite "
         "statistics, non-negative queue depths, message conservation, "
-        "shard-merge consistency) after every cycle of serial and "
-        "stacked runs and every window of streamed runs, raising "
+        "shard-merge consistency) after every cycle of serial runs "
+        "and every window of stacked and streamed runs, raising "
         "SanitizerError with cycle/stage/replica coordinates; "
         "equivalent to REPRO_SANITIZE=1 (see docs/simulator.md)",
     )

@@ -35,7 +35,7 @@ __all__ = [
 #: Minimum acceptable speedup per benchmark series -- the same floors
 #: the perf benchmarks assert (``test_perf_replicas``: >= 5x,
 #: ``test_perf_sweep``: >= 3x, ``test_perf_exec``: >= 2x,
-#: ``test_perf_backend``: numba JIT >= 3x over the NumPy reference,
+#: ``test_perf_backend``: numba JIT >= 3x over the NumPy backend,
 #: ``test_perf_scale``: sharded multi-worker >= 2x over a single-shard
 #: serial run).  A series whose *latest* point sits below its floor is
 #: a perf regression.

@@ -14,15 +14,18 @@ type system cannot see:
    different kernel entry points couples their draw sequences: adding
    a draw to one silently shifts the other.  Each generator is passed
    to at most one distinct callee per function.
-3. **Backend draw parity.**  The NumPy reference backend draws
-   *during* the cycle loop (``_inject``); the JIT backend pre-draws
-   the identical sequence up front (``_predraw``).  The two must issue
-   the same number of draw sites per kernel or the streams diverge.
+3. **Draw parity.**  The serial engine writes one draw sequence twice:
+   its cycle loop draws *during* each cycle
+   (``ClockedEngine._inject``), and its stage-wise evaluation pre-draws
+   the identical sequence a window at a time
+   (``ClockedEngine._predraw_window``).  The two must issue the same
+   number of draw sites or the streams diverge.
 
 All three are checked statically here.  The rule scopes to the kernel
 directories and exempts ``rng.py`` itself (the sanctioned construction
 point).  Like every project rule it is silent on partial trees: check
-3 runs only when both ``_inject`` and ``_predraw`` are in scope.
+3 runs only when a ``ClockedEngine`` class with both methods is in
+scope.
 """
 
 from __future__ import annotations
@@ -127,8 +130,8 @@ class RngStreamRule(ProjectRule):
     name = "rng-streams"
     why = (
         "kernel generators must come from simulation/rng.py, feed one "
-        "entry point each, and match draw-site counts across backends, "
-        "or bit-exact replay silently breaks"
+        "entry point each, and match draw-site counts across the serial "
+        "engine's two draw paths, or bit-exact replay silently breaks"
     )
     default_scope = PathScope(dirs=KERNEL_DIRS, exclude_files=frozenset({"rng.py"}))
 
@@ -171,36 +174,35 @@ class RngStreamRule(ProjectRule):
                             "per consumer instead",
                         )
 
-        # (3) NumPy-vs-JIT draw-site parity per kernel pair.
-        yield from self._check_backend_parity(files)
+        # (3) draw-site parity between the two serial draw paths.
+        yield from self._check_draw_parity(files)
 
-    def _check_backend_parity(
+    def _check_draw_parity(
         self, files: Sequence[FileContext]
     ) -> Iterator[Finding]:
-        """``_inject`` (reference) and ``_predraw`` (jit) must issue the
-        same number of draw sites."""
-        pairs = {"_inject": None, "_predraw": None}  # type: Dict[str, Optional[tuple]]
+        """``ClockedEngine._inject`` (cycle loop) and
+        ``ClockedEngine._predraw_window`` (stage-wise pre-draw) must issue
+        the same number of draw sites."""
         for ctx in files:
-            if "backends" not in ctx.path.parts:
-                continue
-            for node in ast.walk(ctx.tree):
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name in pairs
-                    and pairs[node.name] is None
-                ):
-                    pairs[node.name] = (ctx, node, len(_draw_sites(node)))
-        inject, predraw = pairs["_inject"], pairs["_predraw"]
-        if inject is None or predraw is None:
-            return  # partial tree: only one backend in scope
-        ctx_i, node_i, n_inject = inject
-        ctx_p, node_p, n_predraw = predraw
-        if n_inject != n_predraw:
-            yield ctx_p.finding(
-                node_p,
-                self.code,
-                f"draw-site count mismatch between backends: _inject "
-                f"({ctx_i.display_path}) has {n_inject} draw sites, "
-                f"_predraw has {n_predraw} -- the JIT pre-draw must "
-                "replay the reference stream draw-for-draw",
-            )
+            for cls in ast.walk(ctx.tree):
+                if not (isinstance(cls, ast.ClassDef) and cls.name == "ClockedEngine"):
+                    continue
+                methods = {
+                    node.name: node
+                    for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                }
+                inject = methods.get("_inject")
+                predraw = methods.get("_predraw_window")
+                if inject is None or predraw is None:
+                    continue  # partial tree: only one draw path in scope
+                n_inject, n_predraw = len(_draw_sites(inject)), len(_draw_sites(predraw))
+                if n_inject != n_predraw:
+                    yield ctx.finding(
+                        predraw,
+                        self.code,
+                        f"draw-site count mismatch in ClockedEngine: _inject "
+                        f"has {n_inject} draw sites, _predraw_window has "
+                        f"{n_predraw} -- the stage-wise pre-draw must replay "
+                        "the cycle loop's stream draw-for-draw",
+                    )

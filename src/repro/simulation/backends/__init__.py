@@ -1,15 +1,17 @@
 """Pluggable compute backends for the replica-batched engine.
 
 ``repro.simulation.backends`` separates *what* a batched run computes
-(:class:`~repro.simulation.batched.BatchedClockedEngine` state and
-statistics) from *how* the cycle loop executes:
+(:class:`~repro.simulation.batched.BatchedClockedEngine` state,
+statistics and arrival draws) from *how* the drawn arrivals are
+evaluated:
 
 * :class:`~repro.simulation.backends.reference.NumpyBackend` -- the
-  vectorised NumPy kernels (always available; the reference every other
-  backend must match bit-for-bit);
+  stage-wise Lindley pass over windows of arrivals (always available);
 * :class:`~repro.simulation.backends.jit.NumbaBackend` -- the whole
   multi-cycle loop compiled to one nopython function over pre-drawn
-  RNG blocks (used automatically when numba is importable).
+  arrivals (used automatically when numba is importable).
+
+The two are bit-identical.
 
 Select a backend by name through ``run_stacked``/``run_batched``
 (``backend="numpy" | "numba" | "auto"``), the execution layer

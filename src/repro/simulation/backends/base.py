@@ -2,26 +2,28 @@
 
 The split follows the "Python orchestrates; the backend computes"
 design: :class:`~repro.simulation.batched.BatchedClockedEngine` owns
-model *state* (queues, busy counters, accumulators, trackers) and the
-run *policy* (cycle budget, warm-up), while a backend owns the cycle
-*loop* -- how inject/serve/forward/tick are actually executed over that
-state.  The protocol is deliberately narrow: a backend advances a fresh
-engine by ``n_cycles`` and leaves every statistic the engine exposes
-(``stats``, ``tracker``, ``injected``, ``completed``, ``busy``, queue
-high-water marks) exactly as the reference implementation would.
+model *state* (accumulators, trackers, per-replica counters, queue
+high-water marks), the run *policy* (cycle budget, warm-up) and the
+arrival draws, while a backend owns the *evaluation* of those arrivals.
+The contract is the same for every backend: a fresh, digit-routed,
+infinite-buffer engine (what ``_build_stacked_engine`` builds) runs once
+and is then finalized -- statistics, tracker, ``injected``,
+``completed``, the honest ``in_flight`` count and the queue high-water
+marks are left exactly as the paper's clocked model defines them.
+:func:`resolve_backend` refuses any other engine.
 
 Determinism contract
 --------------------
-Backends must be **bit-identical** to the reference
-:class:`~repro.simulation.backends.reference.NumpyBackend` -- not
-statistically equivalent, identical.  All randomness of a batched run
-is drawn in the inject phase by
+Backends must be **bit-identical** to each other -- not statistically
+equivalent, identical.  All randomness of a batched run is drawn by
+:meth:`~repro.simulation.batched.BatchedClockedEngine._predraw_window`
+(one
 :meth:`~repro.simulation.traffic.NetworkTrafficGenerator.generate_batch`
-(the built-in topologies route by destination digits and consume no
-routing RNG), so any backend that replays those draws in the same
-per-cycle order gets the same sample path; the remaining freedom --
-accumulation order of integer-valued waits in float64 bins -- is exact
-below 2**53 and therefore order-independent.  See ``docs/backends.md``.
+per cycle; the built-in topologies route by destination digits and
+consume no routing RNG), which every backend calls, so every backend
+gets the same sample path; the remaining freedom -- accumulation order
+of integer-valued waits in float64 bins -- is exact below 2**53 and
+therefore order-independent.  See ``docs/backends.md``.
 
 Backend *selection* is an execution detail, never an identity: it does
 not appear in :class:`~repro.simulation.network.NetworkConfig`, in
@@ -51,13 +53,13 @@ __all__ = [
 BACKEND_CHOICES = ("numpy", "numba", "auto")
 
 #: ``auto`` picks the fastest available backend that supports the
-#: engine, falling back to the NumPy reference when numba is absent.
+#: engine, falling back to the NumPy pass when numba is absent.
 DEFAULT_BACKEND = "auto"
 
 
 @runtime_checkable
 class ComputeBackend(Protocol):
-    """What the batched engine needs from a cycle-loop executor."""
+    """What the batched engine needs from an executor."""
 
     #: short identifier recorded on results, manifests, and timers
     name: str
@@ -68,12 +70,14 @@ class ComputeBackend(Protocol):
         ...
 
     @classmethod
-    def unsupported_reason(cls, engine: "BatchedClockedEngine") -> Optional[str]:
-        """``None`` if this backend can run ``engine``, else why not."""
+    def unsupported_reason(cls, engine: "Optional[BatchedClockedEngine]") -> Optional[str]:
+        """``None`` if this backend can run ``engine`` (``None``: any engine
+        within the shared contract), else why not."""
         ...
 
     def run(self, engine: "BatchedClockedEngine", n_cycles: int, warmup: int) -> None:
-        """Advance ``engine`` by ``n_cycles``, measuring from ``warmup``."""
+        """Run ``engine`` for ``n_cycles``, measuring from ``warmup``, and
+        finalize it."""
         ...
 
 
@@ -93,19 +97,33 @@ def available_backends() -> List[str]:
 
 def resolve_backend(
     backend: Union[str, ComputeBackend, None],
-    engine: "BatchedClockedEngine",
+    engine: "Optional[BatchedClockedEngine]",
 ) -> ComputeBackend:
     """Turn a backend request into a ready instance for ``engine``.
 
-    ``"auto"`` (or ``None``) degrades cleanly: the JIT backend is chosen
-    only when numba is importable *and* it supports the engine;
-    otherwise the NumPy reference runs.  An *explicit* name is strict --
-    asking for ``"numba"`` without numba, or for an engine the JIT loop
-    cannot reproduce, raises with the reason.  A ready
-    :class:`ComputeBackend` instance passes through (after a support
-    check), which is how the equivalence tests drive the pre-drawn loop
-    through its pure-Python kernel.
+    First refuses an engine outside the contract every backend shares
+    (module notes): one whose topology has no digit table, or one that
+    already ran (``engine=None`` resolves the request alone, e.g. to
+    see what ``"auto"`` picks here).  ``"auto"`` (or ``None``) degrades
+    cleanly: the JIT backend is chosen only when numba is importable
+    *and* it supports the engine; otherwise the NumPy pass runs.  An
+    *explicit* name is strict -- asking for ``"numba"`` without numba
+    raises with the reason.  A ready :class:`ComputeBackend` instance
+    passes through (after a support check), which is how the
+    equivalence tests drive the pre-drawn loop through its pure-Python
+    kernel.
     """
+    if engine is not None:
+        if engine._shifts is None:
+            raise SimulationError(
+                "stacked backends need a digit-routed topology: routing_shifts() "
+                "is None, so forwarding would draw from the routing RNG"
+            )
+        if engine.now != 0:
+            raise SimulationError(
+                "a stacked engine runs once and is then finalized; build a "
+                "fresh engine to simulate further"
+            )
     if backend is None or backend == DEFAULT_BACKEND:
         jit_cls = _REGISTRY.get("numba")
         if (

@@ -1,41 +1,40 @@
 """Pre-drawn Numba backend: the whole multi-cycle loop in one kernel.
 
-At the paper's small widths a cycle of the NumPy reference backend is
-~20 kernel calls on tiny arrays, so per-call Python dispatch dominates.
-This backend removes it entirely: the *entire* run -- every cycle's
-inject/serve/forward/tick -- is one nopython function over preallocated
-arrays.
+This backend runs every cycle's inject/serve/forward/tick as one
+nopython function over preallocated arrays, so no Python dispatch is
+left inside the loop.
 
 Bit-identity by pre-drawing
 ---------------------------
-All randomness of a batched run lives in the inject phase: the traffic
+All randomness of a batched run lives in the arrivals: the traffic
 generator draws one ``(R, width)`` uniform block (plus destinations,
 bulk/favourite extras, and service samples) per cycle, and the built-in
 topologies route by destination digits -- no routing RNG is consumed
-(``routing_shifts()`` is non-``None``; enforced by
-:meth:`NumbaBackend.unsupported_reason`).  So the backend first replays
-the inject phase for **all** cycles in plain Python -- calling
-:meth:`~repro.simulation.traffic.NetworkTrafficGenerator.generate_batch`,
-:meth:`~repro.simulation.topology.MultistageTopology.entry_queue`, and
-the tracker's slot allocator in exactly the order the reference backend
-would -- which yields bit-identical `SeedSequence`-derived draws.  The
-kernel then consumes the pre-drawn arrivals with no RNG at all.
+(``routing_shifts()`` is non-``None``; the stacked-run contract of
+:func:`~repro.simulation.backends.resolve_backend`).  So the backend
+first draws the arrivals of **all** cycles through
+:meth:`~repro.simulation.batched.BatchedClockedEngine._predraw_window`
+-- the per-cycle draws the NumPy backend evaluates window by window --
+which yields bit-identical `SeedSequence`-derived draws.  The kernel
+then consumes the pre-drawn arrivals with no RNG at all.
 
 Inside the kernel, each per-port FIFO is a linked list over one shared
 node pool (node id = pre-drawn message index; a message occupies one
 queue at a time, so ids never collide).  Each cycle pops every ready
-head *before* any forward push -- the same snapshot semantics as the
-reference backend's serve phase -- so queue contents, busy counters,
-and per-queue occupancy high-water marks evolve identically.  Waiting
-times are integers, and float64 sums of integers are exact below 2**53,
-so the kernel's sequential accumulation equals the reference backend's
-``bincount`` sums bit-for-bit (float32 tracker entries are likewise
-exact below 2**24).
+head *before* any forward push, so queue contents, busy counters, and
+per-queue occupancy high-water marks evolve exactly as the paper's
+clocked model (and :class:`~repro.simulation.engine.ClockedEngine`)
+defines them.  Waiting times are integers, and float64 sums of integers
+are exact below 2**53, so the kernel's sequential accumulation equals
+the stage-wise pass's sums bit-for-bit (float32 tracker entries are
+likewise exact below 2**24).
 
 The kernel body is an ordinary Python function; with numba installed it
 is compiled with ``@njit(cache=True)``, and without numba the same
 function still runs (slowly) -- the always-on equivalence tests drive
 it directly, so the algorithm is verified even where numba is absent.
+It is the per-cycle reference the stage-wise pass is compared against
+for ``R > 1``.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.simulation.backends.base import register_backend
+from repro.simulation.stagewise import Hops
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.simulation.batched import BatchedClockedEngine
@@ -134,8 +134,8 @@ def cycle_loop_kernel(
                 q_high[port] = q_count[port]
 
         # -- serve: pop every ready head BEFORE any forward push -------
-        # (the reference backend snapshots its candidates, then pops,
-        # then pushes; two passes reproduce that exactly, including the
+        # (the serial engine snapshots its candidates, then pops, then
+        # pushes; two passes reproduce that exactly, including the
         # occupancy high-water accounting)
         n_served = 0
         for port in range(n_ports):
@@ -227,12 +227,6 @@ def compiled_kernel() -> Optional[Callable]:
     return _compiled_loop
 
 
-def _as_i64(parts: List[np.ndarray], total: int) -> np.ndarray:
-    if not parts:
-        return np.empty(total, dtype=np.int64)
-    return np.concatenate(parts).astype(np.int64, copy=False)
-
-
 @register_backend
 class NumbaBackend:
     """JIT-compiled multi-cycle loop over pre-drawn arrivals.
@@ -250,16 +244,7 @@ class NumbaBackend:
         return numba_available()
 
     @classmethod
-    def unsupported_reason(cls, engine: "BatchedClockedEngine") -> Optional[str]:
-        if engine._shifts is None:
-            return (
-                "topology routes without a digit table (routing_shifts() is "
-                "None), so forwarding would consume RNG mid-kernel"
-            )
-        if engine.now != 0 or engine.queues.total_occupancy() != 0:
-            return "the pre-drawn loop needs a fresh engine (t=0, empty queues)"
-        if engine.queues.finite:
-            return "finite buffers are not modelled by the pre-drawn loop"
+    def unsupported_reason(cls, engine: "Optional[BatchedClockedEngine]") -> Optional[str]:
         return None
 
     def __init__(self, kernel: Optional[Callable] = None) -> None:
@@ -270,34 +255,36 @@ class NumbaBackend:
         kernel = self._kernel if self._kernel is not None else _compiled_loop
         if kernel is None:
             raise SimulationError(self.requirement)
-        reason = self.unsupported_reason(engine)
-        if reason is not None:
-            raise SimulationError(f"numba backend cannot run this engine: {reason}")
         timers = engine.timers
 
         t0 = perf_counter()
-        offsets, ports, dests, services, tracks = self._predraw(
-            engine, n_cycles, warmup
-        )
+        windows: List[Hops] = []
+        t = 0
+        while t < n_cycles:
+            t, window = engine._predraw_window(t, n_cycles)
+            windows.append(window)
+        arrivals = Hops.concat(windows)
+        offsets = np.zeros(n_cycles + 1, dtype=np.int64)
+        np.cumsum(np.bincount(arrivals.arrival, minlength=n_cycles), out=offsets[1:])
         t1 = perf_counter()
-        q_high = np.zeros(engine.busy.size, dtype=np.int64)
+        q_high = np.zeros(engine.n_ports, dtype=np.int64)
         in_flight = kernel(
             n_cycles,
             warmup,
-            engine.busy.size,
+            engine.n_ports,
             engine.ports_per_replica,
             engine.n_stages,
             engine.width,
             engine.topology.k,
             engine.transfer == "cut_through",
             offsets,
-            ports,
-            dests,
-            services,
-            tracks,
+            arrivals.port,
+            arrivals.dest,
+            arrivals.service,
+            arrivals.track,
             engine._perm_stack.astype(np.int64, copy=False),
             engine._shifts,
-            engine.busy,
+            np.zeros(engine.n_ports, dtype=np.int64),
             engine.stats.count,
             engine.stats.shift,
             engine.stats.total,
@@ -312,60 +299,7 @@ class NumbaBackend:
         t2 = perf_counter()
 
         engine.stats.refresh_unseen()
-        engine.queues.record_high_water(q_high)
-        engine.now += n_cycles
-        # the in-flight messages live in the kernel's (discarded) node
-        # pool, not the engine's ring buffers: expose the honest count
-        # and refuse further stepping of this engine
-        engine._in_flight_override = int(in_flight)
-        engine._finalized = True
+        engine._finalize(n_cycles, int(in_flight), q_high)
         if timers is not None:
             timers.add("predraw", t1 - t0, backend=self.name)
             timers.add("kernel", t2 - t1, backend=self.name)
-
-    def _predraw(
-        self, engine: "BatchedClockedEngine", n_cycles: int, warmup: int
-    ) -> tuple:
-        """Replay the inject phase's RNG draws for every cycle up front.
-
-        Same generator, same call order, same per-cycle batch shapes as
-        the reference backend's ``_inject`` -- hence the same draws.
-        ``engine.injected`` and the tracker's slot allocator advance
-        here exactly as they would cycle by cycle.
-        """
-        traffic = engine.traffic
-        topology = engine.topology
-        ppr = engine.ports_per_replica
-        offsets = np.zeros(n_cycles + 1, dtype=np.int64)
-        ports_parts: List[np.ndarray] = []
-        dest_parts: List[np.ndarray] = []
-        service_parts: List[np.ndarray] = []
-        track_parts: List[np.ndarray] = []
-        for t in range(n_cycles):
-            arrivals = traffic.generate_batch()
-            n = arrivals.sources.size
-            offsets[t + 1] = offsets[t] + n
-            if n == 0:
-                continue
-            reps = arrivals.replicas
-            engine.injected += np.bincount(reps, minlength=engine.n_replicas)
-            lines = topology.entry_queue(
-                arrivals.sources, arrivals.destinations, engine.routing_rng
-            )
-            track = (
-                engine.tracker.allocate(reps)
-                if t >= warmup
-                else np.full(n, -1, dtype=np.int64)
-            )
-            ports_parts.append(reps * ppr + lines)
-            dest_parts.append(arrivals.destinations)
-            service_parts.append(arrivals.services)
-            track_parts.append(track)
-        total = int(offsets[n_cycles])
-        return (
-            offsets,
-            _as_i64(ports_parts, total),
-            _as_i64(dest_parts, total),
-            _as_i64(service_parts, total),
-            _as_i64(track_parts, total),
-        )

@@ -1,17 +1,14 @@
-"""The NumPy reference backend: vectorised per-cycle kernels.
+"""The NumPy backend: the stage-wise pass over windowed arrivals.
 
-These are the kernels that used to live on
-:class:`~repro.simulation.batched.BatchedClockedEngine` directly --
-inject / serve / forward as whole-batch NumPy array passes, a fixed
-number of kernel calls per cycle regardless of the replica count.
-Every other backend is defined as "bit-identical to this one".
-
-Per-cycle temporaries that the old methods allocated fresh each call
-(the constant-fill ``arrival``/``track`` vectors) are hoisted into
-scratch buffers owned by the backend instance and grown on demand --
-:meth:`~repro.simulation.switch.RingBufferQueues.push_batch` copies
-field values into its rings, so reusing the buffers across cycles is
-safe and the equivalence tests pin that outputs are unchanged.
+Every output port is a FIFO queue obeying Lindley's recursion, so the
+stacked replicas need no per-cycle simulation.  The engine draws the
+arrivals window by window
+(:meth:`~repro.simulation.batched.BatchedClockedEngine._predraw_window`,
+the draws the JIT backend pre-draws too) and
+:class:`~repro.simulation.stagewise.StagewisePass` evaluates each window
+stage by stage, bit-identical to the cycle loop the JIT backend
+compiles.  With the sanitizer armed the pass checks finite statistics,
+the backlog and per-replica conservation at every window end.
 """
 
 from __future__ import annotations
@@ -20,10 +17,9 @@ from __future__ import annotations
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.simulation.backends.base import register_backend
 from repro.simulation.sanitize import sanitizer_enabled
+from repro.simulation.stagewise import StagewisePass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.simulation.batched import BatchedClockedEngine
@@ -33,7 +29,7 @@ __all__ = ["NumpyBackend"]
 
 @register_backend
 class NumpyBackend:
-    """Vectorised NumPy cycle loop (always available; the reference)."""
+    """Stage-wise NumPy evaluation (always available)."""
 
     name = "numpy"
     requirement = "numpy (a hard dependency; always available)"
@@ -43,137 +39,29 @@ class NumpyBackend:
         return True
 
     @classmethod
-    def unsupported_reason(cls, engine: "BatchedClockedEngine") -> Optional[str]:
+    def unsupported_reason(cls, engine: "Optional[BatchedClockedEngine]") -> Optional[str]:
         return None
 
-    def __init__(self) -> None:
-        # grown-on-demand scratch for the constant-fill push columns
-        self._arrival_scratch = np.empty(0, dtype=np.int64)
-        self._track_scratch = np.empty(0, dtype=np.int64)
-
-    def _filled(self, which: str, n: int, value: int) -> np.ndarray:
-        buf = getattr(self, which)
-        if buf.size < n:
-            buf = np.empty(max(n, 2 * buf.size), dtype=np.int64)
-            setattr(self, which, buf)
-        view = buf[:n]
-        view.fill(value)
-        return view
-
-    # ------------------------------------------------------------------
-    # cycle loop
-    # ------------------------------------------------------------------
     def run(self, engine: "BatchedClockedEngine", n_cycles: int, warmup: int) -> None:
-        end = engine.now + n_cycles
-        sanitize = sanitizer_enabled()
-        while engine.now < end:
-            self.step(engine)
-            if sanitize:
-                engine.sanitize_state(engine.now - 1)
-
-    def step(self, engine: "BatchedClockedEngine") -> None:
-        """One clock cycle of every replica (inject / serve / tick)."""
-        t = engine.now
-        measuring = t >= engine.measure_from
+        evaluator = StagewisePass(
+            engine._perm_stack,
+            engine._shifts,
+            engine.topology.k,
+            engine.n_replicas,
+            engine.transfer == "cut_through",
+            engine.stats,
+            engine.tracker.record,
+            sanitize=sanitizer_enabled(),
+        )
         timers = engine.timers
-        if timers is None:
-            self._inject(engine, t, measuring)
-            self._serve(engine, t, measuring)
-            np.subtract(engine.busy, 1, out=engine.busy, where=engine.busy > 0)
-        else:
+        t = 0
+        while t < n_cycles:
             t0 = perf_counter()
-            self._inject(engine, t, measuring)
+            t, arrivals = engine._predraw_window(t, n_cycles)
             t1 = perf_counter()
-            self._serve(engine, t, measuring)
-            t2 = perf_counter()
-            np.subtract(engine.busy, 1, out=engine.busy, where=engine.busy > 0)
-            t3 = perf_counter()
-            timers.add("inject", t1 - t0, backend=self.name)
-            timers.add("serve", t2 - t1, backend=self.name)
-            timers.add("tick", t3 - t2, backend=self.name)
-        engine.now = t + 1
-
-    # ------------------------------------------------------------------
-    # phases
-    # ------------------------------------------------------------------
-    def _inject(self, engine: "BatchedClockedEngine", t: int, measuring: bool) -> None:
-        arrivals = engine.traffic.generate_batch()
-        n = arrivals.sources.size
-        if n == 0:
-            return
-        reps = arrivals.replicas
-        engine.injected += np.bincount(reps, minlength=engine.n_replicas)
-        lines = engine.topology.entry_queue(
-            arrivals.sources, arrivals.destinations, engine.routing_rng
-        )
-        track = (
-            engine.tracker.allocate(reps)
-            if measuring
-            else self._filled("_track_scratch", n, -1)
-        )
-        engine.queues.push_batch(
-            reps * engine.ports_per_replica + lines,
-            dest=arrivals.destinations,
-            service=arrivals.services,
-            arrival=self._filled("_arrival_scratch", n, t),
-            track=track,
-        )
-
-    def _serve(self, engine: "BatchedClockedEngine", t: int, measuring: bool) -> None:
-        candidates = np.flatnonzero((engine.busy == 0) & (engine.queues.counts > 0))
-        if candidates.size == 0:
-            return
-        head_arrival = engine.queues.peek(candidates, "arrival")
-        ready = candidates[head_arrival <= t]
-        if ready.size == 0:
-            return
-        msg = engine.queues.pop(ready)
-        waits = (t - msg["arrival"]).astype(np.float64)
-        reps = ready // engine.ports_per_replica
-        local = ready - reps * engine.ports_per_replica
-        stages = local // engine.width
-        if measuring:
-            engine.stats.add(reps * engine.n_stages + stages, waits)
-            engine.tracker.record(msg["track"], stages, waits)
-        engine.busy[ready] = msg["service"]
-        self._forward(engine, t, reps, local, stages, msg)
-
-    def _forward(
-        self,
-        engine: "BatchedClockedEngine",
-        t: int,
-        reps: np.ndarray,
-        local: np.ndarray,
-        stages: np.ndarray,
-        msg: dict,
-    ) -> None:
-        moving = stages < engine.n_stages - 1
-        done = ~moving
-        if done.any():
-            engine.completed += np.bincount(reps[done], minlength=engine.n_replicas)
-        if not moving.any():
-            return
-        reps = reps[moving]
-        stages = stages[moving]
-        dest = msg["dest"][moving]
-        lines = local[moving] % engine.width
-        in_lines = engine._perm_stack[stages + 1, lines]
-        if engine._shifts is not None:
-            digits = (dest // engine._shifts[stages + 1]) % engine.topology.k
-        else:
-            digits = engine.routing_rng.integers(0, engine.topology.k, size=lines.size)
-        next_lines = (in_lines // engine.topology.k) * engine.topology.k + digits
-        next_ports = (
-            reps * engine.ports_per_replica + (stages + 1) * engine.width + next_lines
-        )
-        if engine.transfer == "cut_through":
-            arrival = self._filled("_arrival_scratch", reps.size, t + 1)
-        else:
-            arrival = t + msg["service"][moving]
-        engine.queues.push_batch(
-            next_ports,
-            dest=dest,
-            service=msg["service"][moving],
-            arrival=arrival,
-            track=msg["track"][moving],
-        )
+            evaluator.advance(t, arrivals, warmup)
+            if timers is not None:
+                timers.add("predraw", t1 - t0, backend=self.name)
+                timers.add("pass", perf_counter() - t1, backend=self.name)
+        engine.completed += evaluator.completed
+        engine._finalize(n_cycles, evaluator.queued().port.size, evaluator.high_water)

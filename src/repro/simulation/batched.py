@@ -1,15 +1,13 @@
 """Replica-batched simulation: R independent runs in one set of arrays.
 
 The paper's tables average many independent replications, and for its
-small networks (``k = 2``, width 8--128) a :class:`ClockedEngine` cycle
-is ~20 NumPy kernel calls on tiny arrays -- per-call Python overhead
-dominates, so running replicas one after another multiplies that
-overhead by ``R``.  :class:`BatchedClockedEngine` instead stacks ``R``
-replicas into flat arrays of ``R * n_stages * width`` ports (global
-port = ``replica * n_stages * width + stage * width + line``;
-:class:`~repro.simulation.switch.RingBufferQueues` takes any
-``n_queues``, so the substrate needs no change) and advances all of
-them with the *same* fixed number of kernel calls per cycle.
+small networks (``k = 2``, width 8--128) a per-cycle step is ~20 NumPy
+kernel calls on tiny arrays -- per-call Python overhead dominates, so
+running replicas one after another multiplies that overhead by ``R``.
+:class:`BatchedClockedEngine` instead stacks ``R`` replicas into flat
+arrays of ``R * n_stages * width`` ports (global port = ``replica *
+n_stages * width + stage * width + line``) and evaluates all of them at
+once.
 
 Randomness
 ----------
@@ -28,23 +26,26 @@ batched specs with a distinct cache digest.
 
 Limitations (by construction)
 -----------------------------
-* Finite buffers are refused: drops are counted globally by the
-  substrate, not per replica.
-* Observers/metrics collectors are not wired: per-cycle metrics on a
-  stacked batch would interleave replicas.  Batched runs are
-  *metrics-off*; run serially when you need instrumentation.
+* Finite buffers are refused: neither backend models drops (both
+  assume every push is stored).
+* Observers/metrics collectors are not wired: no backend steps cycle by
+  cycle.  Batched runs are *metrics-off*; run serially when you need
+  instrumentation.
 * ``warmup="auto"`` (MSER-5) is refused: the detector is a per-run
   pilot; pass an explicit warm-up instead.
+* An engine runs once, from cycle 0, on a digit-routed topology: every
+  random draw is made before the backend evaluates it.
 
 Compute backends
 ----------------
-The engine owns model *state*; the cycle *loop* is executed by a
-pluggable :mod:`compute backend <repro.simulation.backends>`.  The
-default (``backend="auto"``) runs the JIT-compiled pre-drawn loop when
-numba is importable and the vectorised NumPy reference otherwise;
-either way the results are bit-identical (test-asserted), so backend
-choice is an execution detail -- never part of a spec digest or cache
-key.
+The engine owns model *state* and draws the arrivals
+(:meth:`BatchedClockedEngine._predraw_window`); a pluggable
+:mod:`compute backend <repro.simulation.backends>` evaluates them.  The
+default (``backend="auto"``) runs the JIT-compiled cycle loop when numba
+is importable and the stage-wise NumPy pass
+(:mod:`repro.simulation.stagewise`) otherwise; either way the results
+are bit-identical (test-asserted), so backend choice is an execution
+detail -- never part of a spec digest or cache key.
 """
 
 from __future__ import annotations
@@ -53,13 +54,14 @@ from dataclasses import replace
 
 # repro: lint-ok RPR001 -- elapsed_seconds bookkeeping; never enters results
 from time import perf_counter
-from typing import List, Literal, Optional, Sequence, Union
+from typing import List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.obs.profiling import PhaseTimers
-from repro.simulation.backends import ComputeBackend, NumpyBackend, resolve_backend
+from repro.simulation import stagewise
+from repro.simulation.backends import ComputeBackend, resolve_backend
 from repro.simulation.engine import build_routing_tables
 from repro.simulation.network import NetworkConfig, NetworkResult
 from repro.simulation.rng import DEFAULT_SEED, spawn_stacked_rngs
@@ -69,6 +71,7 @@ from repro.simulation.sanitize import (
     check_stage_stats,
     sanitizer_enabled,
 )
+from repro.simulation.stagewise import Hops
 from repro.simulation.stats import BatchedTrackedMessages, StageAccumulator
 from repro.simulation.switch import RingBufferQueues
 from repro.simulation.topology import MultistageTopology
@@ -94,12 +97,13 @@ STACK_SHAPE_FIELDS = (
 
 
 class BatchedClockedEngine:
-    """Cycle-accurate simulator of ``n_replicas`` identical networks.
+    """``n_replicas`` identical networks in one set of stacked arrays.
 
-    The step structure mirrors :class:`~repro.simulation.engine.ClockedEngine`
-    (inject / serve / tick) with every phase operating on the stacked
-    port space; per-replica statistics come from flat ``(replica,
-    stage)`` bins and block-partitioned trackers.
+    The engine owns the model *state* -- flat ``(replica, stage)``
+    statistic bins, block-partitioned trackers, per-replica counters and
+    per-port occupancy high-water marks -- and draws the arrivals; a
+    compute backend evaluates them (see the module notes).  An engine
+    runs once: :meth:`run` finalizes it.
 
     Parameters mirror the serial engine's; ``traffic`` must have been
     built with ``n_replicas`` matching (see
@@ -136,15 +140,16 @@ class BatchedClockedEngine:
         self.width = topology.width
         self.n_stages = topology.n_stages
         self.ports_per_replica = self.n_stages * self.width
-        n_ports = n_replicas * self.ports_per_replica
+        self.n_ports = n_replicas * self.ports_per_replica
         fields = {
             "dest": np.int64,
             "service": np.int64,
             "arrival": np.int64,
             "track": np.int64,
         }
-        self.queues = RingBufferQueues(n_ports, fields, capacity=64)
-        self.busy = np.zeros(n_ports, dtype=np.int64)
+        # no backend pushes into these queues: they hold the high-water
+        # marks a run records and the (empty) depths the sanitizer checks
+        self.queues = RingBufferQueues(self.n_ports, fields, capacity=1)
         # flat (replica, stage) bins: bin = replica * n_stages + stage
         self.stats = StageAccumulator(n_replicas * self.n_stages)
         self.tracker = BatchedTrackedMessages(n_replicas, track_limit, self.n_stages)
@@ -152,15 +157,15 @@ class BatchedClockedEngine:
         self.measure_from = 0
         self.completed = np.zeros(n_replicas, dtype=np.int64)
         self.injected = np.zeros(n_replicas, dtype=np.int64)
+        #: messages buffered across all replicas when the run ended; the
+        #: backend counts them, because they live in its own structures
+        self.in_flight = 0
         self._perm_stack, self._shifts = build_routing_tables(topology)
         #: wall-clock phase timers (enable via :meth:`enable_profiling`);
         #: entries carry the backend that executed each phase
         self.timers: Optional[PhaseTimers] = None
         #: registry name of the backend the last :meth:`run` resolved to
         self.backend_name: Optional[str] = None
-        self._step_backend: Optional[NumpyBackend] = None
-        self._in_flight_override: Optional[int] = None
-        self._finalized = False
 
     def enable_profiling(self) -> PhaseTimers:
         """Start accumulating per-phase wall-clock timers."""
@@ -169,30 +174,79 @@ class BatchedClockedEngine:
         return self.timers
 
     # ------------------------------------------------------------------
-    # simulation loop
+    # simulation
     # ------------------------------------------------------------------
     def run(self, n_cycles: int, warmup: int = 0, backend: BackendSpec = "auto") -> None:
-        """Advance ``n_cycles``; discard statistics before ``warmup``.
+        """Simulate ``n_cycles`` from cycle 0; discard statistics before ``warmup``.
 
-        ``backend`` names the cycle-loop executor (``"numpy"``,
-        ``"numba"``, or ``"auto"``; see
+        ``backend`` names the executor (``"numpy"``, ``"numba"``, or
+        ``"auto"``; see
         :func:`~repro.simulation.backends.resolve_backend`) or is a
-        ready backend instance.  Results are backend-independent.
+        ready backend instance.  Results are backend-independent.  The
+        run finalizes the engine; running it again raises.
         """
         if n_cycles < 1:
             raise SimulationError(f"n_cycles must be >= 1, got {n_cycles}")
         if not 0 <= warmup < n_cycles:
             raise SimulationError(f"warmup {warmup} outside [0, {n_cycles})")
-        self._check_not_finalized()
-        self.measure_from = self.now + warmup
         resolved = resolve_backend(backend, self)
+        self.measure_from = warmup
         self.backend_name = resolved.name
         resolved.run(self, n_cycles, warmup)
-        # backends with a live per-cycle loop (numpy) already sanitized
-        # every cycle; this end-of-run pass is what covers pre-drawn
-        # kernels (numba), whose loop state is opaque until it returns
+        # the numpy pass checks at every window end when armed; this
+        # end-of-run check is what covers the kernel (numba), whose loop
+        # state is opaque until it returns
         if sanitizer_enabled():
             self.sanitize_state(self.now - 1)
+
+    def _predraw_window(self, t0: int, end: int) -> Tuple[int, Hops]:
+        """Draw the arrivals of the window of cycles opening at ``t0``.
+
+        One ``generate_batch`` / ``entry_queue`` / ``allocate`` call per
+        cycle, in cycle order, so every backend replays the same random
+        streams and tracker slots; :attr:`injected` advances here.  The
+        window closes after the cycle that brings it to
+        :data:`~repro.simulation.stagewise.WINDOW_MESSAGES` messages, or
+        at ``end``.  Returns its end cycle and its messages in injection
+        order, each with its injection cycle as ``arrival``.
+        """
+        ppr = self.ports_per_replica
+        buf = np.empty((len(Hops._fields), stagewise.WINDOW_MESSAGES + 64), dtype=np.int64)
+        n = 0
+        t = t0
+        while t < end:
+            arrivals = self.traffic.generate_batch()
+            m = arrivals.sources.size
+            if m:
+                reps = arrivals.replicas
+                self.injected += np.bincount(reps, minlength=self.n_replicas)
+                lines = self.topology.entry_queue(
+                    arrivals.sources, arrivals.destinations, self.routing_rng
+                )
+                if n + m > buf.shape[1]:
+                    grow = max(m, buf.shape[1])
+                    buf = np.concatenate([buf, np.empty((buf.shape[0], grow), np.int64)], axis=1)
+                row = buf[:, n : n + m]
+                row[0] = reps * ppr + lines
+                row[1] = t
+                row[2] = arrivals.destinations
+                row[3] = arrivals.services
+                if t >= self.measure_from:
+                    row[4] = self.tracker.allocate(reps)
+                else:
+                    row[4] = -1
+                n += m
+            t += 1
+            if n >= stagewise.WINDOW_MESSAGES:
+                break
+        return t, Hops(*buf[:, :n])
+
+    def _finalize(self, n_cycles: int, in_flight: int, high_water: np.ndarray) -> None:
+        """Close the run: the backend's queues are discarded, so keep their
+        message count and per-port occupancy high-water marks."""
+        self.now += n_cycles
+        self.in_flight = in_flight
+        self.queues.record_high_water(high_water)
 
     def sanitize_state(self, cycle: int) -> None:
         """Run the sanitizer invariant hooks against current state."""
@@ -208,30 +262,9 @@ class BatchedClockedEngine:
             cycle=cycle,
         )
 
-    def step(self) -> None:
-        """Simulate one clock cycle of every replica (reference backend)."""
-        self._check_not_finalized()
-        if self._step_backend is None:
-            self._step_backend = NumpyBackend()
-        self._step_backend.step(self)
-
-    def _check_not_finalized(self) -> None:
-        if self._finalized:
-            raise SimulationError(
-                "engine state was consumed by a pre-drawn JIT run; build a "
-                "fresh engine to simulate further"
-            )
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        """Messages currently buffered across all replicas."""
-        if self._in_flight_override is not None:
-            return self._in_flight_override
-        return self.queues.total_occupancy()
-
     def __repr__(self) -> str:
         return (
             f"BatchedClockedEngine(t={self.now}, replicas={self.n_replicas}, "
@@ -322,8 +355,8 @@ def run_stacked(
     function applied to ``[replace(config, seed=s) for s in seeds]``
     and the R=1 serial bit-identity anchor carries over unchanged.
 
-    ``backend`` selects the cycle-loop executor (default ``"auto"``:
-    the JIT loop when numba is importable, the NumPy reference
+    ``backend`` selects the executor (default ``"auto"``: the JIT cycle
+    loop when numba is importable, the stage-wise NumPy pass
     otherwise); every backend produces bit-identical results, and the
     one that actually ran is recorded on each
     :attr:`NetworkResult.backend <repro.simulation.network.NetworkResult.backend>`.

@@ -212,12 +212,12 @@ class RingBufferQueues:
     ) -> None:
         """Load known contents into empty infinite-buffer queues at once.
 
-        ``queues`` must be grouped by queue, each queue's messages in
-        FIFO order, and ``values`` must supply every field; the
-        occupancy high-water marks become ``high_water``.  Used after a
-        run evaluated without the ring buffers
-        (:mod:`repro.simulation.stagewise`) so the engine can go on
-        cycle by cycle from the same state.
+        ``queues`` must be grouped by queue (the groups in any order),
+        each queue's messages in FIFO order, and ``values`` must supply
+        every field; the occupancy high-water marks become
+        ``high_water``.  Used after a run evaluated without the ring
+        buffers (:mod:`repro.simulation.stagewise`) so the engine can go
+        on cycle by cycle from the same state.
         """
         if self.finite or self._count.any():
             raise SimulationError("restore needs empty infinite-buffer queues")
@@ -227,6 +227,10 @@ class RingBufferQueues:
             )
         queues = np.asarray(queues, dtype=np.int64)
         counts = np.bincount(queues, minlength=self.n_queues)
+        first = np.ones(queues.size, dtype=bool)  # where each queue's group begins
+        np.not_equal(queues[1:], queues[:-1], out=first[1:])
+        if int(first.sum()) != np.count_nonzero(counts):
+            raise SimulationError("restore needs the messages grouped by queue")
         np.maximum(self._high_water, high_water, out=self._high_water)
         if queues.size == 0:
             return
@@ -234,7 +238,8 @@ class RingBufferQueues:
         if needed > self.capacity:
             self._grow(needed)
         self._head[:] = 0
-        slots = np.arange(queues.size) - (np.cumsum(counts) - counts)[queues]
+        order = np.arange(queues.size)
+        slots = order - np.maximum.accumulate(np.where(first, order, 0))
         for name, arr in values.items():
             self._fields[name][queues, slots] = arr
         self._count[:] = counts

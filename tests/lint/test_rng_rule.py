@@ -6,7 +6,11 @@ statically.  Runs in isolation (``rules=[RngStreamRule()]``) so the
 fixtures stay focused on stream discipline.
 """
 
+import ast
+from pathlib import Path
+
 from repro.lint.rules.rng_streams import RngStreamRule
+from repro.simulation import engine as engine_module
 from tests.lint.helpers import codes
 
 
@@ -125,42 +129,37 @@ class TestStreamSharing:
 
 
 class TestBackendParity:
-    REFERENCE_TWO_DRAWS = (
-        "def _inject(engine, t):\n"
-        "    arrivals = engine.traffic.generate_batch()\n"
-        "    lines = engine.topology.entry_queue(arrivals, engine.routing_rng)\n"
+    """``ClockedEngine._inject`` vs ``ClockedEngine._predraw_window``: the
+    one draw sequence the repository still writes twice."""
+
+    INJECT_TWO_DRAWS = (
+        "    def _inject(self, t, measuring):\n"
+        "        arrivals = self.traffic.generate()\n"
+        "        lines = self.topology.entry_queue(arrivals, self.routing_rng)\n"
     )
+
+    @staticmethod
+    def engine(*methods):
+        return {"simulation/engine.py": "class ClockedEngine:\n" + "\n".join(methods)}
 
     def test_matching_draw_sites_are_quiet(self, lint_tree):
         predraw = (
-            "def _predraw(engine, n):\n"
-            "    a = engine.traffic.generate_batch()\n"
-            "    d = traffic_rng.integers(0, 2, size=n)\n"
+            "    def _predraw_window(self, end):\n"
+            "        a = self.traffic.generate()\n"
+            "        d = traffic_rng.integers(0, 2, size=end)\n"
         )
-        result = lint(
-            lint_tree,
-            {
-                "simulation/backends/reference.py": self.REFERENCE_TWO_DRAWS,
-                "simulation/backends/jit.py": predraw,
-            },
-        )
+        result = lint(lint_tree, self.engine(self.INJECT_TWO_DRAWS, predraw))
         assert result.ok, result.findings
 
     def test_draw_site_mismatch_fires(self, lint_tree):
-        """Dropping one pre-draw desynchronises the JIT stream from the
-        reference -- a bug only visible as a statistical drift at run
+        """Dropping one pre-draw desynchronises the stage-wise stream from
+        the cycle loop -- a bug only visible as a statistical drift at run
         time, caught here as a count mismatch."""
         predraw = (
-            "def _predraw(engine, n):\n"
-            "    a = engine.traffic.generate_batch()\n"
+            "    def _predraw_window(self, end):\n"
+            "        a = self.traffic.generate()\n"
         )
-        result = lint(
-            lint_tree,
-            {
-                "simulation/backends/reference.py": self.REFERENCE_TWO_DRAWS,
-                "simulation/backends/jit.py": predraw,
-            },
-        )
+        result = lint(lint_tree, self.engine(self.INJECT_TWO_DRAWS, predraw))
         assert codes(result) == ["RPR007"]
         finding = result.findings[0]
         assert "mismatch" in finding.message
@@ -168,8 +167,46 @@ class TestBackendParity:
 
     def test_single_backend_is_quiet(self, lint_tree):
         """Partial tree: parity needs both halves of the pair."""
-        result = lint(
-            lint_tree,
-            {"simulation/backends/reference.py": self.REFERENCE_TWO_DRAWS},
-        )
+        result = lint(lint_tree, self.engine(self.INJECT_TWO_DRAWS))
         assert result.ok, result.findings
+
+
+class TestShippedEngineParity:
+    """The check is live on the shipped serial engine, not only on
+    synthetic trees.  (Linted alone, the file's waivers for other rules
+    are reported stale as RPR009; only RPR007 findings count here.)"""
+
+    @staticmethod
+    def shipped_engine():
+        return Path(engine_module.__file__).read_text()
+
+    @staticmethod
+    def rpr007(result):
+        return [f for f in result.findings if f.rule == "RPR007"]
+
+    def test_shipped_engine_is_quiet(self, lint_tree):
+        result = lint(lint_tree, {"simulation/engine.py": self.shipped_engine()})
+        assert self.rpr007(result) == []
+
+    def test_dropping_a_predraw_draw_fires(self, lint_tree):
+        source = self.shipped_engine()
+        cls = next(
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name == "ClockedEngine"
+        )
+        predraw = next(
+            node
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_predraw_window"
+        )
+        lines = source.splitlines(keepends=True)
+        body = "".join(lines[predraw.lineno - 1 : predraw.end_lineno])
+        # the entry_queue call stops receiving the routing generator, so
+        # it no longer counts as a draw site
+        mutated = body.replace("self.routing_rng", "None")
+        assert mutated != body
+        lines[predraw.lineno - 1 : predraw.end_lineno] = [mutated]
+        result = lint(lint_tree, {"simulation/engine.py": "".join(lines)})
+        [finding] = self.rpr007(result)
+        assert "_inject has 2 draw sites, _predraw_window has 1" in finding.message

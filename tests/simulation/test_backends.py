@@ -1,12 +1,13 @@
-"""Compute-backend equivalence: the pre-drawn loop vs the reference.
+"""Compute-backend equivalence: the stage-wise pass vs the pre-drawn loop.
 
 The determinism contract (``docs/backends.md``) says backends are
 **bit-identical**, not statistically equivalent.  Two layers enforce it:
 
 * **always-on** -- the pre-drawn kernel algorithm is an ordinary Python
   function (:func:`~repro.simulation.backends.jit.cycle_loop_kernel`);
-  driving :class:`NumbaBackend` with it interpreted validates the whole
-  pre-draw + linked-list-FIFO design in every environment, numba or not;
+  driving :class:`NumbaBackend` with it interpreted runs the per-cycle
+  reference for ``R > 1`` in every environment, numba or not, and the
+  NumPy backend's stage-wise pass must match it;
 * **with numba** -- the same cases re-run through the ``@njit``-compiled
   loop (``pytest.importorskip``-guarded), proving compilation changes
   nothing.
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.simulation import stagewise
 from repro.simulation.backends import (
     BACKEND_CHOICES,
     DEFAULT_BACKEND,
@@ -69,6 +71,8 @@ class TestResolution:
         [result] = run_stacked([config], 800, warmup=0, backend="auto")
         expected = "numba" if numba_available() else "numpy"
         assert result.backend == expected
+        # no engine at hand: what auto picks here (the perf gate's probe)
+        assert resolve_backend("auto", None).name == expected
 
     def test_explicit_numpy_always_works(self):
         config = NetworkConfig(k=2, n_stages=3, p=0.5, seed=1)
@@ -145,6 +149,15 @@ class TestKernelEquivalence:
             assert_results_identical(a, b)
             assert a.config == b.config
 
+    def test_wide_cycles_bit_identical(self, make_backend):
+        """Cycles of ~170 arrivals: more than a window's spare draw-buffer
+        columns, so the buffer grows mid-window."""
+        config = NetworkConfig(k=2, n_stages=2, p=0.9, topology="random", width=64)
+        ref = run_batched(config, [5, 6, 7], 600, backend="numpy")
+        jit = run_batched(config, [5, 6, 7], 600, backend=make_backend())
+        for a, b in zip(ref, jit, strict=True):
+            assert_results_identical(a, b)
+
     def test_r1_bit_identical_to_serial_engine(self, make_backend):
         """The chain closes: serial engine == numpy backend == kernel."""
         config = NetworkConfig(k=2, n_stages=3, p=0.5, topology="omega", seed=42)
@@ -163,14 +176,27 @@ class TestKernelEquivalence:
         from repro.simulation.batched import _build_stacked_engine
 
         config = NetworkConfig(k=2, n_stages=3, p=0.5, seed=1)
-        engine = _build_stacked_engine([config])
-        engine.run(300, backend=make_backend())
-        assert engine.now == 300
-        assert engine.in_flight >= 0  # honest override, not ring-buffer state
-        with pytest.raises(SimulationError, match="fresh engine"):
-            engine.run(100)
-        with pytest.raises(SimulationError, match="fresh engine"):
-            engine.step()
+        in_flight = set()
+        for backend in (make_backend(), "numpy"):
+            engine = _build_stacked_engine([config])
+            engine.run(300, backend=backend)
+            assert engine.now == 300
+            # the backend's count, not ring-buffer state
+            assert engine.in_flight == engine.injected.sum() - engine.completed.sum()
+            in_flight.add(engine.in_flight)
+            with pytest.raises(SimulationError, match="fresh engine"):
+                engine.run(100)
+        assert len(in_flight) == 1
+
+
+class TestKernelEquivalenceWindows(TestKernelEquivalence):
+    """The same comparisons with the NumPy pass's windows closed far more
+    often: every window edge must leave the pass's carried state (queued
+    messages, next-free cycles, high-water marks) exactly right."""
+
+    @pytest.fixture(autouse=True, params=[1, 50, 700])
+    def window(self, request, monkeypatch):
+        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", request.param)
 
 
 # ----------------------------------------------------------------------
@@ -201,5 +227,6 @@ class TestBackendIsNotIdentity:
         engine.enable_profiling()
         engine.run(300, backend="numpy")
         timings = engine.timers.as_dict()
-        for phase in ("inject", "serve", "tick"):
+        assert set(timings) == {"predraw", "pass"}
+        for phase in ("predraw", "pass"):
             assert timings[phase]["backend"] == "numpy"

@@ -7,8 +7,10 @@ Three layers of evidence:
 * each invariant check raises :class:`SanitizerError` with the
   cycle/stage/replica coordinates a debugger needs;
 * a deliberately poisoned kernel (NaN injected into the waiting-time
-  stream mid-run) is caught *at the cycle it happens*, on both the
-  serial and the stacked engine.
+  stream mid-run) is caught *at the cycle it happens* on the serial
+  engine's cycle loop, and in the window it happens, with its replica,
+  on stacked and streamed runs (their stage-wise pass is checked at
+  every window end).
 """
 
 import dataclasses
@@ -116,14 +118,18 @@ class TestNanInjection:
         assert "non-finite" in str(err)
 
     def test_stacked_kernel_nan_raises_with_replica(self, armed, monkeypatch):
-        poison_nan_at(monkeypatch, 30)
+        """Stacked runs are checked at every window end of the pass: the
+        NaN is caught in its window, with the replica it poisoned."""
+        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", 500)
+        poison_nan_at(monkeypatch, 5)
         cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
         with pytest.raises(SanitizerError) as info:
             run_stacked(cfgs, 2_000, warmup=0, backend="numpy")
         err = info.value
-        assert err.cycle is not None
+        assert err.cycle is not None and err.cycle < 2_000
         assert err.stage is not None and 0 <= err.stage < CFG.n_stages
         assert err.replica is not None and 0 <= err.replica < 2
+        assert "non-finite" in str(err)
 
     def test_streamed_pass_nan_raises_with_replica(self, armed, monkeypatch):
         """The streamed NumPy path checks at every window end: the NaN

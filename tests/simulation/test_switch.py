@@ -212,6 +212,20 @@ class TestRestore:
             live = np.flatnonzero(restored.counts)
             assert restored.pop(live)["val"].tolist() == pushed.pop(live)["val"].tolist()
 
+    def test_restore_takes_groups_in_any_queue_order(self):
+        """Stacked pass state lists ports stage by stage, so for more than
+        one replica the groups are not in ascending queue order."""
+        q = make(n=2)
+        q.restore(np.array([1, 1, 0]), np.zeros(2, np.int64), val=np.array([10, 11, 20]))
+        popped = [q.pop(np.array([queue]))["val"][0] for queue in (1, 1, 0)]
+        assert popped == [10, 11, 20]
+
+    def test_restore_refuses_ungrouped_queues(self):
+        q = make()
+        with pytest.raises(SimulationError, match="grouped by queue"):
+            q.restore(np.array([0, 1, 0]), np.zeros(4, np.int64), val=np.arange(3))
+        assert q.total_occupancy() == 0 and q.max_occupancy == 0
+
     def test_restore_refuses_occupied_or_finite_queues(self):
         q = make()
         q.push_batch(np.array([1]), val=np.array([5]))
