@@ -13,8 +13,9 @@ long-lived, dependency-free network service:
   ``/events`` stream, the scenario catalogue, health, stats, and the
   OpenAPI document.
 * :mod:`repro.api.openapi` -- the hand-written OpenAPI 3 contract.
-* :mod:`repro.api.client` -- a small :mod:`urllib` client
-  (``python -m repro submit`` and the CI smoke job ride it).
+* :mod:`repro.api.client` -- a small :mod:`http.client` client that
+  keeps one connection alive per calling thread (``python -m repro
+  submit`` and the CI smoke job ride it).
 
 Start a service with ``python -m repro serve`` or in-process::
 

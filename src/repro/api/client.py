@@ -4,18 +4,22 @@ Used by ``python -m repro submit``, the CI smoke job, and the
 end-to-end tests; applications embedding the service in-process should
 talk to :class:`~repro.api.jobs.JobManager` directly instead.
 
-Everything rides :mod:`urllib.request`; HTTP-level failures surface as
+Each calling thread sends all of its requests -- POST, the SSE event
+stream and GET alike -- over one persistent HTTP/1.1 connection
+(:mod:`http.client`), so a ``submit`` and ``wait`` pay for one TCP
+connection, not one per request.  HTTP-level failures surface as
 :class:`~repro.errors.ApiError` carrying the server's structured error
-body when one was sent.
+body when one was sent; so do connection failures.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Iterator, List, Optional
+from urllib.parse import urlsplit
 
 from repro.errors import ApiError
 
@@ -52,41 +56,142 @@ def parse_sse(lines: Iterator[str]) -> Iterator[Dict[str, Any]]:
 
 
 class ApiClient:
-    """Thin JSON-over-HTTP wrapper around one service base URL."""
+    """Thin JSON-over-HTTP wrapper around one service base URL.
+
+    Safe to share between threads: each calling thread opens its own
+    kept-alive connection on its first request.  A connection whose
+    response was not read to the end is dropped; one the server closed
+    (``Connection: close``) is reopened by :mod:`http.client` on the
+    next request.  :meth:`close` closes every thread's connection.
+    """
 
     def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._url = urlsplit(self.base_url)
+        self._lock = threading.Lock()
+        self._connections: Dict[int, http.client.HTTPConnection] = {}
+
+    def close(self) -> None:
+        """Close every thread's connection; call it once no request is in flight."""
+        with self._lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for conn in connections:
+            conn.close()
 
     # -- plumbing ------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, created on first use."""
+        key = threading.get_ident()
+        with self._lock:
+            conn = self._connections.get(key)
+        if conn is None:
+            if self._url.scheme == "http":
+                conn = http.client.HTTPConnection(self._url.netloc, timeout=self.timeout)
+            elif self._url.scheme == "https":
+                conn = http.client.HTTPSConnection(self._url.netloc, timeout=self.timeout)
+            else:
+                raise ApiError(f"unsupported service URL {self.base_url!r} (need http[s]://)")
+            with self._lock:
+                self._connections[key] = conn
+        return conn
+
+    def _drop(self) -> None:
+        """Close and forget the calling thread's connection."""
+        with self._lock:
+            conn = self._connections.pop(threading.get_ident(), None)
+        if conn is not None:
+            conn.close()
+
+    def _send(
+        self, method: str, path: str, body: Optional[bytes] = None, *, accept: str
+    ) -> http.client.HTTPResponse:
+        """Send one request; returns the response with its headers read.
+
+        A request that fails on a reused connection before any reply
+        arrives (the server closed the idle connection, or restarted) is
+        sent once more on a new one.  Every request here may be repeated:
+        ``POST /v1/runs`` is idempotent by digest.
+        """
+        headers = {"Accept": accept}
+        if body is not None:
+            headers["Content-Type"] = "application/json"
+        retried = False
+        while True:
+            conn = self._connection()
+            reused = conn.sock is not None
+            try:
+                conn.request(method, self._url.path + path, body=body, headers=headers)
+                return conn.getresponse()
+            except (OSError, http.client.HTTPException) as exc:
+                self._drop()
+                if retried or not reused or not isinstance(exc, ConnectionError):
+                    raise ApiError(f"{method} {self.base_url}{path} failed: {exc}") from exc
+                retried = True
+            except BaseException:
+                self._drop()  # e.g. a path that is not ASCII: the request is half-sent
+                raise
+
+    def _read(self, response: http.client.HTTPResponse, method: str, path: str) -> bytes:
+        """The whole body; a read that fails drops the part-read connection."""
+        try:
+            return response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            raise ApiError(f"{method} {self.base_url}{path} failed: {exc}") from exc
+        finally:
+            if not response.isclosed():
+                self._drop()
+
+    def _raise_for_status(
+        self, response: http.client.HTTPResponse, method: str, path: str
+    ) -> None:
+        if response.status < 400:
+            return
+        raw = self._read(response, method, path)
+        try:
+            detail = json.loads(raw).get("error", {}).get("message", "")
+        except (ValueError, AttributeError) as exc:
+            detail = f"(unparseable error body: {exc!r})"
+        raise ApiError(f"{method} {path} -> HTTP {response.status}: {detail or response.reason}")
+
     def _request(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
-        url = f"{self.base_url}{path}"
-        data = None
-        headers = {"Accept": "application/json"}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers, method=method)
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        response = self._send(method, path, data, accept="application/json")
+        self._raise_for_status(response, method, path)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                doc = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            detail = ""
-            try:
-                error_doc = json.loads(exc.read().decode("utf-8"))
-                detail = error_doc.get("error", {}).get("message", "")
-            except Exception as parse_exc:
-                detail = f"(unparseable error body: {parse_exc!r})"
-            raise ApiError(
-                f"{method} {path} -> HTTP {exc.code}: {detail or exc.reason}"
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ApiError(f"{method} {url} failed: {exc.reason}") from exc
+            doc = json.loads(self._read(response, method, path))
+        except ValueError as exc:
+            raise ApiError(f"{method} {path}: response is not JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise ApiError(f"{method} {path}: expected a JSON object response")
         return doc
+
+    def _stream(self, digest: str, deadline: Optional[float]) -> bytes:
+        """A run's raw SSE stream, read to its end or until ``deadline`` passes.
+
+        The deadline is checked as each piece of the stream arrives.  A
+        stream it cuts short leaves the connection part-read, so the
+        connection is dropped.
+        """
+        path = f"/v1/runs/{digest}/events"
+        response = self._send("GET", path, accept="text/event-stream")
+        self._raise_for_status(response, "GET", path)
+        pieces: List[bytes] = []
+        try:
+            while deadline is None or time.monotonic() < deadline:
+                piece = response.read1()
+                if not piece:
+                    break
+                pieces.append(piece)
+        except (OSError, http.client.HTTPException) as exc:
+            raise ApiError(f"GET {self.base_url}{path} failed: {exc}") from exc
+        finally:
+            if not response.isclosed():
+                self._drop()
+        return b"".join(pieces)
 
     # -- endpoints -----------------------------------------------------
     def healthz(self) -> Dict[str, Any]:
@@ -110,26 +215,19 @@ class ApiClient:
 
     def events(self, digest: str) -> List[Dict[str, Any]]:
         """Read a run's full SSE stream (blocks until the job ends)."""
-        url = f"{self.base_url}/v1/runs/{digest}/events"
-        request = urllib.request.Request(url, headers={"Accept": "text/event-stream"})
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                text = response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise ApiError(f"GET {url} -> HTTP {exc.code}") from exc
-        except urllib.error.URLError as exc:
-            raise ApiError(f"GET {url} failed: {exc.reason}") from exc
+        text = self._stream(digest, None).decode("utf-8")
         return list(parse_sse(iter(text.splitlines(keepends=True))))
 
-    def wait(self, digest: str, *, timeout: float = 300.0, poll: float = 0.2) -> Dict[str, Any]:
-        """Poll a run until it reaches a terminal state."""
-        deadline = time.monotonic() + timeout
-        while True:
-            doc = self.run(digest)
-            if doc.get("status") in ("done", "failed"):
-                return doc
-            if time.monotonic() >= deadline:
-                raise ApiError(
-                    f"run {digest[:12]} still {doc.get('status')!r} after {timeout}s"
-                )
-            time.sleep(poll)
+    def wait(self, digest: str, *, timeout: float = 300.0) -> Dict[str, Any]:
+        """Block until a run reaches a terminal state; returns its document.
+
+        Reads the run's event stream to its end, then GETs the run once.
+        ``timeout`` is the overall deadline.  It is checked as each piece
+        of the stream arrives, so the server's keepalive comments (every
+        15 s) bound how late it is noticed.
+        """
+        self._stream(digest, time.monotonic() + timeout)
+        doc = self.run(digest)
+        if doc.get("status") not in ("done", "failed"):
+            raise ApiError(f"run {digest[:12]} still {doc.get('status')!r} after {timeout}s")
+        return doc

@@ -280,9 +280,11 @@ def openapi_document() -> Dict[str, Any]:
                         "field (queued, running, retry, completed, cached, "
                         "failed, done) and a JSON `data:` payload. The stream "
                         "replays the job's full event log from the start and "
-                        "closes after the terminal done/failed event. "
-                        "Keepalive comment lines (`: keepalive`) are sent "
-                        "while the job is idle."
+                        "ends after the terminal done/failed event: on HTTP/1.1 "
+                        "with the zero-length chunk of a chunked body, the "
+                        "connection staying open; on HTTP/1.0 by closing the "
+                        "connection. Keepalive comment lines (`: keepalive`) "
+                        "are sent while the job is idle."
                     ),
                     "parameters": [
                         {

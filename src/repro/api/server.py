@@ -3,8 +3,11 @@
 Built on :class:`http.server.ThreadingHTTPServer` -- one thread per
 connection, all multiplexed onto the shared :class:`~repro.api.jobs.
 JobManager` -- so the service has zero dependencies beyond the Python
-standard library.  Routes (all under ``/v1``, see
-:mod:`repro.api.openapi` for the contract):
+standard library.  Connections are kept alive (HTTP/1.1): a client
+sends POST, the SSE stream and GET over one of them, the stream framed
+with ``Transfer-Encoding: chunked`` so it can end without closing the
+connection.  Routes (all under ``/v1``, see :mod:`repro.api.openapi`
+for the contract):
 
 ========================  =============================================
 ``POST /v1/runs``         submit an inline spec or a named scenario set
@@ -26,9 +29,10 @@ Every error body is ``{"error": {"code", "message"}}``.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro._version import __version__
 from repro.api.jobs import JobManager
@@ -73,6 +77,8 @@ class ApiServer(ThreadingHTTPServer):
     ) -> None:
         self.manager = manager
         self.quiet = quiet
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, ApiHandler)
 
     @property
@@ -82,6 +88,33 @@ class ApiServer(ThreadingHTTPServer):
     def shutdown(self) -> None:  # type: ignore[override]
         super().shutdown()
         self.manager.stop()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and end every kept-alive connection.
+
+        Without this an idle connection outlives the server: its handler
+        thread would answer the client's next request from a stopped
+        manager instead of letting it reconnect to whatever serves the
+        port next.
+        """
+        super().server_close()
+        with self._connections_lock:
+            live = list(self._connections)
+        for request in live:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it meanwhile
 
 
 def _submission_specs(doc: Dict[str, Any]) -> List[ExperimentSpec]:
@@ -144,12 +177,33 @@ class ApiHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = f"repro-api/{__version__}"
+    # Kept-alive connections carry each reply as a header write and a body
+    # write; with Nagle's algorithm the second waits for the client's
+    # delayed ACK of the first (about 40 ms a request).
+    disable_nagle_algorithm = True
     server: ApiServer  # narrowed from BaseServer for the type checker
+    #: whether the current request's body is still unread on the connection
+    _body_unread = False
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:
         if not self.server.quiet:
             super().log_message(format, *args)
+
+    def parse_request(self) -> bool:
+        """Parse the request line and headers, noting whether a body follows."""
+        ok = super().parse_request()
+        self._body_unread = ok and (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        )
+        return ok
+
+    def end_headers(self) -> None:
+        if self._body_unread and not self.close_connection:
+            # the unread body would be parsed as the next request
+            self.send_header("Connection", "close")
+        super().end_headers()
 
     def _send_json(self, status: int, doc: Dict[str, Any]) -> None:
         body = json.dumps(doc, indent=2).encode("utf-8") + b"\n"
@@ -163,12 +217,17 @@ class ApiHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": {"code": code, "message": message}})
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            raise ApiError(f"Content-Length must be an integer, got {declared!r}") from None
         if length <= 0:
             raise ApiError("request body required")
         if length > MAX_BODY_BYTES:
             raise ApiError(f"request body too large ({length} bytes)")
         raw = self.rfile.read(length)
+        self._body_unread = False
         try:
             doc = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -279,34 +338,42 @@ class ApiHandler(BaseHTTPRequestHandler):
         if manager.get(digest) is None:
             self._send_error_json(404, "not_found", f"unknown run {digest!r}")
             return
+        # HTTP/1.1 frames the stream in chunks, so it ends without closing
+        # the connection; HTTP/1.0 has no chunks, and its stream ends when
+        # the connection closes.
+        chunked = self.request_version == "HTTP/1.1"
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream; charset=utf-8")
         self.send_header("Cache-Control", "no-cache")
-        # no Content-Length: the stream ends when the connection closes
-        self.send_header("Connection", "close")
+        if chunked:
+            self.send_header("Transfer-Encoding", "chunked")
+        else:
+            self.send_header("Connection", "close")
         self.end_headers()
-        self.close_connection = True
         cursor = 0
         try:
             while True:
                 events, done = manager.wait_events(
                     digest, cursor, timeout=SSE_KEEPALIVE_SECONDS
                 )
-                for event in events:
-                    name = str(event.get("event", "message"))
-                    data = json.dumps(event, sort_keys=True)
-                    self.wfile.write(
-                        f"event: {name}\ndata: {data}\n\n".encode("utf-8")
-                    )
                 cursor += len(events)
+                text = "".join(
+                    f"event: {event.get('event', 'message')}\n"
+                    f"data: {json.dumps(event, sort_keys=True)}\n\n"
+                    for event in events
+                )
+                if not events and not done:
+                    text = ": keepalive\n\n"
+                data = text.encode("utf-8")
+                if chunked and data:
+                    data = b"%x\r\n%s\r\n" % (len(data), data)
+                if chunked and done:
+                    data += b"0\r\n\r\n"  # the zero-length chunk ends the stream
+                self.wfile.write(data)
                 if done:
-                    self.wfile.flush()
                     break
-                if not events:
-                    self.wfile.write(b": keepalive\n\n")
-                self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
-            pass  # client closed the stream; the normal SSE ending
+            self.close_connection = True  # client closed the stream mid-way
 
 
 def make_server(

@@ -3,17 +3,24 @@
 The acceptance scenario of the service PR lives here: a server on an
 ephemeral port receives the same spec from 8 concurrent threads and
 must run the engine exactly once while every client gets the same
-digest-keyed result.
+digest-keyed result.  ``TestKeepAlive`` holds the connection contract:
+one kept-alive connection per client thread, reopened when the server
+closes it.
 """
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
-from repro.api import ApiClient, JobManager, make_server, start_in_thread
+from repro.api import ApiClient, ApiHandler, JobManager, make_server, start_in_thread
+from repro.api import server as server_module
 from repro.api.client import parse_sse
 from repro.api.openapi import openapi_document
 from repro.errors import ApiError
@@ -52,8 +59,23 @@ def service(tmp_path):
     try:
         yield client, manager, counted
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def connections(monkeypatch):
+    """Client addresses of the connections servers accept from now on."""
+    accepted = []
+    setup = ApiHandler.setup
+
+    def counting_setup(handler):
+        accepted.append(handler.client_address)
+        setup(handler)
+
+    monkeypatch.setattr(ApiHandler, "setup", counting_setup)
+    return accepted
 
 
 class TestConcurrentDedup:
@@ -123,6 +145,104 @@ class TestSse:
         )
         events = list(parse_sse(iter(raw.splitlines(keepends=True))))
         assert [e["event"] for e in events] == ["queued", "done"]
+
+
+class TestKeepAlive:
+    def test_round_trip_rides_one_connection(self, service, connections):
+        client, _, _ = service
+        _, payload = make_spec_doc(seed=24)
+        digest = client.submit(payload)["runs"][0]["digest"]
+        assert [e["event"] for e in client.events(digest)][-1] == "done"
+        assert client.run(digest)["status"] == "done"
+        assert client.submit(payload)["runs"][0]["cached"]
+        assert client.wait(digest, timeout=60)["status"] == "done"
+        assert len(connections) == 1
+
+    def test_http10_event_stream_ends_when_the_connection_closes(self, service):
+        client, _, _ = service
+        _, payload = make_spec_doc(seed=25)
+        digest = client.submit(payload)["runs"][0]["digest"]
+        client.wait(digest, timeout=60)
+        url = urlsplit(client.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+            sock.sendall(f"GET /v1/runs/{digest}/events HTTP/1.0\r\n\r\n".encode())
+            raw = b""
+            while chunk := sock.recv(65536):  # b"" only once the server closes
+                raw += chunk
+        head, body = raw.split(b"\r\n\r\n", 1)
+        assert b"connection: close" in head.lower()
+        assert b"transfer-encoding" not in head.lower()
+        events = list(parse_sse(body.decode("utf-8").splitlines(keepends=True)))
+        assert [e["event"] for e in events] == ["queued", "running", "completed", "done"]
+
+    def test_client_reconnects_after_connection_close(self, service, connections):
+        client, _, _ = service
+        assert client.healthz()["status"] == "ok"
+        # answered before its body is read, so the server closes the connection
+        with pytest.raises(ApiError, match="HTTP 404"):
+            client._request("POST", "/v1/nope", body={"spec": {}})
+        assert client.healthz()["status"] == "ok"
+        assert len(connections) == 2
+
+    def test_client_reconnects_to_a_restarted_server(self, tmp_path, connections):
+        def start(port):
+            manager = JobManager(executors=1, cache=ResultCache(tmp_path / "cache"))
+            server = make_server(port=port, manager=manager, quiet=True)
+            start_in_thread(server)
+            return server
+
+        server = start(0)
+        client = ApiClient(f"http://127.0.0.1:{server.port}", timeout=10.0)
+        try:
+            assert client.healthz()["status"] == "ok"
+            server.shutdown()
+            server.server_close()
+            server = start(server.port)
+            assert client.healthz()["status"] == "ok"
+            assert len(connections) == 2
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_wait_deadline_discards_the_part_read_stream(self, tmp_path, monkeypatch):
+        # keepalive comments are what let a quiet stream notice the deadline
+        monkeypatch.setattr(server_module, "SSE_KEEPALIVE_SECONDS", 0.05)
+        gate = threading.Event()
+
+        def gated(spec):
+            gate.wait(10.0)
+            return execute_spec(spec)
+
+        manager = JobManager(executors=1, cache=ResultCache(tmp_path / "cache"), task_fn=gated)
+        server = make_server(port=0, manager=manager, quiet=True)
+        start_in_thread(server)
+        client = ApiClient(f"http://127.0.0.1:{server.port}", timeout=10.0)
+        try:
+            digest = client.submit(make_spec_doc(seed=27)[1])["runs"][0]["digest"]
+            with pytest.raises(ApiError, match=r"still '(queued|running)' after 0.2s"):
+                client.wait(digest, timeout=0.2)
+            gate.set()
+            assert client.wait(digest, timeout=60)["status"] == "done"
+        finally:
+            gate.set()
+            client.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_kept_alive_round_trips_do_not_stall(self, service):
+        client, _, _ = service
+        _, payload = make_spec_doc(seed=26)
+        digest = client.submit(payload)["runs"][0]["digest"]
+        client.wait(digest, timeout=60)
+        start = time.perf_counter()
+        for _ in range(50):
+            client.submit(payload)
+            client.wait(digest, timeout=60)
+        elapsed = time.perf_counter() - start
+        # Nagle's algorithm against the client's delayed ACK stalls each
+        # request about 40 ms; a dedup round trip takes a few ms without.
+        assert elapsed < 50 * 0.040 / 2
 
 
 class TestRoutes:
@@ -205,6 +325,37 @@ class TestErrors:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
 
+    @pytest.mark.parametrize(
+        "path, headers, status",
+        [
+            ("/v1/nope", {}, 404),
+            ("/v1/runs", {"Content-Length": str(server_module.MAX_BODY_BYTES + 1)}, 400),
+            ("/v1/runs", {"Content-Length": "abc"}, 400),
+        ],
+    )
+    def test_reply_before_the_body_is_read_closes_the_connection(
+        self, service, path, headers, status
+    ):
+        client, _, _ = service
+        body = json.dumps(make_spec_doc()[1]).encode("utf-8")
+        conn = http.client.HTTPConnection(urlsplit(client.base_url).netloc, timeout=10)
+        try:
+            conn.request(
+                "POST", path, body=body, headers={"Content-Type": "application/json", **headers}
+            )
+            reply = conn.getresponse()
+            doc = json.loads(reply.read())
+            assert reply.status == status
+            assert doc["error"]["code"] == ("not_found" if status == 404 else "bad_request")
+            assert reply.getheader("Connection") == "close"
+            # the unread body must not be parsed as the next request
+            conn.request("GET", "/v1/healthz")
+            health = conn.getresponse()
+            assert health.status == 200
+            assert json.loads(health.read())["status"] == "ok"
+        finally:
+            conn.close()
+
     def test_unknown_route_is_404(self, service):
         client, _, _ = service
         with pytest.raises(ApiError, match="HTTP 404"):
@@ -241,5 +392,6 @@ class TestErrors:
                 client.submit(docs[2])
         finally:
             gate.set()
+            client.close()
             server.shutdown()
             server.server_close()
