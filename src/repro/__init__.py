@@ -63,6 +63,7 @@ from repro.obs import (
     MetricsCollector,
     ObservationSession,
     PhaseTimers,
+    WindowEvents,
     current_session,
     session,
 )
@@ -121,6 +122,7 @@ __all__ = [
     "simulate_first_stage_queue",
     # observability
     "EngineObserver",
+    "WindowEvents",
     "MetricsCollector",
     "PhaseTimers",
     "ObservationSession",

@@ -92,7 +92,7 @@ class TopologyError(SimulationError):
 class SanitizerError(SimulationError):
     """A runtime sanitizer invariant failed (``REPRO_SANITIZE=1``).
 
-    Raised by the opt-in invariant hooks around the cycle loops
+    Raised by the opt-in invariant hooks of the engines
     (:mod:`repro.simulation.sanitize`): NaN/inf in waiting-time
     statistics, negative queue depths, broken message conservation, or
     inconsistent merged-shard moments.  The ``cycle``/``stage``/

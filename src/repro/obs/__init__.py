@@ -3,10 +3,10 @@
 The measurement layer of the reproduction (see
 ``docs/observability.md``):
 
-* :class:`~repro.obs.base.EngineObserver` /
-  :class:`~repro.obs.base.ObserverSet` -- the composable observer
-  protocol the engine dispatches to (tracing, metrics, and user hooks
-  coexist);
+* :class:`~repro.obs.base.EngineObserver` -- the observer protocol:
+  the engine hands every attached observer one
+  :class:`~repro.obs.base.WindowEvents` per window of cycles (tracing,
+  metrics, and user hooks coexist);
 * :class:`~repro.obs.metrics.MetricsCollector` -- strided, ring-buffer
   bounded per-stage time series of queue depth, utilization, counts and
   running waiting-time moments;
@@ -18,7 +18,7 @@ The measurement layer of the reproduction (see
   the ``--metrics-out`` CLI flag.
 """
 
-from repro.obs.base import OBSERVER_EVENTS, EngineObserver, ObserverSet
+from repro.obs.base import EngineObserver, Injections, StageEvents, WindowEvents
 from repro.obs.manifest import (
     MANIFEST_REQUIRED_FIELDS,
     MANIFEST_SCHEMA_VERSION,
@@ -44,8 +44,9 @@ from repro.obs.session import ObservationSession, current_session, session
 
 __all__ = [
     "EngineObserver",
-    "ObserverSet",
-    "OBSERVER_EVENTS",
+    "WindowEvents",
+    "StageEvents",
+    "Injections",
     "MetricsCollector",
     "METRICS_RECORD_FIELDS",
     "PhaseTimers",

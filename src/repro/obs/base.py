@@ -1,36 +1,68 @@
-"""The engine observer protocol and its multiplexer.
+"""The engine observer protocol and the window events it receives.
 
 An *observer* is a passive event sink attached to a
-:class:`~repro.simulation.engine.ClockedEngine`.  The engine notifies it
-at well-defined points of the cycle; observers may read engine state
-freely but must never mutate it, consume randomness, or otherwise
-perturb the simulated sample path (the composition tests assert this).
+:class:`~repro.simulation.engine.ClockedEngine` with
+:meth:`~repro.simulation.engine.ClockedEngine.add_observer`; any number
+compose (tracing, metrics and ad-hoc user hooks side by side).  The
+engine evaluates its network a window of cycles at a time
+(:mod:`repro.simulation.stagewise`) and, after the last stage of every
+window, hands each observer one :class:`WindowEvents`: what every stage
+did in those cycles.  Observers may read engine state freely but must
+never mutate it, consume randomness, or otherwise perturb the simulated
+sample path (the composition tests assert this).
 
-The engine used to hold a single ``observer`` slot, which meant tracing
-(:class:`~repro.simulation.trace.MessageTracer`), metrics
-(:class:`~repro.obs.metrics.MetricsCollector`) and ad-hoc user hooks
-could not coexist.  :class:`ObserverSet` is the registry that replaces
-it: any number of observers, each receiving only the callbacks it
-actually overrides (no-op callbacks cost nothing on the hot path).
+The event arrays are valid during the callback only: the engine writes
+the next window's events over them, so an observer copies what it keeps.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-__all__ = ["EngineObserver", "ObserverSet", "OBSERVER_EVENTS"]
+import numpy as np
 
-#: Callback names dispatched by the engine, in firing order within a cycle.
-OBSERVER_EVENTS: Tuple[str, ...] = ("on_inject", "on_service_start", "on_cycle_end")
+__all__ = ["EngineObserver", "Injections", "StageEvents", "WindowEvents"]
+
+
+class Injections(NamedTuple):
+    """Messages that entered the network in a window, in injection order."""
+
+    cycle: np.ndarray   # injection cycle
+    source: np.ndarray  # network input
+    port: np.ndarray    # first-stage output queue (global port)
+    track: np.ndarray   # tracker slot, -1 = untracked (warm-up or over the limit)
+
+
+class StageEvents(NamedTuple):
+    """What one stage did in one window (all ``int64`` arrays).
+
+    The service starts are the ones *committed* in the window (see
+    :mod:`repro.simulation.stagewise`), in the order the statistics
+    record them: by cycle, then by port.
+    """
+
+    cycle: np.ndarray    # service start cycle
+    port: np.ndarray     # global port
+    wait: np.ndarray     # start minus queue arrival (the paper's statistic)
+    service: np.ndarray  # cycles the port stays busy
+    track: np.ndarray
+    dropped: np.ndarray  # push cycles of messages a full buffer refused, ascending
+    #: the window's injections; stage 0 only, ``None`` at later stages
+    injections: Optional[Injections] = None
+
+
+class WindowEvents(NamedTuple):
+    """One window of cycles ``[start, end)``, stage by stage."""
+
+    start: int
+    end: int
+    #: first cycle whose service starts enter the statistics
+    measure_from: int
+    stages: Tuple[StageEvents, ...]
 
 
 class EngineObserver:
-    """Base class for engine observers: every callback is a no-op.
-
-    Subclasses override only the events they care about; the engine's
-    dispatch skips un-overridden callbacks entirely, so attaching an
-    observer costs exactly the events it listens to.
-    """
+    """Base class for engine observers: every callback is a no-op."""
 
     def on_attach(self, engine) -> None:
         """Called once when attached; ``engine`` is the live engine."""
@@ -38,100 +70,5 @@ class EngineObserver:
     def on_detach(self, engine) -> None:
         """Called once when removed from the engine."""
 
-    def on_inject(self, t: int, sources, entry_lines, track_ids) -> None:
-        """Fresh messages entered first-stage queues at cycle ``t``."""
-
-    def on_service_start(self, t: int, ports, stages, waits, track_ids) -> None:
-        """Ports ``ports`` began transmitting at cycle ``t``."""
-
-    def on_cycle_end(self, t: int) -> None:
-        """Cycle ``t`` finished (after inject/serve/tick)."""
-
-
-def _overridden(observer, name: str):
-    """The bound callback if ``observer`` really implements ``name``.
-
-    Returns ``None`` for callbacks inherited untouched from
-    :class:`EngineObserver` (so dispatch can skip them) while still
-    accepting duck-typed observers that never subclassed the base.
-    """
-    fn = getattr(observer, name, None)
-    if fn is None or not callable(fn):
-        return None
-    if getattr(fn, "__func__", None) is getattr(EngineObserver, name):
-        return None
-    return fn
-
-
-class ObserverSet:
-    """Ordered registry of observers with per-event dispatch lists.
-
-    The engine asks for :attr:`inject`, :attr:`service_start` and
-    :attr:`cycle_end` -- plain lists of bound methods -- and iterates
-    them inline; an event nobody listens to is a falsy-list check.
-    """
-
-    def __init__(self, engine=None) -> None:
-        self._engine = engine
-        self._observers: List = []
-        self.inject: List = []
-        self.service_start: List = []
-        self.cycle_end: List = []
-
-    # -- registry -------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._observers)
-
-    def __iter__(self):
-        return iter(self._observers)
-
-    def __contains__(self, observer) -> bool:
-        return observer in self._observers
-
-    @property
-    def observers(self) -> Tuple:
-        """The attached observers, in attachment order."""
-        return tuple(self._observers)
-
-    def add(self, observer) -> None:
-        """Attach ``observer`` (idempotent) and rebuild dispatch lists."""
-        if observer is None or observer in self._observers:
-            return
-        self._observers.append(observer)
-        attach = getattr(observer, "on_attach", None)
-        if callable(attach) and self._engine is not None:
-            attach(self._engine)
-        self._rebuild()
-
-    def remove(self, observer) -> None:
-        """Detach ``observer`` (no-op if absent)."""
-        if observer not in self._observers:
-            return
-        self._observers.remove(observer)
-        detach = getattr(observer, "on_detach", None)
-        if callable(detach) and self._engine is not None:
-            detach(self._engine)
-        self._rebuild()
-
-    def replace(self, observers: Iterable) -> None:
-        """Replace the whole registry (used by the legacy single slot)."""
-        for obs in list(self._observers):
-            self.remove(obs)
-        for obs in observers:
-            self.add(obs)
-
-    # -- dispatch lists -------------------------------------------------
-    def _rebuild(self) -> None:
-        self.inject = [
-            cb for o in self._observers if (cb := _overridden(o, "on_inject"))
-        ]
-        self.service_start = [
-            cb for o in self._observers if (cb := _overridden(o, "on_service_start"))
-        ]
-        self.cycle_end = [
-            cb for o in self._observers if (cb := _overridden(o, "on_cycle_end"))
-        ]
-
-    def __repr__(self) -> str:
-        names = ", ".join(type(o).__name__ for o in self._observers)
-        return f"ObserverSet([{names}])"
+    def on_window(self, window: WindowEvents) -> None:
+        """A window of cycles was evaluated; called after its last stage."""

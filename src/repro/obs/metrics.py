@@ -6,15 +6,21 @@ and records, per network stage, a bounded time series of:
 * **queue depth** -- messages buffered at the stage's output ports;
 * **busy ports** -- ports mid-transmission (utilization = busy/width);
 * cumulative **injected / completed / dropped** message counts;
-* running **waiting-time moments** (count, sum, sum of squares) as
-  snapshots of the engine's streaming per-stage accumulator, so any
-  window's mean/variance is a difference of two samples.
+* running **waiting-time moments** (count, sum, sum of squares) of the
+  measured waits, so any window's mean/variance is a difference of two
+  samples.
 
-Everything is read from engine state already maintained for the paper's
-statistics -- the collector does no per-event work, only a strided
-vectorised snapshot -- so observing a run perturbs neither its sample
-path (observers never touch RNG streams) nor, materially, its wall
-clock (the overhead benchmark holds it under 10%).
+A sample describes the end of its cycle ``t``.  The collector counts
+it from the engine's window events (:mod:`repro.obs.base`): queue
+depth is the pushes up to ``t`` less the service starts up to ``t``
+(stage ``s``'s pushes are stage ``s - 1``'s starts, or the injections,
+less the drops), busy ports are the starts up to ``t`` less the
+services over by ``t``, and the wait moments are sums of the measured
+waits started by ``t`` (exact: waits are integers).  The starts arrive
+sorted by cycle, so each is a ``searchsorted`` at the window's sample
+cycles plus a running total.  Observing a run perturbs neither its
+sample path (observers never touch RNG streams) nor, materially, its
+wall clock (the overhead benchmark holds it under 10%).
 
 Memory is O(``capacity``) regardless of run length: samples live in a
 ring buffer and the oldest are overwritten once ``capacity`` is
@@ -49,6 +55,37 @@ METRICS_RECORD_FIELDS = {
 }
 
 
+def _sums_before(values: np.ndarray, bounds: np.ndarray) -> tuple:
+    """The sums of ``values[:b]`` for each of the non-decreasing ``bounds``,
+    and the sum of all ``values`` (exact: the waits are integers).
+
+    One ``reduceat`` over the segments between the bounds costs a third
+    of a full ``cumsum`` when there are few bounds, and allocates nothing
+    the size of ``values``.
+    """
+    if values.size == 0:
+        return np.zeros(bounds.size, dtype=np.int64), 0
+    inner = bounds < values.size  # the others take the total
+    cuts = np.concatenate(([0], bounds[inner]))
+    segments = np.add.reduceat(values, cuts)
+    segments[:-1][cuts[1:] == cuts[:-1]] = 0  # reduceat's empty segments
+    sums = np.cumsum(segments)
+    before = np.full(bounds.size, sums[-1])
+    before[inner] = sums[:-1]
+    return before, sums[-1]
+
+
+def _services_over(cycle: np.ndarray, service: np.ndarray, points: np.ndarray):
+    """How many of the services begun at ``cycle`` (ascending) are over by
+    the end of each point: ``cycle + service <= t``."""
+    if cycle.size == 0:
+        return np.zeros(points.size, dtype=np.int64)
+    low = service.min()
+    if low == service.max():  # one service time: the end cycles keep the start order
+        return np.searchsorted(cycle, points - low, side="right")
+    return np.searchsorted(np.sort(cycle + service), points, side="right")
+
+
 class MetricsCollector(EngineObserver):
     """Strided, ring-buffer-bounded per-stage metrics observer.
 
@@ -70,7 +107,6 @@ class MetricsCollector(EngineObserver):
         self.capacity = capacity
         self._engine = None
         self._taken = 0  # total samples ever taken (>= kept)
-        self._overwritten = 0
 
     # -- observer protocol ----------------------------------------------
     def on_attach(self, engine) -> None:
@@ -85,28 +121,87 @@ class MetricsCollector(EngineObserver):
         self._injected = np.zeros(cap, dtype=np.int64)
         self._completed = np.zeros(cap, dtype=np.int64)
         self._dropped = np.zeros(cap, dtype=np.int64)
+        # running state where the next window opens: per-stage queue
+        # depths, each port's next-free cycle (sorted per stage), the raw
+        # wait moments and the message counters
+        self._depth = np.bincount(
+            engine.evaluator.queued().port // engine.width, minlength=n
+        )
+        self._busy_until = self._next_free()
+        self._moments = engine.stats.snapshot()
+        self._counts = np.array(
+            [engine.injected, engine.completed, engine.dropped], dtype=np.int64
+        )
 
-    def on_cycle_end(self, t: int) -> None:
-        if t % self.stride:
+    def on_window(self, window) -> None:
+        stride = self.stride
+        points = np.arange(-(-window.start // stride) * stride, window.end, stride)
+        if points.size > self.capacity:  # only the newest fit the ring
+            self._taken += points.size - self.capacity
+            points = points[-self.capacity:]
+        stages = enumerate(window.stages)
+        by_t, totals = zip(
+            *(self._stage_counts(s, stage, points, window) for s, stage in stages), strict=True
+        )
+        started, refused, measured, sums, sumsq, busy_before, over = np.stack(by_t, axis=1)
+        n_started, n_refused, n_measured, sum_total, sumsq_total = np.array(totals).T
+        self._busy_until = self._next_free()
+        injections = window.stages[0].injections
+        injected_by = np.searchsorted(injections.cycle, points, side="right")
+        pushed = np.vstack([injected_by, started[:-1]]) - refused
+        depth = self._depth[:, None] + pushed - started
+        self._depth += np.append(injections.cycle.size, n_started[:-1]) - n_refused - n_started
+        count, total, total_sq = self._moments
+        wait_count = count[:, None] + measured
+        wait_sum = total[:, None] + sums
+        wait_sumsq = total_sq[:, None] + sumsq
+        count += n_measured
+        total += sum_total
+        total_sq += sumsq_total
+        injected, completed, dropped = self._counts
+        self._counts += (injections.cycle.size, n_started[-1], n_refused.sum())
+        if points.size == 0:
             return
+        i = (self._taken + np.arange(points.size)) % self.capacity
+        self._cycle[i] = points
+        self._queue_depth[i] = depth.T
+        self._busy_ports[i] = (busy_before + started - over).T
+        self._wait_count[i] = wait_count.T
+        self._wait_sum[i] = wait_sum.T
+        self._wait_sumsq[i] = wait_sumsq.T
+        self._injected[i] = injected + injected_by
+        self._completed[i] = completed + started[-1]
+        self._dropped[i] = dropped + refused.sum(axis=0)
+        self._taken += points.size
+
+    def _stage_counts(self, s: int, stage, points: np.ndarray, window) -> tuple:
+        """Stage ``s`` by each sample cycle ``t`` -- its starts, drops,
+        measured waits and their sum and sum of squares, the ports still
+        busy with a service begun before the window, and the window's
+        services over -- and, over the whole window, the first five."""
+        cycle, busy_until = stage.cycle, self._busy_until[s]
+        lo = int(np.searchsorted(cycle, window.measure_from, side="left"))
+        started = np.searchsorted(cycle, points, side="right")
+        measured = np.maximum(started - lo, 0)
+        waits = stage.wait[lo:]
+        sums, sum_total = _sums_before(waits, measured)
+        sumsq, sumsq_total = _sums_before(np.square(waits), measured)
+        by_t = (
+            started,
+            np.searchsorted(stage.dropped, points, side="right"),
+            measured,
+            sums,
+            sumsq,
+            busy_until.size - np.searchsorted(busy_until, points, side="right"),
+            _services_over(cycle, stage.service, points),
+        )
+        return by_t, (cycle.size, stage.dropped.size, waits.size, sum_total, sumsq_total)
+
+    def _next_free(self) -> np.ndarray:
+        """Each port's next-free cycle, sorted within each stage: a port is
+        busy at the end of cycle ``t`` when it exceeds ``t``."""
         engine = self._engine
-        if engine is None:
-            raise SimulationError("MetricsCollector was never attached to an engine")
-        i = self._taken % self.capacity
-        if self._taken >= self.capacity:
-            self._overwritten += 1
-        shape = (engine.n_stages, engine.width)
-        self._cycle[i] = t
-        self._queue_depth[i] = engine.queues.counts.reshape(shape).sum(axis=1)
-        self._busy_ports[i] = (engine.busy.reshape(shape) > 0).sum(axis=1)
-        count, total, total_sq = engine.stats.snapshot()
-        self._wait_count[i] = count
-        self._wait_sum[i] = total
-        self._wait_sumsq[i] = total_sq
-        self._injected[i] = engine.injected
-        self._completed[i] = engine.completed
-        self._dropped[i] = engine.queues.dropped
-        self._taken += 1
+        return np.sort(engine.evaluator.free.reshape(engine.n_stages, -1), axis=1)
 
     # -- accessors ------------------------------------------------------
     @property
@@ -122,7 +217,7 @@ class MetricsCollector(EngineObserver):
     @property
     def samples_overwritten(self) -> int:
         """Samples lost to ring-buffer wraparound."""
-        return self._overwritten
+        return max(self._taken - self.capacity, 0)
 
     def _ordered(self, arr: np.ndarray) -> np.ndarray:
         """A chronological copy of one ring array's valid samples."""
@@ -185,7 +280,7 @@ class MetricsCollector(EngineObserver):
             "stride": self.stride,
             "first_cycle": int(s["cycle"][0]),
             "last_cycle": int(s["cycle"][-1]),
-            "samples_overwritten": self._overwritten,
+            "samples_overwritten": self.samples_overwritten,
             "mean_queue_depth": [float(x) for x in s["queue_depth"].mean(axis=0)],
             "max_queue_depth": [int(x) for x in s["queue_depth"].max(axis=0)],
             "mean_utilization": [float(x) for x in s["utilization"].mean(axis=0)],

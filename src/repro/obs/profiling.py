@@ -3,10 +3,9 @@
 Two instruments, both cheap enough to leave compiled in:
 
 * :class:`PhaseTimers` -- named accumulating wall-clock timers.  The
-  engine uses one around its inject/serve/tick phases when profiling is
-  enabled (two ``perf_counter`` calls per phase per cycle, nothing
-  otherwise); anything else can use :meth:`PhaseTimers.phase` as a
-  context manager.
+  engines use one around their predraw/pass phases when profiling is
+  enabled (two ``perf_counter`` calls per window); anything else can use
+  :meth:`PhaseTimers.phase` as a context manager.
 * :func:`profiled` -- a decorator that records a function's wall time
   into the module-global :data:`GLOBAL_TIMERS`, but only while
   :func:`enable_profiling` is active; disabled, the overhead is a

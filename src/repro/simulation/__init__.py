@@ -19,8 +19,8 @@ Modules
     First-stage message generation: Bernoulli loads, bulks, favourite
     bias, multi-size messages.
 :mod:`repro.simulation.engine`
-    The clocked core: one :meth:`~repro.simulation.engine.ClockedEngine.step`
-    per network cycle.
+    The serial clocked engine, evaluated window by window by
+    :mod:`repro.simulation.stagewise`.
 :mod:`repro.simulation.batched`
     The replica-batched core: ``R`` independent replicas stacked into
     one set of arrays, amortising per-cycle kernel-call overhead.

@@ -102,28 +102,21 @@ def resolve_backend(
     """Turn a backend request into a ready instance for ``engine``.
 
     First refuses an engine outside the contract every backend shares
-    (module notes): one whose topology has no digit table, or one that
-    already ran (``engine=None`` resolves the request alone, e.g. to
-    see what ``"auto"`` picks here).  ``"auto"`` (or ``None``) degrades
-    cleanly: the JIT backend is chosen only when numba is importable
-    *and* it supports the engine; otherwise the NumPy pass runs.  An
-    *explicit* name is strict -- asking for ``"numba"`` without numba
-    raises with the reason.  A ready :class:`ComputeBackend` instance
-    passes through (after a support check), which is how the
-    equivalence tests drive the pre-drawn loop through its pure-Python
-    kernel.
+    (module notes): one that already ran (``engine=None`` resolves the
+    request alone, e.g. to see what ``"auto"`` picks here).  ``"auto"``
+    (or ``None``) degrades cleanly: the JIT backend is chosen only when
+    numba is importable *and* it supports the engine; otherwise the
+    NumPy pass runs.  An *explicit* name is strict -- asking for
+    ``"numba"`` without numba raises with the reason.  A ready
+    :class:`ComputeBackend` instance passes through (after a support
+    check), which is how the equivalence tests drive the pre-drawn loop
+    through its pure-Python kernel.
     """
-    if engine is not None:
-        if engine._shifts is None:
-            raise SimulationError(
-                "stacked backends need a digit-routed topology: routing_shifts() "
-                "is None, so forwarding would draw from the routing RNG"
-            )
-        if engine.now != 0:
-            raise SimulationError(
-                "a stacked engine runs once and is then finalized; build a "
-                "fresh engine to simulate further"
-            )
+    if engine is not None and engine.now != 0:
+        raise SimulationError(
+            "a stacked engine runs once and is then finalized; build a "
+            "fresh engine to simulate further"
+        )
     if backend is None or backend == DEFAULT_BACKEND:
         jit_cls = _REGISTRY.get("numba")
         if (

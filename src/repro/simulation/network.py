@@ -352,8 +352,8 @@ class NetworkSimulator:
             tracked=self.engine.tracker,
             injected=self.engine.injected,
             completed=self.engine.completed,
-            dropped=self.engine.queues.dropped,
-            max_occupancy=self.engine.queues.max_occupancy,
+            dropped=self.engine.dropped,
+            max_occupancy=self.engine.max_occupancy,
             elapsed_seconds=elapsed,
             timings=timers.as_dict() if timers is not None else None,
         )
@@ -371,20 +371,23 @@ class NetworkSimulator:
         """MSER-5 truncation from a pilot run of a fresh twin simulator.
 
         The pilot records the per-cycle mean wait at the *last* stage
-        (the slowest to reach spatial steady state) and applies the
-        MSER-5 rule; the detected truncation is then used -- with a
-        small safety floor -- as the main run's warm-up.
+        (the slowest to reach spatial steady state) -- the cycle-to-cycle
+        differences of a stride-1 metrics collector's running wait
+        moments -- and applies the MSER-5 rule; the detected truncation
+        is then used, with a small safety floor, as the main run's
+        warm-up.
         """
-        import numpy as np
-
+        from repro.obs.metrics import MetricsCollector
         from repro.simulation.warmup import mser5_truncation
 
         pilot_cycles = max(1_000, min(n_cycles // 4, 10_000))
         twin = NetworkSimulator(self.config)
-        twin.engine.record_cycle_series = True
+        probe = MetricsCollector(stride=1, capacity=pilot_cycles)
+        twin.engine.add_observer(probe)
         twin.engine.run(pilot_cycles, warmup=0)
-        sums = np.asarray(twin.engine.cycle_wait_sums)
-        counts = np.asarray(twin.engine.cycle_wait_counts, dtype=float)
+        moments = probe.series()
+        sums = np.diff(moments["wait_sum"][:, -1], prepend=0.0)
+        counts = np.diff(moments["wait_count"][:, -1], prepend=0).astype(float)
         with np.errstate(invalid="ignore", divide="ignore"):
             series = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
         detected = mser5_truncation(series)

@@ -2,26 +2,27 @@
 
 ``REPRO_SANITIZE=1`` (or :class:`repro.exec.context.ExecutionContext`
 with ``sanitize=True``, which exports the variable for its scope) arms
-cheap per-cycle hooks inside every cycle-loop implementation -- serial,
-batched reference, JIT, and streamed -- plus the shard-merge path:
+cheap hooks at every window end of the stage-wise pass
+(:mod:`repro.simulation.stagewise`) that evaluates serial, stacked and
+streamed runs, after the compiled JIT loop, and on the shard-merge
+path:
 
 * **finite statistics** -- no NaN/inf ever enters the waiting-time
   moment accumulators (a poisoned wait would otherwise surface only as
   a quietly wrong table entry);
-* **non-negative queue depths** -- a negative ring-buffer count means a
+* **non-negative queue depths** -- a negative queue count means a
   pop outran a push (buffer-accounting corruption);
-* **message conservation** -- every cycle, ``injected == completed +
-  in_flight + dropped`` (the serial engine's documented invariant, now
-  machine-checked on every engine);
+* **message conservation** -- ``injected == completed + in_flight +
+  dropped``, per replica;
 * **merge consistency** -- a merged shard summary must preserve the
   total message count and the finiteness of every per-replica moment.
 
 Violations raise :class:`~repro.errors.SanitizerError` carrying
 cycle/stage/replica coordinates.  The checks are deliberately O(state)
-numpy reductions -- small next to a simulation step -- so a
+numpy reductions -- small next to evaluating a window -- so a
 sanitizer-on run stays well inside the CI overhead budget (<25%).
 
-The hooks read the environment once per ``run()`` (not per cycle), so
+The hooks read the environment once per ``run()`` (not per window), so
 toggling mid-run has no effect -- by design, since a partially
 sanitized run proves nothing.
 """

@@ -25,20 +25,27 @@ of later windows.  Between windows the pass keeps, per port, the cycle
 it is next free, its queued messages in FIFO order and its occupancy
 high-water mark.
 
-The results are the cycle loop's, bit for bit:
+The results are those of a cycle-by-cycle simulation, bit for bit:
 
-* queue order is the loop's push order -- injection order at stage 0,
-  ``(previous start, previous port)`` after it, exactly the loop's
-  per-cycle ``push_batch`` order;
+* queue order is push order -- injection order at stage 0,
+  ``(previous start, previous port)`` after it;
 * statistics are handed to :meth:`StageAccumulator.add` sorted by
-  ``(start cycle, port)``, the order the loop records them in, so each
-  bin's first value -- its shift -- is the same; waits are integers, so
-  every sum is exact in any order;
+  ``(start cycle, port)``, the order a cycle-by-cycle simulation records
+  them in, so each bin's first value -- its shift -- is the same; waits
+  are integers, so every sum is exact in any order;
 * a port's occupancy when a message is pushed is the number of
   messages ahead of it in FIFO order that have not started yet, found
   with one ``searchsorted`` per stage, so the high-water marks match;
-* a run that ends mid-window leaves exactly the loop's queue contents
-  and busy counters, so an engine can resume on the cycle loop.
+* a run that ends mid-window leaves the exact queue contents and
+  next-free cycles, so the next :meth:`StagewisePass.advance` resumes
+  from them.
+
+Within a cycle, injections join the first-stage queues *before* the
+cycle's service starts, and a message started at cycle ``t`` joins its
+next queue *after* them (stamped ``t + 1`` under cut-through, ``t +
+service`` under store-and-forward).  With a finite ``capacity`` a
+message is dropped when its queue is full as it is pushed
+(:func:`_admitted`), and the Lindley step reruns on the admitted ones.
 
 Service times are ``>= 1`` (the :class:`~repro.service.base.ServiceProcess`
 contract), so a port starts at most one service per cycle.
@@ -46,10 +53,11 @@ contract), so a port starts at most one service per cycle.
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
+from repro.obs.base import Injections, StageEvents, WindowEvents
 from repro.simulation.sanitize import (
     check_conservation,
     check_queue_depths,
@@ -69,6 +77,7 @@ WINDOW_MESSAGES = 12_000
 Recorder = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_NO_EVENTS = StageEvents(*(_EMPTY,) * 6)
 
 
 class Hops(NamedTuple):
@@ -118,6 +127,109 @@ def _segment_starts(port: np.ndarray) -> np.ndarray:
     return first
 
 
+def _queue_depths(
+    port: np.ndarray,
+    start: np.ndarray,
+    pushed: np.ndarray,
+    t0: int,
+    inclusive: bool,
+) -> np.ndarray:
+    """Each message's queue length right after its push, itself included.
+
+    Arrays are grouped by port in FIFO order.  The queue then holds the
+    messages at or before the pushed one in FIFO order that have not
+    started yet: ``start >= push`` at stage 0 (``inclusive``), ``start >
+    push`` after it.  Starts increase along a port's run, so those
+    messages are a contiguous block that ends at the message itself.
+    """
+    span = int(start.max()) - t0 + 2
+    key = port * span + (start - t0)
+    probe = port * span + (pushed - t0)
+    begin = np.searchsorted(key, probe, side="left" if inclusive else "right")
+    return np.arange(1, port.size + 1) - begin
+
+
+def _admitted(
+    port: np.ndarray,
+    arrival: np.ndarray,
+    service: np.ndarray,
+    start: np.ndarray,
+    pushed: np.ndarray,
+    first: np.ndarray,
+    depth: np.ndarray,
+    capacity: int,
+    inclusive: bool,
+) -> np.ndarray:
+    """Which messages finite buffers of ``capacity`` admit (a mask).
+
+    Arrays are grouped by port in FIFO order; ``start`` holds the
+    infinite-buffer starts and ``depth`` the queue lengths they give.
+    Each port is exact up to its first overflow (``depth > capacity``).
+    From there every overflowing port is walked one message per step,
+    all of them at once, keeping its next-free cycle and the starts of
+    its last ``capacity`` admitted messages: a message is admitted iff
+    the oldest of those has left the queue when it is pushed.
+    """
+    run = np.cumsum(first) - 1
+    run_begin = np.flatnonzero(first)
+    run_end = np.append(run_begin[1:], port.size)
+    over = np.flatnonzero(depth > capacity)
+    at = over[_segment_starts(run[over])]  # each overflowing port's first overflow
+    end = run_end[run[at]]
+    # ring[:, j]: port j's last `capacity` admitted starts, the oldest
+    # at row oldest[j]; predecessors before the window have left
+    back = at - capacity + np.arange(capacity)[:, None]
+    ring = np.where(
+        back >= run_begin[run[at]], start[np.maximum(back, 0)], np.iinfo(np.int64).min
+    )
+    oldest = np.zeros(at.size, dtype=np.int64)
+    free = start[at - 1] + service[at - 1]  # a port's first message never overflows
+    has_left = np.less if inclusive else np.less_equal
+    keep = np.ones(port.size, dtype=bool)
+    live = np.arange(at.size)
+    while live.size:
+        slot = oldest[live]
+        ok = has_left(ring[slot, live], pushed[at])
+        keep[at[~ok]] = False
+        took, msg = live[ok], at[ok]
+        begin = np.maximum(arrival[msg], free[took])
+        ring[slot[ok], took] = begin
+        oldest[took] = (slot[ok] + 1) % capacity
+        free[took] = begin + service[msg]
+        at = at + 1
+        more = at < end[live]
+        live, at = live[more], at[more]
+    return keep
+
+
+def _in_time_order(
+    hops: Hops,
+    index: np.ndarray,
+    start: np.ndarray,
+    by_time: np.ndarray,
+    rows: Optional[np.ndarray],
+) -> tuple:
+    """``hops[index]``, ``start[by_time]`` and their waits.
+
+    Given ``rows`` (an observed window's events buffer: start, port,
+    wait, service, track), the observers' arrays are written straight
+    into it.
+    """
+    if rows is None:
+        hops = hops.take(index)
+        start = start[by_time]
+        return hops, start, start - hops.arrival
+    start = np.take(start, by_time, out=rows[0], mode="clip")
+    hops = Hops(
+        np.take(hops.port, index, out=rows[1], mode="clip"),
+        hops.arrival[index],
+        hops.dest[index],
+        np.take(hops.service, index, out=rows[3], mode="clip"),
+        np.take(hops.track, index, out=rows[4], mode="clip"),
+    )
+    return hops, start, np.subtract(start, hops.arrival, out=rows[2])
+
+
 def _lindley_starts(
     port: np.ndarray,
     arrival: np.ndarray,
@@ -158,8 +270,12 @@ class StagewisePass:
     stacked engines; one replica is the serial engine.  Feed injections
     window by window to :meth:`advance`; the pass updates ``stats``,
     calls ``record`` for measured service starts, and keeps
-    :attr:`completed`, :attr:`injected`, :attr:`high_water`,
-    :attr:`free` and the queued messages (:meth:`queued`).
+    :attr:`completed`, :attr:`injected`, :attr:`dropped`,
+    :attr:`high_water`, :attr:`free` and the queued messages
+    (:meth:`queued`).  A ``capacity`` makes every queue a finite FIFO
+    that drops overflow.  Every observer in :attr:`observers` gets a
+    :class:`~repro.obs.base.WindowEvents` after each window.  Sanitizer
+    errors name a replica only when the pass runs more than one.
     """
 
     def __init__(
@@ -172,6 +288,7 @@ class StagewisePass:
         stats: StageAccumulator,
         record: Recorder,
         *,
+        capacity: Optional[int] = None,
         sanitize: bool = False,
     ) -> None:
         self.n_stages, self.width = perm_stack.shape
@@ -182,7 +299,12 @@ class StagewisePass:
         self.cut_through = cut_through
         self.stats = stats
         self.record = record
+        self.capacity = capacity
         self.sanitize = sanitize
+        #: observers called with each window's events
+        self.observers: list = []
+        self._events = np.empty((5, 0), dtype=np.int64)  # see reserve_events
+        self._events_used = 0
         self._perm_stack = perm_stack.astype(np.int64, copy=False)
         self._shifts = np.asarray(shifts, dtype=np.int64)
         #: cycle the pass has reached (the next window opens here)
@@ -194,6 +316,8 @@ class StagewisePass:
         self.high_water = np.zeros(self.n_ports, dtype=np.int64)
         self.completed = np.zeros(n_replicas, dtype=np.int64)
         self.injected = np.zeros(n_replicas, dtype=np.int64)
+        #: messages refused by full buffers
+        self.dropped = np.zeros(n_replicas, dtype=np.int64)
         self._queued = [Hops.empty() for _ in range(self.n_stages)]
 
     # ------------------------------------------------------------------
@@ -201,24 +325,56 @@ class StagewisePass:
         """Every queued message, grouped by port in FIFO order."""
         return Hops.concat(self._queued)
 
-    def advance(self, end: int, inject: Hops, measure_from: int) -> None:
+    def reserve_events(self) -> None:
+        """Allocate (and write, so its pages are mapped) the buffer an
+        observed window's per-message arrays are written to: arrays kept
+        alive until the window ends instead grew and shrank the heap
+        every window, at some 2000 page faults per 500 cycles."""
+        if self._events.shape[1] == 0:
+            self._events = np.full((5, self.n_stages * (WINDOW_MESSAGES + 64)), 0, np.int64)
+
+    @property
+    def in_flight(self) -> int:
+        """Messages queued anywhere, over all replicas."""
+        return sum(held.port.size for held in self._queued)
+
+    def advance(
+        self,
+        end: int,
+        inject: Hops,
+        measure_from: int,
+        sources: Optional[np.ndarray] = None,
+    ) -> None:
         """Evaluate cycles ``[now, end)``.
 
         ``inject`` holds the messages injected in those cycles, in
         injection order, each with its injection cycle as ``arrival``;
         service starts from ``measure_from`` on are recorded.
+        ``sources`` (each injection's network input) rides along in the
+        observers' events.
         """
         t0 = self.now
         if inject.port.size:
             self.injected += np.bincount(
                 inject.port // self.ports_per_replica, minlength=self.n_replicas
             )
+        events: Optional[list] = [] if self.observers else None
+        self._events_used = 0
         arrivals, push = inject, inject.arrival
         for stage in range(self.n_stages):
-            arrivals, push = self._stage(stage, t0, end, arrivals, push, measure_from)
+            arrivals, push = self._stage(
+                stage, t0, end, arrivals, push, measure_from, events
+            )
         self.now = end
         if self.sanitize:
             self._check(end - 1)
+        if events is not None:
+            events[0] = events[0]._replace(
+                injections=Injections(inject.arrival, sources, inject.port, inject.track)
+            )
+            window = WindowEvents(t0, end, measure_from, tuple(events))
+            for observer in self.observers:
+                observer.on_window(window)
 
     # ------------------------------------------------------------------
     def _stage(
@@ -229,11 +385,14 @@ class StagewisePass:
         new: Hops,
         push: np.ndarray,
         measure_from: int,
+        events: Optional[list],
     ) -> tuple:
         """One stage of one window; returns the next stage's pushes."""
         held = self._queued[stage]
         n_held = held.port.size
         if n_held + new.port.size == 0:
+            if events is not None:
+                events.append(_NO_EVENTS)
             return Hops.empty(), _EMPTY
         hops = Hops.concat([held, new]) if n_held else new
         if n_held:
@@ -244,10 +403,28 @@ class StagewisePass:
             push = np.concatenate([np.full(n_held, t0 - 1, dtype=np.int64), push])
         order = _port_order(hops.port, self.n_ports)
         port = hops.port[order]
+        arrival = hops.arrival[order]
         service = hops.service[order]
+        push = push[order]
         first = _segment_starts(port)
-        start = _lindley_starts(port, hops.arrival[order], service, self.free, first)
-        self._track_high_water(port, start, push[order], t0, stage == 0)
+        start = _lindley_starts(port, arrival, service, self.free, first)
+        depth = _queue_depths(port, start, push, t0, stage == 0)
+        dropped = _EMPTY
+        if self.capacity is not None and int(depth.max()) > self.capacity:
+            keep = _admitted(
+                port, arrival, service, start, push, first, depth, self.capacity, stage == 0
+            )
+            dropped = np.sort(push[~keep])
+            self.dropped += np.bincount(
+                port[~keep] // self.ports_per_replica, minlength=self.n_replicas
+            )
+            order, port, arrival, service, push = (
+                a[keep] for a in (order, port, arrival, service, push)
+            )
+            first = _segment_starts(port)
+            start = _lindley_starts(port, arrival, service, self.free, first)
+            depth = _queue_depths(port, start, push, t0, stage == 0)
+        np.maximum.at(self.high_water, port, depth)
 
         begun = start < t1  # a prefix of every port's run
         if begun.all():
@@ -257,18 +434,22 @@ class StagewisePass:
             order, port, service, start, first = (
                 a[begun] for a in (order, port, service, start, first)
             )
-            if start.size == 0:
-                return Hops.empty(), _EMPTY
-        last = np.empty_like(first)
-        last[:-1] = first[1:]
-        last[-1] = True
-        self.free[port[last]] = start[last] + service[last]
-
-        # the loop's recording order: by start cycle, then port
-        by_time = np.argsort((start - t0) * self.n_ports + port)
-        hops = hops.take(order[by_time])
-        start = start[by_time]
-        self._record(stage, hops, start, measure_from)
+        if start.size:
+            last = np.empty_like(first)
+            last[:-1] = first[1:]
+            last[-1] = True
+            self.free[port[last]] = start[last] + service[last]
+            # the recording order: by start cycle, then port
+            by_time = np.argsort((start - t0) * self.n_ports + port)
+            rows = None if events is None else self._event_rows(start.size)
+            hops, start, wait = _in_time_order(hops, order[by_time], start, by_time, rows)
+            self._record(stage, hops, start, wait, measure_from)
+        else:
+            hops, wait = Hops.empty(), _EMPTY
+        if events is not None:
+            events.append(
+                StageEvents(start, hops.port, wait, hops.service, hops.track, dropped)
+            )
 
         if stage == self.n_stages - 1:
             if self.n_replicas == 1:
@@ -280,14 +461,27 @@ class StagewisePass:
             return Hops.empty(), _EMPTY
         return self._forward(stage, hops, start), start
 
-    def _record(self, stage: int, hops: Hops, start: np.ndarray, measure_from: int) -> None:
+    def _event_rows(self, n: int) -> np.ndarray:
+        """The next ``n`` columns of the events buffer."""
+        used = self._events_used
+        if used + n > self._events.shape[1]:
+            # the stages before keep their views of the old buffer
+            self._events = np.empty((5, 2 * (used + n)), dtype=np.int64)
+            used = 0
+        self._events_used = used + n
+        return self._events[:, used : used + n]
+
+    def _record(
+        self, stage: int, hops: Hops, start: np.ndarray, wait: np.ndarray, measure_from: int
+    ) -> None:
         if start[-1] < measure_from:
             return
         if start[0] < measure_from:
             keep = start >= measure_from
             hops = hops.take(keep)
             start = start[keep]
-        waits = (start - hops.arrival).astype(np.float64)
+            wait = wait[keep]
+        waits = wait.astype(np.float64)
         stages = np.full(start.size, stage, dtype=np.int64)
         if self.n_replicas == 1:
             bins = stages
@@ -307,42 +501,26 @@ class StagewisePass:
         arrival = start + 1 if self.cut_through else start + hops.service
         return Hops(port, arrival, hops.dest, hops.service, hops.track)
 
-    def _track_high_water(
-        self,
-        port: np.ndarray,
-        start: np.ndarray,
-        pushed: np.ndarray,
-        t0: int,
-        inclusive: bool,
-    ) -> None:
-        """Raise the high-water marks by every push of this window.
-
-        Right after a message is pushed, its queue holds the messages at
-        or before it in FIFO order that have not started yet: at stage 0
-        pushes precede the cycle's services (``start >= push``), later
-        stages push after them (``start > push``).  Starts increase along
-        a port's run, so those messages are a contiguous block that ends
-        at the message itself.
-        """
-        span = int(start.max()) - t0 + 2
-        key = port * span + (start - t0)
-        probe = port * span + (pushed - t0)
-        begin = np.searchsorted(key, probe, side="left" if inclusive else "right")
-        depth = np.arange(1, port.size + 1) - begin
-        np.maximum.at(self.high_water, port, depth)
-
     def _check(self, cycle: int) -> None:
         """Sanitizer: finite statistics, backlog and conservation at a window end."""
-        check_stage_stats(self.stats, cycle=cycle, n_stages=self.n_stages)
-        queued = self.queued()
-        depths = np.bincount(queued.port, minlength=self.n_ports)
-        check_queue_depths(depths, cycle=cycle, ports_per_replica=self.ports_per_replica)
+        stacked = self.n_replicas > 1
+        check_stage_stats(
+            self.stats, cycle=cycle, n_stages=self.n_stages if stacked else None
+        )
+        depths = np.bincount(self.queued().port, minlength=self.n_ports)
+        check_queue_depths(
+            depths,
+            cycle=cycle,
+            ports_per_replica=self.ports_per_replica if stacked else None,
+        )
         in_flight = depths.reshape(self.n_replicas, -1).sum(axis=1)
-        for replica in np.flatnonzero(self.injected != self.completed + in_flight):
+        balance = self.injected - self.completed - in_flight - self.dropped
+        for replica in np.flatnonzero(balance):
             check_conservation(
                 int(self.injected[replica]),
                 int(self.completed[replica]),
                 int(in_flight[replica]),
+                int(self.dropped[replica]),
                 cycle=cycle,
-                replica=int(replica),
+                replica=int(replica) if stacked else None,
             )

@@ -288,11 +288,6 @@ def run_streamed(
 
     topology = first.build_topology()
     perm_stack, shifts = build_routing_tables(topology)
-    if shifts is None:
-        raise SimulationError(
-            "topology routes without a digit table (routing_shifts() is "
-            "None); the streamed engine pre-draws all randomness up front"
-        )
     kernel, backend_name = _resolve_stream_kernel(backend)
 
     n_replicas = len(configs)

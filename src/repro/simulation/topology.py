@@ -128,10 +128,10 @@ class MultistageTopology(abc.ABC):
     def routing_shifts(self) -> Optional[np.ndarray]:
         """Per-stage divisors ``shift[s]`` with digit ``= (dest // shift[s]) % k``.
 
-        Returns ``None`` for topologies without digit routing (the
-        engine then falls back to :meth:`routing_digits`).  All the
-        digit-routed banyans here consume destination digits most
-        significant first, so they share one implementation.
+        Returns ``None`` for topologies without digit routing, which the
+        engines refuse.  All the digit-routed banyans here consume
+        destination digits most significant first, so they share one
+        implementation.
         """
         return None
 

@@ -2,14 +2,15 @@
 
 Attach a :class:`MessageTracer` to the engine to record, per tracked
 message, the full itinerary: injection input/cycle, and the (cycle,
-port, waiting time) of every stage service start.  Indispensable when a
+port, waiting time) of every stage service start, read from the
+engine's window events (:mod:`repro.obs.base`).  Indispensable when a
 statistic looks wrong and you need to see *one* message's life instead
 of a histogram.
 
 Tracing is scoped by message track id (the same ids the statistics
 tracker hands out) and bounded by ``limit``; once every traced journey
 has been served at all stages the tracer short-circuits and further
-cycles cost one boolean check, so it is safe to leave attached on long
+windows cost one boolean check, so it is safe to leave attached on long
 runs (the expensive window is only the first ``limit`` journeys).
 
 Example
@@ -18,7 +19,7 @@ Example
 >>> from repro.simulation.trace import MessageTracer
 >>> sim = NetworkSimulator(NetworkConfig(k=2, n_stages=3, p=0.4, seed=1))
 >>> tracer = MessageTracer(limit=50)
->>> sim.engine.observer = tracer
+>>> sim.engine.add_observer(tracer)
 >>> _ = sim.run(200, warmup=0)
 >>> journey = tracer.journey(0)
 >>> journey.stages_served == 3
@@ -103,35 +104,25 @@ class MessageTracer(EngineObserver):
         """Learn the network depth so completion can be detected."""
         self._n_stages = engine.n_stages
 
-    def on_inject(self, t: int, sources, entry_lines, track_ids) -> None:
-        """Record injections of traced (tracked, within-limit) messages."""
+    def on_window(self, window) -> None:
+        """Record the injections and service starts of traced messages."""
         if self._done:
             return
-        for src, line, tid in zip(sources, entry_lines, track_ids, strict=True):
-            tid = int(tid)
-            if 0 <= tid < self.limit:
-                self._journeys[tid] = MessageJourney(
-                    track_id=tid,
-                    injected_cycle=t,
-                    source=int(src),
-                    entry_queue=int(line),
-                )
-
-    def on_service_start(self, t: int, ports, stages, waits, track_ids) -> None:
-        """Record service starts of traced messages."""
-        if self._done:
-            return
-        for port, stage, wait, tid in zip(ports, stages, waits, track_ids, strict=True):
-            tid = int(tid)
-            journey = self._journeys.get(tid)
-            if journey is not None:
-                journey.events.append(
-                    StageEvent(cycle=t, stage=int(stage), port=int(port), wait=int(wait))
-                )
-                if (
-                    self._n_stages is not None
-                    and journey.stages_served == self._n_stages
-                ):
+        injections = window.stages[0].injections
+        traced = (injections.track >= 0) & (injections.track < self.limit)
+        for t, src, line, tid in zip(*(f[traced].tolist() for f in injections), strict=True):
+            self._journeys[tid] = MessageJourney(
+                track_id=tid, injected_cycle=t, source=src, entry_queue=line
+            )
+        for stage, events in enumerate(window.stages):
+            traced = (events.track >= 0) & (events.track < self.limit)
+            columns = (events.cycle, events.port, events.wait, events.track)
+            for t, port, wait, tid in zip(*(f[traced].tolist() for f in columns), strict=True):
+                journey = self._journeys.get(tid)
+                if journey is None:
+                    continue
+                journey.events.append(StageEvent(cycle=t, stage=stage, port=port, wait=wait))
+                if self._n_stages is not None and journey.stages_served == self._n_stages:
                     self._completed += 1
         if self._completed >= self.limit:
             self._done = True

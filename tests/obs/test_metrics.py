@@ -98,6 +98,31 @@ class TestSeries:
         assert collector.summary() == {"samples": 0}
 
 
+class TestAttachMidRun:
+    @pytest.mark.parametrize("capacity", [None, 2])
+    def test_late_collector_matches_one_attached_from_the_start(self, capacity, monkeypatch):
+        """A collector attached after a first run starts from the engine's
+        state: queued messages, busy ports, moments and counters."""
+        from repro.simulation import stagewise
+
+        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", 37)
+        cfg = NetworkConfig(k=2, n_stages=3, p=0.8, sizes=(1, 3), probabilities=(0.5, 0.5),
+                            buffer_capacity=capacity, seed=4)
+        early, late = NetworkSimulator(cfg), NetworkSimulator(cfg)
+        from_start = MetricsCollector(stride=1, capacity=2000)
+        early.attach_metrics(from_start)
+        early.run(300, warmup=50)
+        late.run(300, warmup=50)
+        joined = MetricsCollector(stride=1, capacity=2000)
+        late.attach_metrics(joined)
+        early.run(400, warmup=20)
+        late.run(400, warmup=20)
+        a, b = from_start.series(), joined.series()
+        after = a["cycle"] >= 300
+        for name in a:
+            assert np.array_equal(a[name][after], b[name]), name
+
+
 class TestRecordSchema:
     def test_records_match_documented_schema(self):
         _, collector, _ = metered_run()
@@ -176,3 +201,73 @@ class TestNonPerturbation:
         observed = sim.run(400, warmup=0)
         assert np.array_equal(base.stage_means, observed.stage_means)
         assert observed.timings is not None
+
+
+class TestOccupancyIdentities:
+    """Exact occupancy integrals of a drained run, stage by stage.
+
+    A message pushed at cycle ``p`` and started at ``start`` is queued
+    at the end of cycles ``p .. start - 1``, and its port is busy for
+    ``service`` cycles from ``start``.  Summed over a run that drains:
+
+    * sum_t queue_depth[t, s] = sum of waits + sum of lags, the lag being
+      ``arrival - push``: 0 at stage 0 (injected at arrival), 1 after it
+      under cut-through and the service time under store-and-forward;
+    * sum_t busy_ports[t, s] = sum of the services started at ``s``;
+    * the last sample's injected = completed + dropped.
+
+    The right-hand sides come from the statistics and the tracker, not
+    from the collector.
+    """
+
+    @pytest.mark.parametrize("window", [40, 12_000])
+    @pytest.mark.parametrize(
+        "transfer, capacity, max_service",
+        [
+            ("cut_through", None, 1),
+            ("cut_through", None, 3),
+            ("store_forward", None, 3),
+            ("cut_through", 1, 1),
+            ("cut_through", 2, 3),
+            ("store_forward", 2, 3),
+        ],
+    )
+    def test_little_integrals(self, transfer, capacity, max_service, window, monkeypatch):
+        from repro.simulation import stagewise
+        from repro.simulation.engine import ClockedEngine
+        from repro.simulation.topology import OmegaTopology
+        from tests.simulation.test_engine_reference import ScriptedTraffic, make_script
+
+        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", window)
+        topo = OmegaTopology(2, 3)
+        script = make_script(
+            np.random.default_rng(41), 8, 8, 150, p=0.7, max_service=max_service
+        )
+        n_cycles = len(script) + 400  # an idle tail: the network drains
+        services = np.concatenate([s[2] for s in script])
+        engine = ClockedEngine(
+            topo, ScriptedTraffic(8, script), transfer=transfer,
+            buffer_capacity=capacity, track_limit=services.size,
+        )
+        collector = MetricsCollector(stride=1, capacity=n_cycles)
+        engine.add_observer(collector)
+        engine.run(n_cycles, warmup=0)
+        assert engine.in_flight == 0
+        s = collector.series()
+        assert s["cycle"].size == n_cycles
+        count, total, _ = engine.stats.snapshot()
+        started = engine.tracker.waits[: services.size] >= 0  # (message, stage)
+        for stage in range(topo.n_stages):
+            served = services[started[:, stage]]
+            assert served.size == count[stage]
+            if stage == 0:
+                lag = 0
+            elif transfer == "cut_through":
+                lag = served.size
+            else:
+                lag = int(served.sum())
+            assert s["queue_depth"][:, stage].sum() == total[stage] + lag
+            assert s["busy_ports"][:, stage].sum() == served.sum()
+        assert s["injected"][-1] == services.size == engine.injected
+        assert s["injected"][-1] == s["completed"][-1] + s["dropped"][-1]
+        assert (s["dropped"][-1] > 0) == (capacity is not None)

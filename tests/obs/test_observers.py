@@ -1,51 +1,50 @@
-"""Observer protocol / multiplexer tests."""
+"""Observer protocol tests: registration, window events, profiling."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs.base import OBSERVER_EVENTS, EngineObserver, ObserverSet
+from repro.obs.base import EngineObserver, StageEvents, WindowEvents
+from repro.simulation import stagewise
 from repro.simulation.network import NetworkConfig, NetworkSimulator
-from repro.simulation.trace import MessageTracer
 
 
 class CountingObserver(EngineObserver):
-    """Counts every callback it receives."""
+    """Counts its attachments and the windows and messages it is shown."""
 
     def __init__(self):
         self.attached = None
+        self.detached = None
+        self.windows = []
         self.injects = 0
         self.services = 0
-        self.cycles = 0
 
     def on_attach(self, engine):
         self.attached = engine
 
-    def on_inject(self, t, sources, entry_lines, track_ids):
-        self.injects += 1
+    def on_detach(self, engine):
+        self.detached = engine
 
-    def on_service_start(self, t, ports, stages, waits, track_ids):
-        self.services += 1
-
-    def on_cycle_end(self, t):
-        self.cycles += 1
-
-
-class CycleOnlyObserver(EngineObserver):
-    def __init__(self):
-        self.cycles = 0
-
-    def on_cycle_end(self, t):
-        self.cycles += 1
+    def on_window(self, window):
+        self.windows.append((window.start, window.end))
+        self.injects += window.stages[0].injections.cycle.size
+        self.services += sum(stage.cycle.size for stage in window.stages)
 
 
 class DuckObserver:
-    """Never subclassed the base -- the legacy duck-typed shape."""
+    """Never subclassed the base: the protocol is three methods."""
 
     def __init__(self):
-        self.injects = 0
+        self.windows = 0
 
-    def on_inject(self, t, sources, entry_lines, track_ids):
-        self.injects += 1
+    def on_attach(self, engine):
+        pass
+
+    def on_detach(self, engine):
+        pass
+
+    def on_window(self, window):
+        self.windows += 1
 
 
 def small_sim(**kwargs):
@@ -53,53 +52,55 @@ def small_sim(**kwargs):
 
 
 class TestObserverSet:
-    def test_noop_callbacks_not_dispatched(self):
-        s = ObserverSet()
-        s.add(EngineObserver())
-        assert s.inject == [] and s.service_start == [] and s.cycle_end == []
+    """The engine's observers: a plain list, in attachment order."""
 
-    def test_overridden_callbacks_dispatched(self):
-        s = ObserverSet()
-        obs = CycleOnlyObserver()
-        s.add(obs)
-        assert s.inject == [] and len(s.cycle_end) == 1
+    def test_overridden_callbacks_dispatched(self, monkeypatch):
+        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", 50)
+        sim = small_sim()
+        obs = CountingObserver()
+        sim.engine.add_observer(obs)
+        sim.run(100, warmup=0)
+        # one call per window, the windows tiling the run
+        assert len(obs.windows) > 1
+        assert obs.windows[0][0] == 0 and obs.windows[-1][1] == 100
+        assert all(a[1] == b[0] for a, b in zip(obs.windows, obs.windows[1:], strict=False))
 
     def test_duck_typed_observer_dispatched(self):
-        s = ObserverSet()
+        sim = small_sim()
         duck = DuckObserver()
-        s.add(duck)
-        assert len(s.inject) == 1
-        s.inject[0](0, [], [], [])
-        assert duck.injects == 1
+        sim.engine.add_observer(duck)
+        sim.run(100, warmup=0)
+        assert duck.windows >= 1
 
     def test_add_is_idempotent(self):
-        s = ObserverSet()
+        sim = small_sim()
         obs = CountingObserver()
-        s.add(obs)
-        s.add(obs)
-        assert len(s) == 1 and len(s.cycle_end) == 1
+        sim.engine.add_observer(obs)
+        sim.engine.add_observer(obs)
+        assert sim.engine.observers == [obs]
+        sim.run(100, warmup=0)
+        assert obs.windows == [(0, 100)]
 
     def test_remove_rebuilds_dispatch(self):
-        s = ObserverSet()
+        sim = small_sim()
         obs = CountingObserver()
-        s.add(obs)
-        s.remove(obs)
-        assert len(s) == 0 and s.cycle_end == []
-        s.remove(obs)  # absent: no-op
-
-    def test_event_names_cover_dispatch_lists(self):
-        assert OBSERVER_EVENTS == ("on_inject", "on_service_start", "on_cycle_end")
+        sim.engine.add_observer(obs)
+        sim.engine.remove_observer(obs)
+        assert sim.engine.observers == [] and obs.detached is sim.engine
+        sim.engine.remove_observer(obs)  # absent: no-op
+        sim.run(100, warmup=0)
+        assert obs.windows == []
 
 
 class TestEngineRegistry:
     def test_multiple_observers_all_notified(self):
         sim = small_sim()
-        a, b = CountingObserver(), CycleOnlyObserver()
+        a, b = CountingObserver(), DuckObserver()
         sim.engine.add_observer(a)
         sim.engine.add_observer(b)
         sim.run(100, warmup=0)
-        assert a.cycles == 100 and b.cycles == 100
-        assert a.injects > 0 and a.services > 0
+        assert a.windows and b.windows == len(a.windows)
+        assert a.injects == sim.engine.injected and a.services > 0
 
     def test_on_attach_receives_engine(self):
         sim = small_sim()
@@ -107,58 +108,74 @@ class TestEngineRegistry:
         sim.engine.add_observer(obs)
         assert obs.attached is sim.engine
 
-    def test_legacy_observer_slot_still_works(self):
-        sim = small_sim()
-        tracer = MessageTracer(limit=10)
-        sim.engine.observer = tracer
-        assert sim.engine.observer is tracer
-        sim.run(100, warmup=0)
-        assert tracer.traced > 0
-
-    def test_legacy_slot_assignment_replaces(self):
-        sim = small_sim()
-        first, second = CountingObserver(), CountingObserver()
-        sim.engine.observer = first
-        sim.engine.observer = second
-        assert sim.engine.observer is second
-        assert first not in sim.engine.observers
-
-    def test_legacy_slot_none_clears(self):
-        sim = small_sim()
-        sim.engine.observer = CountingObserver()
-        sim.engine.observer = None
-        assert sim.engine.observer is None
-        assert len(sim.engine.observers) == 0
-
-    def test_constructor_observer_attached(self):
-        from repro.simulation.engine import ClockedEngine
-
-        sim = small_sim()
-        obs = CountingObserver()
-        engine = ClockedEngine(sim.topology, sim.traffic, observer=obs)
-        assert obs.attached is engine
-
     def test_remove_observer_stops_notifications(self):
         sim = small_sim()
         obs = CountingObserver()
         sim.engine.add_observer(obs)
         sim.run(50, warmup=0)
-        seen = obs.cycles
+        seen = len(obs.windows)
         sim.engine.remove_observer(obs)
         sim.engine.run(50, warmup=0)
-        assert obs.cycles == seen
+        assert len(obs.windows) == seen
+
+    def test_window_events_describe_the_window(self):
+        """Each stage's starts are committed in the window, sorted by
+        (cycle, port), with waits that match the statistics; stage 0
+        carries the injections and only stage 0 does."""
+        seen = []
+
+        class Keep(EngineObserver):
+            def on_window(self, window):
+                seen.append(window)
+
+        sim = small_sim()
+        sim.engine.add_observer(Keep())
+        sim.run(300, warmup=0)
+        [window] = seen
+        assert isinstance(window, WindowEvents)
+        assert (window.start, window.end, window.measure_from) == (0, 300, 0)
+        assert len(window.stages) == 3
+        injections = window.stages[0].injections
+        assert injections.cycle.size == sim.engine.injected
+        assert np.all(np.diff(injections.cycle) >= 0)
+        assert np.all(injections.port < sim.engine.width)
+        for s, stage in enumerate(window.stages):
+            assert isinstance(stage, StageEvents)
+            assert (stage.injections is None) == (s > 0)
+            assert np.all((stage.cycle >= 0) & (stage.cycle < 300))
+            key = stage.cycle * sim.engine.width * 3 + stage.port
+            assert np.all(np.diff(key) > 0)
+            assert np.all(stage.port // sim.engine.width == s)
+            assert stage.wait.sum() == sim.engine.stats.snapshot()[1][s]
+            assert stage.wait.size == sim.engine.stats.count[s]
+            assert stage.dropped.size == 0
+        assert window.stages[-1].cycle.size == sim.engine.completed
+
+    def test_window_events_carry_drops(self):
+        drops = []
+
+        class Keep(EngineObserver):
+            def on_window(self, window):
+                drops.extend(np.concatenate([s.dropped for s in window.stages]))
+
+        sim = small_sim(buffer_capacity=1, message_size=2)
+        sim.engine.add_observer(Keep())
+        result = sim.run(400, warmup=0)
+        assert result.dropped > 0 and len(drops) == result.dropped
 
 
 class TestProfiling:
-    def test_phase_timers_accumulate(self):
+    def test_phase_timers_accumulate(self, monkeypatch):
+        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", 100)
         sim = small_sim()
         timers = sim.engine.enable_profiling()
         sim.run(200, warmup=0)
-        assert set(timers.seconds) == {"inject", "serve", "tick"}
-        assert timers.calls["inject"] == 200
+        assert set(timers.seconds) == {"predraw", "pass"}
+        windows = timers.calls["predraw"]
+        assert windows > 1 and timers.calls["pass"] == windows
         assert all(v >= 0 for v in timers.seconds.values())
         d = timers.as_dict()
-        assert d["serve"]["calls"] == 200
+        assert d["pass"]["backend"] == "numpy"
 
     def test_enable_profiling_idempotent(self):
         sim = small_sim()

@@ -48,6 +48,10 @@ class ReferenceNetwork:
         self.now = 0
         #: (msg_id, stage) -> waiting time
         self.waits: Dict[Tuple[int, int], int] = {}
+        #: (msg_id, stage) -> service start cycle
+        self.starts: Dict[Tuple[int, int], int] = {}
+        #: per-port queue length high-water marks
+        self.high_water = [0] * n_ports
         self.completed: List[int] = []
         self.dropped = 0
 
@@ -63,6 +67,7 @@ class ReferenceNetwork:
             self.dropped += 1
             return
         self.queues[port].append(msg)
+        self.high_water[port] = max(self.high_water[port], len(self.queues[port]))
 
     def step_service(self) -> None:
         """Serve every idle port whose head has arrived; then tick."""
@@ -77,6 +82,7 @@ class ReferenceNetwork:
             queue.pop(0)
             stage = port // width
             self.waits[(head.msg_id, stage)] = self.now - head.arrival
+            self.starts[(head.msg_id, stage)] = self.now
             self.busy[port] = head.service
             if stage == self.topology.n_stages - 1:
                 self.completed.append(head.msg_id)

@@ -1,14 +1,13 @@
-"""Differential tests: both serial engine paths vs the naive reference model.
+"""Differential tests: the serial engine vs the naive reference model.
 
-``ClockedEngine.run`` evaluates a fresh, uninstrumented run stage by
-stage (:mod:`repro.simulation.stagewise`) and everything else cycle by
-cycle.  Every case here runs both paths -- an attached observer that
-listens to nothing forces the cycle loop -- on *identical pre-generated
-traffic*, demands that they agree bit for bit on every statistic and on
-the end state, and demands identical per-message waiting times at every
-stage against the reference model.  Scenarios are hand-picked
-(multi-packet, store-and-forward, finite buffers, window edges) and
-hypothesis-generated.
+``ClockedEngine.run`` evaluates every run stage by stage
+(:mod:`repro.simulation.stagewise`).  Every case here drives the engine
+and the pure-Python reference model with *identical pre-generated
+traffic* and demands identical per-message waiting times at every
+stage, identical drops, and -- once the run has stopped -- the same
+queue contents, busy ports and occupancy high-water marks, port by
+port.  Scenarios are hand-picked (multi-packet, store-and-forward,
+finite buffers, window edges, resumed runs) and hypothesis-generated.
 """
 
 from typing import List
@@ -19,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.base import EngineObserver
+from repro.obs.metrics import MetricsCollector
 from repro.simulation import stagewise
 from repro.simulation.engine import ClockedEngine
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.topology import OmegaTopology, RandomRoutingTopology
+from repro.simulation.trace import MessageTracer
 from repro.simulation.traffic import CycleArrivals
 
 from tests.simulation.reference_model import ReferenceNetwork
@@ -73,74 +73,70 @@ def make_script(rng, width, dest_space, n_cycles, p, max_service=1, bulk=1):
     return script
 
 
-def make_engine(topology, script, *, cycle_loop, transfer="cut_through",
-                buffer_capacity=None, track_limit=None):
-    """A serial engine replaying ``script``; ``cycle_loop`` forces the loop."""
+def make_engine(topology, script, *, transfer="cut_through", buffer_capacity=None):
+    """A serial engine replaying ``script``, tracking every message.
+
+    Tracker slots are handed out in injection order, so with no warm-up
+    a message's slot is its script id.
+    """
     total_msgs = sum(len(s[0]) for s in script)
-    engine = ClockedEngine(
+    return ClockedEngine(
         topology,
         ScriptedTraffic(topology.width, script),
         transfer=transfer,
         buffer_capacity=buffer_capacity,
-        track_limit=track_limit or max(total_msgs, 1),
+        track_limit=max(total_msgs, 1),
     )
-    if cycle_loop:
-        engine.add_observer(EngineObserver())  # listens to nothing
-    return engine
 
 
-def queue_contents(queues):
-    """Every queue's messages in FIFO order, per field."""
-    out = {}
-    for name, arr in queues._fields.items():
-        out[name] = [
-            arr[q, (queues._head[q] + np.arange(queues.counts[q])) % queues.capacity]
-            for q in range(queues.n_queues)
-        ]
-    return out
+def make_reference(topology, script, transfer="cut_through", buffer_capacity=None,
+                   n_cycles=None):
+    """The reference model after ``n_cycles`` (default: the script and
+    200 idle cycles to drain)."""
+    n_cycles = len(script) + 200 if n_cycles is None else n_cycles
+    ref = ReferenceNetwork(topology, transfer=transfer, buffer_capacity=buffer_capacity)
+    ref.run_with_traffic(script[:n_cycles])
+    for _ in range(n_cycles - len(script)):
+        ref.step_service()
+    return ref
 
 
-def assert_same_state(a, b):
-    """Two serial engines agree on every statistic and on their end state."""
-    for name in ("count", "shift", "total", "total_sq"):
-        assert np.array_equal(getattr(a.stats, name), getattr(b.stats, name)), name
-    assert np.array_equal(a.tracker.waits, b.tracker.waits)
-    assert a.tracker.allocated == b.tracker.allocated
-    assert (a.now, a.injected, a.completed, a.in_flight) == (
-        b.now, b.injected, b.completed, b.in_flight
-    )
-    assert a.queues.dropped == b.queues.dropped
-    assert a.queues.max_occupancy == b.queues.max_occupancy
-    assert np.array_equal(a.queues.high_water(), b.queues.high_water())
-    assert np.array_equal(a.queues.counts, b.queues.counts)
-    assert np.array_equal(a.busy, b.busy)
-    contents_a, contents_b = queue_contents(a.queues), queue_contents(b.queues)
-    for name in contents_a:
-        for qa, qb in zip(contents_a[name], contents_b[name], strict=True):
-            assert np.array_equal(qa, qb), name
+def assert_same_end_state(engine, ref, first_tracked=0):
+    """The engine stands where the reference model does, port by port.
+
+    Messages before ``first_tracked`` (those injected in a warm-up) hold
+    no tracker slot; the rest hold their id less ``first_tracked``.
+    """
+    assert engine.now == ref.now
+    queued = engine.evaluator.queued()
+    contents = {}
+    for port, track, arrival in zip(
+        queued.port.tolist(), queued.track.tolist(), queued.arrival.tolist(), strict=True
+    ):
+        contents.setdefault(port, []).append((track, arrival))
+    expected = {
+        port: [(max(msg.msg_id - first_tracked, -1), msg.arrival) for msg in queue]
+        for port, queue in enumerate(ref.queues)
+        if queue
+    }
+    assert contents == expected
+    busy = np.maximum(engine.evaluator.free - engine.now, 0)
+    assert busy.tolist() == ref.busy
+    assert engine.evaluator.high_water.tolist() == ref.high_water
+    assert engine.in_flight == sum(len(queue) for queue in ref.queues)
+    assert engine.dropped == ref.dropped
+    assert engine.injected == engine.completed + engine.in_flight + engine.dropped
 
 
 def run_both(topology, script, transfer="cut_through", buffer_capacity=None):
-    """Both serial paths, checked against each other; returns the
-    stage-wise engine (the cycle loop for finite buffers) and the
-    reference model."""
-    n_cycles = len(script)
-    engines = [
-        make_engine(topology, script, cycle_loop=loop, transfer=transfer,
-                    buffer_capacity=buffer_capacity)
-        for loop in (False, True)
-    ]
-    for engine in engines:
-        engine.run(n_cycles + 200, warmup=0)  # drain
-    assert_same_state(*engines)
-
-    ref = ReferenceNetwork(
-        topology, transfer=transfer, buffer_capacity=buffer_capacity
-    )
-    ref.run_with_traffic(script)
-    for _ in range(200):
-        ref.step_service()
-    return engines[0], ref
+    """The engine and the reference model over ``script`` plus 200 idle
+    cycles, checked against each other's end state."""
+    engine = make_engine(topology, script, transfer=transfer,
+                         buffer_capacity=buffer_capacity)
+    engine.run(len(script) + 200, warmup=0)  # drain
+    ref = make_reference(topology, script, transfer, buffer_capacity)
+    assert_same_end_state(engine, ref)
+    return engine, ref
 
 
 def assert_identical(engine, ref, topology):
@@ -183,7 +179,7 @@ class TestHandPicked:
         topo = OmegaTopology(2, 2)
         script = make_script(np.random.default_rng(3), 4, 4, 80, p=0.9, max_service=2)
         engine, ref = run_both(topo, script, buffer_capacity=2)
-        assert engine.queues.dropped == ref.dropped
+        assert ref.dropped > 0
         assert_identical(engine, ref, topo)
 
     def test_width_decoupled_topology(self):
@@ -231,7 +227,6 @@ class TestHypothesisDifferential:
             np.random.default_rng(seed), 4, 4, 40, p=0.8, max_service=2
         )
         engine, ref = run_both(topo, script, buffer_capacity=capacity)
-        assert engine.queues.dropped == ref.dropped
         assert_identical(engine, ref, topo)
 
 
@@ -298,10 +293,20 @@ class TestWindowEdges:
         script = make_script(np.random.default_rng(13), 8, 8, 50, p=0.7, max_service=2)
         n_cycles = 50
         warmup = 0 if warmup_at == "zero" else n_cycles - 1
-        engines = [make_engine(topo, script, cycle_loop=loop) for loop in (False, True)]
-        for engine in engines:
-            engine.run(n_cycles, warmup=warmup)
-        assert_same_state(*engines)
+        engine = make_engine(topo, script)
+        engine.run(n_cycles, warmup=warmup)
+        ref = make_reference(topo, script, n_cycles=n_cycles)
+        assert_same_end_state(engine, ref, sum(len(s[0]) for s in script[:warmup]))
+        # the statistics hold exactly the waits that started from the warm-up on
+        count, total, total_sq = engine.stats.snapshot()
+        for stage in range(topo.n_stages):
+            waits = [
+                wait for (msg, s), wait in ref.waits.items()
+                if s == stage and ref.starts[(msg, s)] >= warmup
+            ]
+            assert count[stage] == len(waits)
+            assert total[stage] == sum(waits)
+            assert total_sq[stage] == sum(w * w for w in waits)
 
     def test_traffic_runs_out(self, window):
         # the script ends after 8 cycles; the run goes on for 300 more
@@ -321,10 +326,11 @@ class TestHypothesisWindows:
         max_service=st.integers(min_value=1, max_value=4),
         transfer=st.sampled_from(["cut_through", "store_forward"]),
         window=st.sampled_from(WINDOWS),
+        capacity=st.sampled_from([None, 1, 2, 4]),
     )
     @settings(max_examples=25, deadline=None)
     def test_random_scenarios_small_windows(
-        self, seed, k, n_stages, p, max_service, transfer, window
+        self, seed, k, n_stages, p, max_service, transfer, window, capacity
     ):
         topo = OmegaTopology(k, n_stages)
         script = make_script(
@@ -332,30 +338,32 @@ class TestHypothesisWindows:
             p=p, max_service=max_service,
         )
         with patch.object(stagewise, "WINDOW_MESSAGES", window):
-            engine, ref = run_both(topo, script, transfer=transfer)
+            engine, ref = run_both(topo, script, transfer=transfer,
+                                   buffer_capacity=capacity)
         assert_identical(engine, ref, topo)
 
 
 class TestStateAndResume:
-    """A stage-wise run leaves the cycle loop's exact end state."""
+    """A run resumes from the end state of the one before."""
 
     @pytest.mark.parametrize("window", [1, 40, stagewise.WINDOW_MESSAGES])
     @pytest.mark.parametrize("transfer", ["cut_through", "store_forward"])
-    def test_pass_then_loop_equals_loop_throughout(self, window, transfer, monkeypatch):
+    @pytest.mark.parametrize("capacity", [None, 3])
+    def test_split_run_matches_reference_throughout(
+        self, window, transfer, capacity, monkeypatch
+    ):
         monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", window)
         topo = OmegaTopology(2, 3)
         script = make_script(np.random.default_rng(20), 8, 8, 120, p=0.8, max_service=3)
-        staged, looped = (
-            make_engine(topo, script, cycle_loop=loop, transfer=transfer)
-            for loop in (False, True)
-        )
-        staged.run(70, warmup=10)  # fresh: stage by stage
-        looped.run(70, warmup=10)
-        assert staged.in_flight > 0 and staged.busy.any()  # mid-flight end state
-        assert_same_state(staged, looped)
-        staged.run(90, warmup=5)   # not fresh: cycle by cycle, from the restored state
-        looped.run(90, warmup=5)
-        assert_same_state(staged, looped)
+        engine = make_engine(topo, script, transfer=transfer, buffer_capacity=capacity)
+        engine.run(70, warmup=0)
+        ref = make_reference(topo, script, transfer, capacity, n_cycles=70)
+        assert engine.in_flight > 0 and (engine.evaluator.free > engine.now).any()
+        assert_same_end_state(engine, ref)
+        engine.run(90, warmup=0)  # resumes the queues and busy ports left at 70
+        ref = make_reference(topo, script, transfer, capacity, n_cycles=160)
+        assert_same_end_state(engine, ref)
+        assert_identical(engine, ref, topo)
 
     @pytest.mark.parametrize(
         "kw",
@@ -371,17 +379,27 @@ class TestStateAndResume:
         ids=["unit", "bulk", "multisize", "favourite", "store_forward",
              "butterfly", "random"],
     )
-    def test_network_results_bit_identical(self, kw, monkeypatch):
-        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", 300)
+    def test_network_results_bit_identical(self, kw):
+        """Observers and the window size change nothing: a run observed
+        in 300-message windows equals an unobserved one in full windows."""
         cfg = NetworkConfig(seed=31, **kw)
-        staged = NetworkSimulator(cfg)
-        looped = NetworkSimulator(cfg)
-        looped.engine.add_observer(EngineObserver())
-        a, b = staged.run(1500, warmup=200), looped.run(1500, warmup=200)
-        assert_same_state(staged.engine, looped.engine)
+        plain = NetworkSimulator(cfg)
+        observed = NetworkSimulator(cfg)
+        observed.attach_metrics(MetricsCollector(stride=1))
+        observed.engine.add_observer(MessageTracer(limit=100))
+        a = plain.run(1500, warmup=200)
+        with patch.object(stagewise, "WINDOW_MESSAGES", 300):
+            b = observed.run(1500, warmup=200)
+        for name in ("count", "shift", "total", "total_sq"):
+            assert np.array_equal(
+                getattr(plain.engine.stats, name), getattr(observed.engine.stats, name)
+            ), name
         for name in ("stage_means", "stage_variances", "stage_counts"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert np.array_equal(a.tracked.waits, b.tracked.waits)
         for name in ("n_cycles", "warmup", "injected", "completed", "dropped",
                      "max_occupancy", "backend", "timings", "totals_summary"):
             assert getattr(a, name) == getattr(b, name), name
+        assert np.array_equal(plain.engine.evaluator.high_water,
+                              observed.engine.evaluator.high_water)
+        assert plain.engine.in_flight == observed.engine.in_flight

@@ -39,7 +39,8 @@ def run_single(service, transfer, n_stages=3, inject_at=0):
         topo.width, {inject_at: ([0], [topo.width - 1], [service])}
     )
     tracer = MessageTracer(limit=8)
-    engine = ClockedEngine(topo, traffic, transfer=transfer, observer=tracer)
+    engine = ClockedEngine(topo, traffic, transfer=transfer)
+    engine.add_observer(tracer)
     engine.run(40, warmup=0)
     return engine, tracer.journey(0)
 
@@ -72,7 +73,8 @@ class TestCutThroughTiming:
             topo.width, {0: ([0, 1], [0, 0], [3, 3])}
         )
         tracer = MessageTracer(limit=4)
-        engine = ClockedEngine(topo, traffic, observer=tracer)
+        engine = ClockedEngine(topo, traffic)
+        engine.add_observer(tracer)
         engine.run(20, warmup=0)
         starts = sorted(
             j.events[0].cycle for j in [tracer.journey(0), tracer.journey(1)]

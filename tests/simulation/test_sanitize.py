@@ -7,10 +7,9 @@ Three layers of evidence:
 * each invariant check raises :class:`SanitizerError` with the
   cycle/stage/replica coordinates a debugger needs;
 * a deliberately poisoned kernel (NaN injected into the waiting-time
-  stream mid-run) is caught *at the cycle it happens* on the serial
-  engine's cycle loop, and in the window it happens, with its replica,
-  on stacked and streamed runs (their stage-wise pass is checked at
-  every window end).
+  stream mid-run) is caught in the window it happens, at the stage-wise
+  pass's next window end -- with its replica on stacked and streamed
+  runs, without one on serial runs.
 """
 
 import dataclasses
@@ -93,6 +92,21 @@ class TestCleanRuns:
         assert plain.injected == sanitized.injected
         assert plain.completed == sanitized.completed
 
+    def test_serial_finite_buffer_run_is_quiet_and_bit_identical(self, monkeypatch):
+        """Drops enter the conservation check: injected == completed +
+        in_flight + dropped at every window end."""
+        cfg = dataclasses.replace(CFG, p=0.9, message_size=2, buffer_capacity=3)
+        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", 300)
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        plain = NetworkSimulator(cfg).run(1_000, warmup=50)
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        sanitized = NetworkSimulator(cfg).run(1_000, warmup=50)
+        assert sanitized.dropped > 0
+        assert np.array_equal(plain.stage_means, sanitized.stage_means)
+        assert (plain.injected, plain.completed, plain.dropped) == (
+            sanitized.injected, sanitized.completed, sanitized.dropped
+        )
+
     def test_stacked_run_is_quiet(self, armed):
         cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2, 3)]
         results = run_stacked(cfgs, 300, warmup=30, backend="numpy")
@@ -107,8 +121,9 @@ class TestCleanRuns:
 class TestNanInjection:
     def test_serial_kernel_nan_raises_with_coordinates(self, armed, monkeypatch):
         """THE acceptance case: a NaN slipped into the waiting-time
-        stream raises at the offending cycle, with coordinates."""
-        poison_nan_at(monkeypatch, 30)
+        stream raises in the window it happens, with coordinates."""
+        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", 500)
+        poison_nan_at(monkeypatch, 5)
         with pytest.raises(SanitizerError) as info:
             NetworkSimulator(CFG).run(2_000, warmup=0)
         err = info.value

@@ -1,8 +1,10 @@
 """Message-journey tracing tests."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.base import Injections, StageEvents, WindowEvents
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.trace import MessageTracer
 
@@ -11,7 +13,7 @@ def traced_run(n_cycles=300, **config_kwargs):
     cfg = NetworkConfig(k=2, n_stages=3, p=0.4, seed=11, **config_kwargs)
     sim = NetworkSimulator(cfg)
     tracer = MessageTracer(limit=200)
-    sim.engine.observer = tracer
+    sim.engine.add_observer(tracer)
     result = sim.run(n_cycles, warmup=0)
     return sim, tracer, result
 
@@ -88,8 +90,10 @@ class TestTracer:
         assert len(tracer.completed_journeys(3)) == 5
         # post-completion events are ignored entirely
         events_before = sum(j.stages_served for j in tracer.slowest(5))
-        tracer.on_inject(999, [0], [0], [2])
-        tracer.on_service_start(999, [0], [0], [1.0], [2])
+        one = np.array([999]), np.array([0]), np.array([2])
+        late = StageEvents(one[0], one[1], one[1], one[1] + 1, one[2], np.empty(0, np.int64))
+        first = late._replace(injections=Injections(one[0], one[1], one[1], one[2]))
+        tracer.on_window(WindowEvents(999, 1000, 0, (first, late, late)))
         assert tracer.traced == 5
         assert sum(j.stages_served for j in tracer.slowest(5)) == events_before
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.metrics import MetricsCollector
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.warmup import moving_average, mser5_truncation
 
@@ -72,9 +73,13 @@ class TestAutoWarmupIntegration:
         assert result.stage_means[0] == pytest.approx(0.25, rel=0.1)
 
     def test_engine_series_recording(self):
+        """The pilot's per-cycle series: a stride-1 collector's running
+        last-stage wait moments, one sample per cycle."""
         cfg = NetworkConfig(k=2, n_stages=3, p=0.5, topology="random", width=32, seed=6)
         sim = NetworkSimulator(cfg)
-        sim.engine.record_cycle_series = True
+        probe = MetricsCollector(stride=1, capacity=500)
+        sim.engine.add_observer(probe)
         sim.engine.run(500, warmup=0)
-        assert len(sim.engine.cycle_wait_sums) == 500
-        assert sum(sim.engine.cycle_wait_counts) > 0
+        counts = probe.series()["wait_count"][:, -1]
+        assert counts.size == 500
+        assert counts[-1] == sim.engine.stats.count[-1] > 0
