@@ -23,7 +23,7 @@ import pytest
 
 pytest.importorskip("numba")
 
-from repro.simulation.backends import resolve_backend  # noqa: E402
+from repro.simulation.backends import resolve_kernel  # noqa: E402
 from repro.simulation.batched import run_batched  # noqa: E402
 from repro.simulation.network import NetworkConfig  # noqa: E402
 
@@ -70,7 +70,7 @@ def test_numba_backend_speedup(benchmark, cycles):
     seeds = list(range(1, n_replicas + 1))
 
     # sanity: an importable numba must also resolve as usable here
-    assert resolve_backend("auto", None).name == "numba"
+    assert resolve_kernel("auto")[1] == "numba"
 
     # warm both paths: the numba run pays JIT compilation exactly once
     run_batched(config, [1, 2], 1_000, backend="numpy")

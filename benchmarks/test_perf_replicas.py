@@ -2,7 +2,7 @@
 
 ``docs/simulator.md`` claims that stacking ``R = 32`` replicas of the
 paper's small-network scenario (``k = 2``, 6 stages, width 8) into one
-:class:`~repro.simulation.batched.BatchedClockedEngine` run is at least
+stacked :func:`~repro.simulation.batched.run_batched` run is at least
 5x faster than the serial ``replicate()`` loop -- the per-cycle NumPy
 kernel-call overhead is paid once for the batch instead of once per
 replica.  The measured baseline is emitted as ``BENCH_replicas.json``

@@ -44,6 +44,8 @@ _TOTALS_TABLES = ("VII", "VIII", "IX", "X", "XI", "XII")
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for testing and docs)."""
+    from repro.simulation.backends import BACKEND_CHOICES
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--cycles", type=int, default=None, help="simulation cycles per run"
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--backend",
-        choices=["numpy", "numba", "auto"],
+        choices=BACKEND_CHOICES,
         default="auto",
         help="compute backend for stacked runs: 'numpy' (reference), "
         "'numba' (JIT cycle loop; requires numba), or 'auto' (default: "
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        choices=["numpy", "numba", "auto"],
+        choices=BACKEND_CHOICES,
         default="auto",
         help="compute backend for vectorized jobs (default auto)",
     )

@@ -49,6 +49,7 @@ from repro.exec.spec import (
     resolve_seeds,
 )
 from repro.obs.session import current_session
+from repro.simulation.backends import BACKEND_CHOICES
 from repro.simulation.network import NetworkResult, NetworkSimulator
 from repro.simulation.rng import DEFAULT_SEED
 
@@ -721,9 +722,10 @@ def run_many(
         raise ExecutionError("stream=True shards specs itself; drop chunksize")
     if shard_mem is not None and not stream:
         raise ExecutionError("shard_mem only applies with stream=True")
-    if backend not in ("numpy", "numba", "auto"):
+    if backend not in BACKEND_CHOICES:
         raise ExecutionError(
-            f"backend must be one of 'numpy', 'numba', 'auto'; got {backend!r}"
+            f"backend must be one of {', '.join(map(repr, BACKEND_CHOICES))}; "
+            f"got {backend!r}"
         )
     started = perf_counter()
     specs = resolve_seeds(specs, base_seed=base_seed)

@@ -12,8 +12,7 @@ The measurement layer of the reproduction (see
   running waiting-time moments;
 * :mod:`~repro.obs.manifest` -- run manifests (JSON) and metrics export
   (JSONL) with a versioned, test-asserted schema;
-* :mod:`~repro.obs.profiling` -- accumulating phase timers and the
-  :func:`~repro.obs.profiling.profiled` decorator;
+* :mod:`~repro.obs.profiling` -- accumulating phase timers;
 * :mod:`~repro.obs.session` -- process-wide observation sessions backing
   the ``--metrics-out`` CLI flag.
 """
@@ -32,14 +31,7 @@ from repro.obs.manifest import (
     write_metrics_jsonl,
 )
 from repro.obs.metrics import METRICS_RECORD_FIELDS, MetricsCollector
-from repro.obs.profiling import (
-    GLOBAL_TIMERS,
-    PhaseTimers,
-    disable_profiling,
-    enable_profiling,
-    profiled,
-    profiling_enabled,
-)
+from repro.obs.profiling import PhaseTimers
 from repro.obs.session import ObservationSession, current_session, session
 
 __all__ = [
@@ -50,11 +42,6 @@ __all__ = [
     "MetricsCollector",
     "METRICS_RECORD_FIELDS",
     "PhaseTimers",
-    "GLOBAL_TIMERS",
-    "profiled",
-    "enable_profiling",
-    "disable_profiling",
-    "profiling_enabled",
     "MANIFEST_SCHEMA_VERSION",
     "METRICS_SCHEMA_VERSION",
     "MANIFEST_REQUIRED_FIELDS",

@@ -1,34 +1,19 @@
-"""Lightweight phase timers and profiling hooks.
+"""Lightweight phase timers.
 
-Two instruments, both cheap enough to leave compiled in:
-
-* :class:`PhaseTimers` -- named accumulating wall-clock timers.  The
-  engines use one around their predraw/pass phases when profiling is
-  enabled (two ``perf_counter`` calls per window); anything else can use
-  :meth:`PhaseTimers.phase` as a context manager.
-* :func:`profiled` -- a decorator that records a function's wall time
-  into the module-global :data:`GLOBAL_TIMERS`, but only while
-  :func:`enable_profiling` is active; disabled, the overhead is a
-  single module-level flag check.  The analytic transform inversions
-  (:meth:`repro.series.pgf.PGF.pmf`) are wrapped with it so slow
-  table/figure runs can be attributed to simulation vs analysis.
+:class:`PhaseTimers` -- named accumulating wall-clock timers, cheap
+enough to leave compiled in.  The engine uses one around its
+predraw/pass phases when profiling is enabled (two ``perf_counter``
+calls per window); anything else can use :meth:`PhaseTimers.phase` as a
+context manager.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from functools import wraps
 from time import perf_counter
 from typing import Dict, Optional
 
-__all__ = [
-    "PhaseTimers",
-    "GLOBAL_TIMERS",
-    "profiled",
-    "enable_profiling",
-    "disable_profiling",
-    "profiling_enabled",
-]
+__all__ = ["PhaseTimers"]
 
 
 class PhaseTimers:
@@ -103,53 +88,3 @@ class PhaseTimers:
             for name in sorted(self.seconds)
         )
         return f"PhaseTimers({parts})"
-
-
-#: Process-wide timer sink for :func:`profiled` functions.
-GLOBAL_TIMERS = PhaseTimers()
-
-_enabled = False
-
-
-def enable_profiling() -> None:
-    """Start recording :func:`profiled` functions into GLOBAL_TIMERS."""
-    global _enabled
-    _enabled = True
-
-
-def disable_profiling(reset: bool = False) -> None:
-    """Stop recording; optionally clear what was gathered."""
-    global _enabled
-    _enabled = False
-    if reset:
-        GLOBAL_TIMERS.reset()
-
-
-def profiling_enabled() -> bool:
-    """Whether :func:`profiled` functions are currently recorded."""
-    return _enabled
-
-
-def profiled(name: Optional[str] = None):
-    """Decorator: time calls into :data:`GLOBAL_TIMERS` when enabled.
-
-    ``name`` defaults to the function's qualified name.  While profiling
-    is disabled the wrapper is one boolean check.
-    """
-
-    def decorate(fn):
-        label = name or fn.__qualname__
-
-        @wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not _enabled:
-                return fn(*args, **kwargs)
-            t0 = perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                GLOBAL_TIMERS.add(label, perf_counter() - t0)
-
-        return wrapper
-
-    return decorate

@@ -27,7 +27,6 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from repro.errors import NotAProbabilityError, SeriesError
-from repro.obs.profiling import profiled
 from repro.series.polynomial import Polynomial, Scalar, as_exact
 from repro.series.rational import RationalFunction
 from repro.series.taylor import (
@@ -206,7 +205,6 @@ class PGF:
         """Alias for :meth:`factorial_moment` using the paper's notation."""
         return self.factorial_moment(order)
 
-    @profiled("pgf.raw_moments")
     def raw_moments(self, up_to: int) -> List:
         """Raw moments ``[1, E X, E X^2, ...]`` up to order ``up_to``."""
         fac = factorial_from_taylor(self.taylor_at_one(up_to))
@@ -237,7 +235,6 @@ class PGF:
     # ------------------------------------------------------------------
     # distribution
     # ------------------------------------------------------------------
-    @profiled("pgf.pmf")
     def pmf(self, n_terms: int, exact: bool = False) -> Union[np.ndarray, List[Fraction]]:
         """The first ``n_terms`` probabilities ``[P(X=0), ..., P(X=n_terms-1)]``.
 

@@ -19,11 +19,11 @@ Modules
     First-stage message generation: Bernoulli loads, bulks, favourite
     bias, multi-size messages.
 :mod:`repro.simulation.engine`
-    The serial clocked engine, evaluated window by window by
-    :mod:`repro.simulation.stagewise`.
+    The clocked engine, ``R >= 1`` replicas evaluated window by window
+    by :mod:`repro.simulation.stagewise`.
 :mod:`repro.simulation.batched`
-    The replica-batched core: ``R`` independent replicas stacked into
-    one set of arrays, amortising per-cycle kernel-call overhead.
+    Stacked runs: ``R`` independent scenarios in one engine, amortising
+    per-cycle kernel-call overhead.
 :mod:`repro.simulation.network`
     The user-facing facade: :class:`~repro.simulation.network.NetworkSimulator`
     built from a :class:`~repro.simulation.network.NetworkConfig`,
@@ -39,7 +39,7 @@ Modules
 
 from __future__ import annotations
 
-from repro.simulation.batched import BatchedClockedEngine, run_batched, run_stacked
+from repro.simulation.batched import run_batched, run_stacked
 from repro.simulation.network import NetworkConfig, NetworkResult, NetworkSimulator
 from repro.simulation.queue_sim import simulate_first_stage_queue
 from repro.simulation.replication import replicate, replicated_statistic
@@ -54,7 +54,6 @@ from repro.simulation.trace import MessageTracer
 from repro.simulation.warmup import mser5_truncation
 
 __all__ = [
-    "BatchedClockedEngine",
     "NetworkConfig",
     "NetworkResult",
     "NetworkSimulator",

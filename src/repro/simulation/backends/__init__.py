@@ -1,45 +1,19 @@
-"""Pluggable compute backends for the replica-batched engine.
+"""How a stacked or streamed run's drawn arrivals are evaluated.
 
-``repro.simulation.backends`` separates *what* a batched run computes
-(:class:`~repro.simulation.batched.BatchedClockedEngine` state,
-statistics and arrival draws) from *how* the drawn arrivals are
-evaluated:
+* ``numpy`` -- the stage-wise Lindley pass
+  (:mod:`repro.simulation.stagewise`), window by window; always
+  available;
+* ``numba`` -- the whole multi-cycle loop compiled to one nopython
+  function over the run's pre-drawn arrivals
+  (:mod:`repro.simulation.backends.jit`); ``"auto"`` takes it whenever
+  numba is importable.
 
-* :class:`~repro.simulation.backends.reference.NumpyBackend` -- the
-  stage-wise Lindley pass over windows of arrivals (always available);
-* :class:`~repro.simulation.backends.jit.NumbaBackend` -- the whole
-  multi-cycle loop compiled to one nopython function over pre-drawn
-  arrivals (used automatically when numba is importable).
-
-The two are bit-identical.
-
-Select a backend by name through ``run_stacked``/``run_batched``
-(``backend="numpy" | "numba" | "auto"``), the execution layer
-(:class:`~repro.exec.context.ExecutionContext`), or the CLI
-(``--backend``).  Backend choice never changes results, digests, or
-cache keys -- see :mod:`repro.simulation.backends.base` for the
-determinism contract and ``docs/backends.md`` for the design.
+The two are bit-identical.  :func:`resolve_kernel` is the one resolver
+of a ``backend`` request and :func:`~repro.simulation.backends.jit.run_kernel`
+the one call of the kernel.  Backend choice never changes results,
+digests, or cache keys -- see ``docs/backends.md``.
 """
 
-from repro.simulation.backends.base import (
-    BACKEND_CHOICES,
-    DEFAULT_BACKEND,
-    ComputeBackend,
-    available_backends,
-    register_backend,
-    resolve_backend,
-)
-from repro.simulation.backends.jit import NumbaBackend, numba_available
-from repro.simulation.backends.reference import NumpyBackend
+from repro.simulation.backends.jit import BACKEND_CHOICES, numba_available, resolve_kernel
 
-__all__ = [
-    "BACKEND_CHOICES",
-    "DEFAULT_BACKEND",
-    "ComputeBackend",
-    "NumbaBackend",
-    "NumpyBackend",
-    "available_backends",
-    "numba_available",
-    "register_backend",
-    "resolve_backend",
-]
+__all__ = ["BACKEND_CHOICES", "numba_available", "resolve_kernel"]

@@ -1,63 +1,78 @@
-"""Pre-drawn Numba backend: the whole multi-cycle loop in one kernel.
+"""The compiled backend: the whole multi-cycle loop in one kernel.
 
-This backend runs every cycle's inject/serve/forward/tick as one
-nopython function over preallocated arrays, so no Python dispatch is
-left inside the loop.
+:func:`cycle_loop_kernel` runs every cycle's inject/serve/forward/tick
+as one nopython function over preallocated arrays, so no Python
+dispatch is left inside the loop.  :func:`resolve_kernel` is the one
+place a ``backend`` request (``"numpy"``, ``"numba"``, ``"auto"`` or a
+kernel callable) is resolved, and :func:`run_kernel` the one place a
+kernel is called.
 
 Bit-identity by pre-drawing
 ---------------------------
-All randomness of a batched run lives in the arrivals: the traffic
-generator draws one ``(R, width)`` uniform block (plus destinations,
-bulk/favourite extras, and service samples) per cycle, and the built-in
+All randomness of a run lives in the arrivals, and the built-in
 topologies route by destination digits -- no routing RNG is consumed
-(``routing_shifts()`` is non-``None``; the stacked-run contract of
-:func:`~repro.simulation.backends.resolve_backend`).  So the backend
-first draws the arrivals of **all** cycles through
-:meth:`~repro.simulation.batched.BatchedClockedEngine._predraw_window`
--- the per-cycle draws the NumPy backend evaluates window by window --
-which yields bit-identical `SeedSequence`-derived draws.  The kernel
-then consumes the pre-drawn arrivals with no RNG at all.
+(``routing_shifts()`` is non-``None``).  So a stacked run first draws
+the arrivals of **all** cycles, window by window, exactly as the
+stage-wise pass would be fed them
+(:meth:`~repro.simulation.engine.ClockedEngine.predraw`), and a
+streamed run pre-draws its replicas as always; the kernel then consumes
+the pre-drawn arrivals with no RNG at all.
 
 Inside the kernel, each per-port FIFO is a linked list over one shared
 node pool (node id = pre-drawn message index; a message occupies one
 queue at a time, so ids never collide).  Each cycle pops every ready
 head *before* any forward push, so queue contents, busy counters, and
 per-queue occupancy high-water marks evolve exactly as the paper's
-clocked model (and :class:`~repro.simulation.engine.ClockedEngine`)
-defines them.  Waiting times are integers, and float64 sums of integers
-are exact below 2**53, so the kernel's sequential accumulation equals
-the stage-wise pass's sums bit-for-bit (float32 tracker entries are
-likewise exact below 2**24).
+clocked model defines them.  Waiting times are integers, and float64
+sums of integers are exact below 2**53, so the kernel's sequential
+accumulation equals the stage-wise pass's sums bit-for-bit (float32
+tracker entries are likewise exact below 2**24).
 
 The kernel body is an ordinary Python function; with numba installed it
 is compiled with ``@njit(cache=True)``, and without numba the same
-function still runs (slowly) -- the always-on equivalence tests drive
-it directly, so the algorithm is verified even where numba is absent.
-It is the per-cycle reference the stage-wise pass is compared against
-for ``R > 1``.
+function still runs (slowly) -- the always-on equivalence tests pass it
+as ``backend=cycle_loop_kernel``, so the algorithm is verified even
+where numba is absent.
 """
 
 from __future__ import annotations
 
-# repro: lint-ok RPR001 -- phase timers are wall-clock bookkeeping; never enter results
-from time import perf_counter
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simulation.backends.base import register_backend
-from repro.simulation.stagewise import Hops
+from repro.simulation.sanitize import (
+    check_conservation,
+    check_stage_stats,
+    sanitizer_enabled,
+)
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.simulation.batched import BatchedClockedEngine
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulation.stagewise import Hops, StagewisePass
 
-__all__ = ["NumbaBackend", "numba_available", "cycle_loop_kernel"]
+__all__ = [
+    "BACKEND_CHOICES",
+    "Backend",
+    "cycle_loop_kernel",
+    "numba_available",
+    "resolve_kernel",
+    "run_kernel",
+]
 
 try:
     from numba import njit  # type: ignore[import-not-found,import-untyped]
 except ImportError:  # pragma: no cover - exercised only without numba
     njit = None
+
+#: The backend names accepted wherever a backend is named (CLI, execution
+#: context, ``run_many``); ``"auto"`` is the default everywhere.
+BACKEND_CHOICES = ("numpy", "numba", "auto")
+
+#: A backend request: one of :data:`BACKEND_CHOICES`, or a kernel
+#: callable with :func:`cycle_loop_kernel`'s signature (the equivalence
+#: tests pass the interpreted kernel itself).
+Backend = Union[str, Callable[..., int]]
 
 
 def numba_available() -> bool:
@@ -218,88 +233,105 @@ _compiled_loop: Optional[Callable] = (
 )
 
 
-def compiled_kernel() -> Optional[Callable]:
-    """The ``@njit``-compiled cycle loop, or ``None`` without numba.
+def resolve_kernel(backend: Backend) -> Tuple[Optional[Callable[..., int]], str]:
+    """``(kernel, name)`` for a backend request.
 
-    Shared with the streamed engine (:mod:`repro.simulation.streamed`),
-    which drives the same kernel over differently pre-drawn arrivals.
+    ``(None, "numpy")`` selects the stage-wise pass.  ``"auto"`` takes the
+    compiled kernel when numba is importable and the pass otherwise;
+    ``"numba"`` without numba raises.  A callable is used as the kernel
+    and reported as ``"numba"``.  Results never depend on the choice.
     """
-    return _compiled_loop
+    if callable(backend) and not isinstance(backend, str):
+        return backend, "numba"
+    if backend == "numpy":
+        return None, "numpy"
+    if backend == "numba":
+        if _compiled_loop is None:
+            raise SimulationError(
+                "backend 'numba' requested but numba is not installed "
+                "(pip install 'repro[numba]')"
+            )
+        return _compiled_loop, "numba"
+    if backend == "auto":
+        return _compiled_loop, "numpy" if _compiled_loop is None else "numba"
+    raise SimulationError(
+        f"unknown compute backend {backend!r}: expected 'numpy', 'numba', "
+        "'auto', or a kernel callable"
+    )
 
 
-@register_backend
-class NumbaBackend:
-    """JIT-compiled multi-cycle loop over pre-drawn arrivals.
+def run_kernel(
+    kernel: Callable[..., int],
+    evaluator: "StagewisePass",
+    n_cycles: int,
+    measure_from: int,
+    arrivals: "Hops",
+    tracker_waits: np.ndarray,
+    msg_total: Optional[np.ndarray] = None,
+    msg_done: Optional[np.ndarray] = None,
+) -> None:
+    """Evaluate a whole run's pre-drawn arrivals with ``kernel``.
 
-    ``kernel`` defaults to the ``@njit``-compiled loop; the equivalence
-    tests pass the interpreted :func:`cycle_loop_kernel` instead, which
-    validates the pre-draw + kernel algorithm without numba installed.
+    ``arrivals`` holds every message injected in cycles ``[0,
+    n_cycles)``, in injection order, each with its injection cycle as
+    ``arrival``.  The kernel stands in for ``evaluator``'s windows: its
+    statistics, per-replica ``injected``/``completed`` counts and
+    high-water marks land where the pass keeps them, and ``evaluator``
+    is left at ``n_cycles``, so the caller reads results the same way
+    for either evaluator.  Tracked waits go to ``tracker_waits`` --
+    or, given ``msg_total``/``msg_done`` (streaming summary mode), to
+    per-message totals and completion flags.
+
+    With the sanitizer armed the end state is checked: finite
+    statistics, and message conservation against the messages the
+    kernel left queued.
     """
-
-    name = "numba"
-    requirement = "numba is not installed (pip install 'repro[numba]')"
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return numba_available()
-
-    @classmethod
-    def unsupported_reason(cls, engine: "Optional[BatchedClockedEngine]") -> Optional[str]:
-        return None
-
-    def __init__(self, kernel: Optional[Callable] = None) -> None:
-        self._kernel = kernel
-
-    # ------------------------------------------------------------------
-    def run(self, engine: "BatchedClockedEngine", n_cycles: int, warmup: int) -> None:
-        kernel = self._kernel if self._kernel is not None else _compiled_loop
-        if kernel is None:
-            raise SimulationError(self.requirement)
-        timers = engine.timers
-
-        t0 = perf_counter()
-        windows: List[Hops] = []
-        t = 0
-        while t < n_cycles:
-            t, window = engine._predraw_window(t, n_cycles)
-            windows.append(window)
-        arrivals = Hops.concat(windows)
-        offsets = np.zeros(n_cycles + 1, dtype=np.int64)
-        np.cumsum(np.bincount(arrivals.arrival, minlength=n_cycles), out=offsets[1:])
-        t1 = perf_counter()
-        q_high = np.zeros(engine.n_ports, dtype=np.int64)
-        in_flight = kernel(
-            n_cycles,
-            warmup,
-            engine.n_ports,
-            engine.ports_per_replica,
-            engine.n_stages,
-            engine.width,
-            engine.topology.k,
-            engine.transfer == "cut_through",
-            offsets,
-            arrivals.port,
-            arrivals.dest,
-            arrivals.service,
-            arrivals.track,
-            engine._perm_stack.astype(np.int64, copy=False),
-            engine._shifts,
-            np.zeros(engine.n_ports, dtype=np.int64),
-            engine.stats.count,
-            engine.stats.shift,
-            engine.stats.total,
-            engine.stats.total_sq,
-            engine.tracker.waits,
-            engine.completed,
-            q_high,
-            False,
-            np.zeros(1, dtype=np.float64),
-            np.zeros(1, dtype=np.uint8),
+    n_stages = evaluator.n_stages
+    offsets = np.zeros(n_cycles + 1, dtype=np.int64)
+    np.cumsum(np.bincount(arrivals.arrival, minlength=n_cycles), out=offsets[1:])
+    streaming = msg_total is not None
+    stats = evaluator.stats
+    in_flight = kernel(
+        n_cycles,
+        measure_from,
+        evaluator.n_ports,
+        evaluator.ports_per_replica,
+        n_stages,
+        evaluator.width,
+        evaluator.k,
+        evaluator.cut_through,
+        offsets,
+        arrivals.port,
+        arrivals.dest,
+        arrivals.service,
+        arrivals.track,
+        evaluator.perm_stack,
+        evaluator.shifts,
+        np.zeros(evaluator.n_ports, dtype=np.int64),
+        stats.count,
+        stats.shift,
+        stats.total,
+        stats.total_sq,
+        tracker_waits,
+        evaluator.completed,
+        evaluator.high_water,
+        streaming,
+        msg_total if streaming else np.zeros(1, dtype=np.float64),
+        msg_done if streaming else np.zeros(1, dtype=np.uint8),
+    )
+    stats.refresh_unseen()
+    evaluator.injected += np.bincount(
+        arrivals.port // evaluator.ports_per_replica, minlength=evaluator.n_replicas
+    )
+    evaluator.now = n_cycles
+    if sanitizer_enabled():
+        # the kernel's queues are gone when it returns; its count of
+        # the messages still in them is what conservation can check
+        check_stage_stats(stats, cycle=n_cycles - 1, n_stages=n_stages)
+        check_conservation(
+            int(evaluator.injected.sum()),
+            int(evaluator.completed.sum()),
+            int(in_flight),
+            int(evaluator.dropped.sum()),
+            cycle=n_cycles - 1,
         )
-        t2 = perf_counter()
-
-        engine.stats.refresh_unseen()
-        engine._finalize(n_cycles, int(in_flight), q_high)
-        if timers is not None:
-            timers.add("predraw", t1 - t0, backend=self.name)
-            timers.add("kernel", t2 - t1, backend=self.name)

@@ -305,8 +305,9 @@ class StagewisePass:
         self.observers: list = []
         self._events = np.empty((5, 0), dtype=np.int64)  # see reserve_events
         self._events_used = 0
-        self._perm_stack = perm_stack.astype(np.int64, copy=False)
-        self._shifts = np.asarray(shifts, dtype=np.int64)
+        #: the routing tables (:func:`~repro.simulation.engine.build_routing_tables`)
+        self.perm_stack = perm_stack.astype(np.int64, copy=False)
+        self.shifts = np.asarray(shifts, dtype=np.int64)
         #: cycle the pass has reached (the next window opens here)
         self.now = 0
         #: first cycle each port may start a service: the last started
@@ -495,8 +496,8 @@ class StagewisePass:
         width, k = self.width, self.k
         stage_base = hops.port - hops.port % width  # replica and stage offset
         line = hops.port - stage_base
-        in_line = self._perm_stack[stage + 1, line]
-        digit = hops.dest // self._shifts[stage + 1] % k
+        in_line = self.perm_stack[stage + 1, line]
+        digit = hops.dest // self.shifts[stage + 1] % k
         port = stage_base + width + in_line // k * k + digit
         arrival = start + 1 if self.cut_through else start + hops.service
         return Hops(port, arrival, hops.dest, hops.service, hops.track)

@@ -34,6 +34,7 @@ __all__ = [
     "StreamingTotals",
     "TotalsSummary",
     "TrackedMessages",
+    "assign_track_ids",
     "batch_means_ci",
     "histogram_pmf",
 ]
@@ -123,18 +124,41 @@ class StageAccumulator:
             return np.where(self.count > 1, var, np.nan)
 
 
+def assign_track_ids(replicas: np.ndarray, taken: np.ndarray, limit: int) -> np.ndarray:
+    """Tracker ids for messages in injection order, in one vectorised step.
+
+    Replica ``r``'s messages get ``r * limit + taken[r]``, ``+ 1``, ...
+    in the order given, and -1 once ``limit`` ids are handed out;
+    ``taken`` (one count per replica) advances in place.  These are the
+    ids one-message-at-a-time allocation would hand out, so they depend
+    neither on how the messages are split into windows nor on the other
+    replicas' messages.
+    """
+    counts = np.bincount(replicas, minlength=taken.size)
+    if taken.size == 1:
+        local = taken[0] + np.arange(replicas.size)
+    else:
+        by_replica = np.argsort(replicas, kind="stable")
+        group_start = np.cumsum(counts) - counts
+        rank = np.empty(replicas.size, dtype=np.int64)
+        rank[by_replica] = np.arange(replicas.size) - group_start[replicas[by_replica]]
+        local = taken[replicas] + rank
+    np.minimum(taken + counts, limit, out=taken)
+    return np.where(local < limit, replicas * limit + local, -1)
+
+
 class TrackedMessages:
     """Per-message waiting times across all stages, for a bounded cohort.
 
-    Slots are handed out sequentially; messages beyond ``limit`` are
-    simply not tracked (the streaming accumulators still see them).
-    A message's row is *complete* once its last-stage wait is recorded.
-    :attr:`waits` holds a row for every slot handed out (it grows by
-    doubling, up to ``limit`` rows), so a short run with the default
-    limit does not allocate the full matrix.
+    Slots are handed out sequentially (:meth:`assign`); messages beyond
+    ``limit`` are simply not tracked (the streaming accumulators still
+    see them).  A message's row is *complete* once its last-stage wait
+    is recorded.  :attr:`waits` holds a row for every slot handed out
+    (it grows by doubling, up to ``limit`` rows), so a short run with
+    the default limit does not allocate the full matrix.
     """
 
-    #: rows allocated up front; :meth:`allocate` grows the matrix
+    #: rows allocated up front; :meth:`assign` grows the matrix
     INITIAL_ROWS = 1024
 
     def __init__(self, limit: int, n_stages: int) -> None:
@@ -145,7 +169,7 @@ class TrackedMessages:
         self.waits = np.full(
             (min(limit, self.INITIAL_ROWS), n_stages), -1.0, dtype=np.float32
         )
-        self._next = 0
+        self._taken = np.zeros(1, dtype=np.int64)
 
     @classmethod
     def from_rows(cls, rows: np.ndarray, n_stages: int) -> "TrackedMessages":
@@ -162,33 +186,35 @@ class TrackedMessages:
         tracker = cls(limit=max(1, rows.shape[0]), n_stages=n_stages)
         if rows.shape[0]:
             tracker.waits = rows.copy()
-            tracker._next = rows.shape[0]
+            tracker._taken[0] = rows.shape[0]
         return tracker
 
-    def allocate(self, n: int) -> np.ndarray:
-        """Hand out up to ``n`` slot ids; -1 marks untracked messages."""
-        start = self._next
-        stop = min(start + n, self.limit)
-        ids = np.full(n, -1, dtype=np.int64)
-        granted = stop - start
-        if granted > 0:
-            ids[:granted] = np.arange(start, stop)
-            rows = self.waits.shape[0]
-            if stop > rows:
-                grown = np.full(
-                    (min(self.limit, max(stop, 2 * rows)), self.n_stages),
-                    -1.0,
-                    dtype=np.float32,
-                )
-                grown[:rows] = self.waits
-                self.waits = grown
-        self._next = stop
+    def assign(self, replicas: np.ndarray, cycles: np.ndarray) -> np.ndarray:
+        """Slot ids for messages injected at ``cycles`` (ascending), in
+        order (:func:`assign_track_ids`; ``replicas`` is all zeros).
+
+        :attr:`waits` grows as if the slots were handed out a cycle at a
+        time: whenever a cycle's slots overflow it, to twice its rows or
+        to that cycle's last slot, whichever is more.
+        """
+        start = self.allocated
+        ids = assign_track_ids(replicas, self._taken, self.limit)
+        rows = self.waits.shape[0]
+        if self.allocated > rows:
+            grown = rows
+            while grown < self.allocated:
+                # the first cycle with a slot past the matrix, and its last slot
+                cycle_end = np.searchsorted(cycles, cycles[grown - start], side="right")
+                grown = min(self.limit, max(start + int(cycle_end), 2 * grown))
+            waits = np.full((grown, self.n_stages), -1.0, dtype=np.float32)
+            waits[:rows] = self.waits
+            self.waits = waits
         return ids
 
     @property
     def allocated(self) -> int:
         """Number of slots handed out so far."""
-        return self._next
+        return int(self._taken[0])
 
     def record(self, track_ids: np.ndarray, stages: np.ndarray, waits: np.ndarray) -> None:
         """Record waits for the tracked subset (ids ``>= 0``)."""
@@ -199,9 +225,14 @@ class TrackedMessages:
 
     def complete_rows(self) -> np.ndarray:
         """Waiting-time matrix of messages that finished every stage."""
-        filled = self.waits[: self._next]
+        filled = self.waits[: self.allocated]
         done = (filled >= 0).all(axis=1)
         return filled[done].astype(np.float64)
+
+    def replica_tracker(self, replica: int) -> "TrackedMessages":
+        """The complete rows alone, as a cached result holds them (see
+        :meth:`BatchedTrackedMessages.replica_tracker`; one replica, 0)."""
+        return TrackedMessages.from_rows(self.complete_rows(), self.n_stages)
 
     def totals(self) -> np.ndarray:
         """Total network waiting time of each completed message."""
@@ -219,10 +250,10 @@ class BatchedTrackedMessages:
     """Per-message waiting times for ``n_replicas`` independent cohorts.
 
     One contiguous ``(n_replicas * limit, n_stages)`` matrix; replica
-    ``r`` owns rows ``[r * limit, (r + 1) * limit)``.  Slot allocation
-    mirrors :class:`TrackedMessages` per replica -- sequential ids, -1
-    once a replica's quota is exhausted -- so a batch of one replica
-    allocates the exact id sequence a serial tracker would.
+    ``r`` owns rows ``[r * limit, (r + 1) * limit)``.  Slots are handed
+    out per replica as :class:`TrackedMessages` hands them out --
+    sequential ids, -1 once a replica's quota is exhausted -- so a batch
+    of one replica assigns the exact id sequence a serial tracker would.
     """
 
     def __init__(self, n_replicas: int, limit: int, n_stages: int) -> None:
@@ -234,29 +265,12 @@ class BatchedTrackedMessages:
         self.limit = limit
         self.n_stages = n_stages
         self.waits = np.full((n_replicas * limit, n_stages), -1.0, dtype=np.float32)
-        self._next = np.zeros(n_replicas, dtype=np.int64)
+        self._taken = np.zeros(n_replicas, dtype=np.int64)
 
-    def allocate(self, replicas: np.ndarray) -> np.ndarray:
-        """Hand out one slot id per entry of ``replicas`` (-1 = untracked).
-
-        ``replicas`` must be sorted ascending (the batched traffic
-        generator emits arrivals replica-major, so this holds for free).
-        """
-        n = replicas.size
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        if n > 1 and (replicas[1:] < replicas[:-1]).any():
-            raise SimulationError(
-                "BatchedTrackedMessages.allocate needs replicas sorted "
-                "ascending; an unsorted batch would silently corrupt slot ids"
-            )
-        counts = np.bincount(replicas, minlength=self.n_replicas)
-        group_start = np.cumsum(counts) - counts
-        offsets = np.arange(n) - group_start[replicas]
-        local = self._next[replicas] + offsets
-        ids = np.where(local < self.limit, replicas * self.limit + local, -1)
-        self._next = np.minimum(self._next + counts, self.limit)
-        return ids
+    def assign(self, replicas: np.ndarray, cycles: np.ndarray) -> np.ndarray:
+        """Slot ids for messages injected at ``cycles`` by ``replicas``,
+        in injection order (:func:`assign_track_ids`); the matrix is full-size."""
+        return assign_track_ids(replicas, self._taken, self.limit)
 
     def record(self, track_ids: np.ndarray, stages: np.ndarray, waits: np.ndarray) -> None:
         """Record waits for the tracked subset (ids ``>= 0``)."""
@@ -272,7 +286,8 @@ class BatchedTrackedMessages:
         worker-shipped serial result is (:meth:`TrackedMessages.from_rows`),
         so downstream totals/correlations code needs no batch awareness.
         """
-        block = self.waits[replica * self.limit : replica * self.limit + int(self._next[replica])]
+        first = replica * self.limit
+        block = self.waits[first : first + int(self._taken[replica])]
         done = (block >= 0).all(axis=1)
         return TrackedMessages.from_rows(block[done], self.n_stages)
 

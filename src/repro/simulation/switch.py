@@ -1,7 +1,10 @@
 """Vectorised FIFO output queues (the buffered switch substrate).
 
-Every output port of every switch in the network is a FIFO queue; the
-engine manipulates all of them at once.  :class:`RingBufferQueues`
+Every output port of every switch in the network is a FIFO queue.  No
+engine steps them any more -- the stage-wise pass
+(:mod:`repro.simulation.stagewise`) keeps each window's queues as
+arrays -- but the benchmark's span recorder (``bench/spans.py``) still
+wraps these operations by name.  :class:`RingBufferQueues`
 stores ``n_queues`` fixed-capacity ring buffers as 2-D NumPy arrays --
 one row per queue, one array per message field -- and supports the two
 bulk operations a clock cycle needs:
@@ -197,15 +200,6 @@ class RingBufferQueues:
         if self._iota.size < n:
             self._iota = np.arange(max(n, 2 * self._iota.size), dtype=np.int64)
         return self._iota[:n]
-
-    def record_high_water(self, values: np.ndarray) -> None:
-        """Merge externally observed per-queue occupancy high-water marks.
-
-        Used by compute backends that bypass the ring buffers (the
-        pre-drawn JIT loop keeps its own queue structures) so
-        :attr:`max_occupancy` / :meth:`high_water` stay authoritative.
-        """
-        np.maximum(self._high_water, values, out=self._high_water)
 
     def pop(self, queues: np.ndarray) -> Dict[str, np.ndarray]:
         """Remove and return the head message of each queue in ``queues``.

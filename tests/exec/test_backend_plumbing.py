@@ -1,6 +1,6 @@
 """Backend selection is an execution detail, never an identity.
 
-The pluggable compute backends (:mod:`repro.simulation.backends`) must
+The compute backends (:mod:`repro.simulation.backends`) must
 be invisible to everything content-addressed: spec digests, cache keys,
 vectorize grouping, and cached payloads.  These tests pin that down,
 plus the plumbing that carries ``backend=`` from the CLI/context down
@@ -15,7 +15,6 @@ from repro.exec.cache import ResultCache
 from repro.exec.context import ExecutionContext, run_batch, use_execution
 from repro.exec.runner import run_many
 from repro.exec.spec import ExperimentSpec, group_for_vectorize
-from repro.simulation.backends import NumbaBackend
 from repro.simulation.backends.jit import cycle_loop_kernel
 from repro.simulation.network import NetworkConfig
 
@@ -93,7 +92,7 @@ class TestRunManyBackend:
             [s.config for s in via_runner],
             specs[0].n_cycles,
             warmup=specs[0].warmup,
-            backend=NumbaBackend(kernel=cycle_loop_kernel),
+            backend=cycle_loop_kernel,
         )
         for ra, rb in zip(via_runner, via_kernel, strict=True):
             assert np.array_equal(ra.stage_means, rb.stage_means)

@@ -183,28 +183,6 @@ class TestProfiling:
         t2 = sim.engine.enable_profiling()
         assert t1 is t2
 
-    def test_profiled_decorator_gated(self):
-        from repro.obs.profiling import (
-            GLOBAL_TIMERS,
-            disable_profiling,
-            enable_profiling,
-            profiled,
-        )
-
-        @profiled("test.fn")
-        def fn():
-            return 42
-
-        disable_profiling(reset=True)
-        fn()
-        assert "test.fn" not in GLOBAL_TIMERS.seconds
-        enable_profiling()
-        try:
-            assert fn() == 42
-            assert GLOBAL_TIMERS.calls["test.fn"] == 1
-        finally:
-            disable_profiling(reset=True)
-
     def test_metrics_collector_requires_attach(self):
         from repro.obs.metrics import MetricsCollector
 

@@ -5,44 +5,38 @@ The determinism contract (``docs/backends.md``) says backends are
 
 * **always-on** -- the pre-drawn kernel algorithm is an ordinary Python
   function (:func:`~repro.simulation.backends.jit.cycle_loop_kernel`);
-  driving :class:`NumbaBackend` with it interpreted runs the per-cycle
-  reference for ``R > 1`` in every environment, numba or not, and the
-  NumPy backend's stage-wise pass must match it;
+  passing it interpreted as ``backend=`` runs the per-cycle loop for
+  ``R > 1`` in every environment, numba or not, and the NumPy
+  backend's stage-wise pass must match it;
 * **with numba** -- the same cases re-run through the ``@njit``-compiled
-  loop (``pytest.importorskip``-guarded), proving compilation changes
-  nothing.
+  loop (``backend="numba"``), proving compilation changes nothing.
 
-Every anchor the batched engine already has -- the seven config
+Every anchor the stacked runs already have -- the seven config
 variants, heterogeneous stacked rows, R=1 vs the serial engine -- is
 re-asserted here per backend.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.simulation import stagewise
-from repro.simulation.backends import (
-    BACKEND_CHOICES,
-    DEFAULT_BACKEND,
-    NumbaBackend,
-    NumpyBackend,
-    available_backends,
-    numba_available,
-    resolve_backend,
-)
-from repro.simulation.backends.jit import cycle_loop_kernel
+from repro.simulation.backends import BACKEND_CHOICES, numba_available, resolve_kernel
+from repro.simulation.backends.jit import cycle_loop_kernel, run_kernel
 from repro.simulation.batched import run_batched, run_stacked
+from repro.simulation.engine import ClockedEngine
 from repro.simulation.network import NetworkConfig, NetworkSimulator
+from repro.simulation.streamed import run_streamed
 
 from tests.simulation.test_batched import assert_results_identical
 
 #: every way this suite can drive the pre-drawn loop: interpreted
 #: always, compiled when numba is importable
-KERNEL_BACKENDS = [pytest.param(lambda: NumbaBackend(kernel=cycle_loop_kernel),
-                                id="interpreted-kernel")]
+KERNEL_BACKENDS = [pytest.param(cycle_loop_kernel, id="interpreted-kernel")]
 if numba_available():
-    KERNEL_BACKENDS.append(pytest.param(lambda: NumbaBackend(), id="njit"))
+    KERNEL_BACKENDS.append(pytest.param("numba", id="njit"))
 
 ANCHOR_VARIANTS = [
     dict(k=2, n_stages=3, p=0.5, topology="omega"),
@@ -58,21 +52,30 @@ ANCHOR_IDS = ["omega", "random-deep", "bulk", "favourite", "store-forward",
 
 
 # ----------------------------------------------------------------------
-# registry / resolution
+# resolution
 # ----------------------------------------------------------------------
+def stacked_engine(config: NetworkConfig, n_replicas: int) -> ClockedEngine:
+    """An engine of ``n_replicas`` copies of ``config``'s network."""
+    topology = config.build_topology()
+    traffic = config.build_traffic(
+        np.random.default_rng(config.seed), topology, n_replicas=n_replicas
+    )
+    return ClockedEngine(topology, traffic, transfer=config.transfer)
+
+
 class TestResolution:
     def test_choices_and_default(self):
         assert BACKEND_CHOICES == ("numpy", "numba", "auto")
-        assert DEFAULT_BACKEND == "auto"
-        assert "numpy" in available_backends()
+        for run in (run_stacked, run_batched, run_streamed):
+            assert inspect.signature(run).parameters["backend"].default == "auto"
 
     def test_auto_degrades_cleanly_without_numba(self):
         config = NetworkConfig(k=2, n_stages=3, p=0.5, seed=1)
         [result] = run_stacked([config], 800, warmup=0, backend="auto")
         expected = "numba" if numba_available() else "numpy"
         assert result.backend == expected
-        # no engine at hand: what auto picks here (the perf gate's probe)
-        assert resolve_backend("auto", None).name == expected
+        # what auto picks here (the perf gate's probe)
+        assert resolve_kernel("auto")[1] == expected
 
     def test_explicit_numpy_always_works(self):
         config = NetworkConfig(k=2, n_stages=3, p=0.5, seed=1)
@@ -91,50 +94,69 @@ class TestResolution:
             run_stacked([config], 800, warmup=0, backend="numba")
 
     def test_backend_instance_passes_through(self):
+        """A kernel callable is taken as the backend itself."""
         config = NetworkConfig(k=2, n_stages=3, p=0.5, seed=1)
-        [result] = run_stacked(
-            [config], 800, warmup=0, backend=NumbaBackend(kernel=cycle_loop_kernel)
-        )
+        [result] = run_stacked([config], 800, warmup=0, backend=cycle_loop_kernel)
         assert result.backend == "numba"
 
     def test_numpy_backend_reports_supported_everywhere(self):
-        assert NumpyBackend.is_available()
-        assert NumpyBackend.unsupported_reason(object()) is None
+        assert resolve_kernel("numpy") == (None, "numpy")
 
     def test_resolve_rejects_unsupported_instance(self):
-        """An engine mid-run cannot take the pre-drawn loop."""
-        from repro.simulation.batched import _build_stacked_engine
-
-        engine = _build_stacked_engine(
-            [NetworkConfig(k=2, n_stages=3, p=0.5, seed=1)]
-        )
-        engine.run(100, backend="numpy")
+        """An engine mid-run cannot take the pre-drawn loop: the kernel
+        evaluates a whole run from cycle 0."""
+        engine = stacked_engine(NetworkConfig(k=2, n_stages=3, p=0.5, seed=1), 2)
+        engine.run(100)
         with pytest.raises(SimulationError, match="fresh engine"):
-            resolve_backend(NumbaBackend(kernel=cycle_loop_kernel), engine)
+            engine.predraw(100, 0)
+
+    def test_stacked_engine_resumes(self):
+        """A stacked engine carries its pass state into the next run, as a
+        serial one does: 300 + 100 cycles are 400 cycles."""
+        config = NetworkConfig(k=2, n_stages=3, p=0.6, topology="random", width=16, seed=4)
+        split, whole = stacked_engine(config, 3), stacked_engine(config, 3)
+        split.run(300)
+        split.run(100)
+        whole.run(400)
+        for name in ("count", "shift", "total", "total_sq"):
+            assert np.array_equal(getattr(split.stats, name), getattr(whole.stats, name))
+        assert np.array_equal(split.tracker.waits, whole.tracker.waits)
+        for name in ("injected", "completed", "high_water"):
+            assert np.array_equal(
+                getattr(split.evaluator, name), getattr(whole.evaluator, name)
+            )
+        assert split.in_flight == whole.in_flight == split.injected - split.completed
+
+    def test_stacked_engine_refuses_observers(self):
+        from repro.obs.metrics import MetricsCollector
+
+        engine = stacked_engine(NetworkConfig(k=2, n_stages=3, p=0.5, seed=1), 2)
+        with pytest.raises(SimulationError, match="observers"):
+            engine.add_observer(MetricsCollector())
 
 
 # ----------------------------------------------------------------------
 # bit-identity anchors, per available kernel backend
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("make_backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 class TestKernelEquivalence:
     @pytest.mark.parametrize("kwargs", ANCHOR_VARIANTS, ids=ANCHOR_IDS)
-    def test_anchor_variants_bit_identical(self, make_backend, kwargs):
+    def test_anchor_variants_bit_identical(self, backend, kwargs):
         config = NetworkConfig(seed=42, **kwargs)
         [ref] = run_batched(config, [42], 1_500, backend="numpy")
-        [jit] = run_batched(config, [42], 1_500, backend=make_backend())
+        [jit] = run_batched(config, [42], 1_500, backend=backend)
         assert_results_identical(ref, jit)
         assert ref.backend == "numpy" and jit.backend == "numba"
 
-    def test_replica_stack_bit_identical(self, make_backend):
+    def test_replica_stack_bit_identical(self, backend):
         config = NetworkConfig(k=2, n_stages=4, p=0.6, topology="random", width=16)
         seeds = [11, 12, 13, 14]
         ref = run_batched(config, seeds, 2_000, backend="numpy")
-        jit = run_batched(config, seeds, 2_000, backend=make_backend())
+        jit = run_batched(config, seeds, 2_000, backend=backend)
         for a, b in zip(ref, jit, strict=True):
             assert_results_identical(a, b)
 
-    def test_heterogeneous_stack_bit_identical(self, make_backend):
+    def test_heterogeneous_stack_bit_identical(self, backend):
         """Scenario-stacked rows differing in load/bulk/seed."""
         from dataclasses import replace
 
@@ -144,49 +166,59 @@ class TestKernelEquivalence:
             for (p, b, s) in [(0.2, 1, 9), (0.9, 1, 10), (0.4, 2, 11)]
         ]
         ref = run_stacked(configs, 2_000, backend="numpy")
-        jit = run_stacked(configs, 2_000, backend=make_backend())
+        jit = run_stacked(configs, 2_000, backend=backend)
         for a, b in zip(ref, jit, strict=True):
             assert_results_identical(a, b)
             assert a.config == b.config
 
-    def test_wide_cycles_bit_identical(self, make_backend):
+    def test_wide_cycles_bit_identical(self, backend):
         """Cycles of ~170 arrivals: more than a window's spare draw-buffer
         columns, so the buffer grows mid-window."""
         config = NetworkConfig(k=2, n_stages=2, p=0.9, topology="random", width=64)
         ref = run_batched(config, [5, 6, 7], 600, backend="numpy")
-        jit = run_batched(config, [5, 6, 7], 600, backend=make_backend())
+        jit = run_batched(config, [5, 6, 7], 600, backend=backend)
         for a, b in zip(ref, jit, strict=True):
             assert_results_identical(a, b)
 
-    def test_r1_bit_identical_to_serial_engine(self, make_backend):
+    def test_r1_bit_identical_to_serial_engine(self, backend):
         """The chain closes: serial engine == numpy backend == kernel."""
         config = NetworkConfig(k=2, n_stages=3, p=0.5, topology="omega", seed=42)
         serial = NetworkSimulator(config).run(n_cycles=1_500)
-        [jit] = run_stacked([config], 1_500, backend=make_backend())
+        [jit] = run_stacked([config], 1_500, backend=backend)
         assert_results_identical(serial, jit)
 
-    def test_warmup_discards_identically(self, make_backend):
+    def test_warmup_discards_identically(self, backend):
         config = NetworkConfig(k=2, n_stages=3, p=0.7, seed=5)
         [ref] = run_stacked([config], 1_200, warmup=400, backend="numpy")
-        [jit] = run_stacked([config], 1_200, warmup=400, backend=make_backend())
+        [jit] = run_stacked([config], 1_200, warmup=400, backend=backend)
         assert_results_identical(ref, jit)
         assert ref.warmup == jit.warmup == 400
 
-    def test_finalized_engine_refuses_further_use(self, make_backend):
-        from repro.simulation.batched import _build_stacked_engine
-
-        config = NetworkConfig(k=2, n_stages=3, p=0.5, seed=1)
-        in_flight = set()
-        for backend in (make_backend(), "numpy"):
-            engine = _build_stacked_engine([config])
-            engine.run(300, backend=backend)
-            assert engine.now == 300
-            # the backend's count, not ring-buffer state
-            assert engine.in_flight == engine.injected.sum() - engine.completed.sum()
-            in_flight.add(engine.in_flight)
-            with pytest.raises(SimulationError, match="fresh engine"):
-                engine.run(100)
-        assert len(in_flight) == 1
+    def test_finalized_engine_refuses_further_use(self, backend):
+        """A kernel's counts land where the pass keeps them, and it keeps
+        the queues of the run it evaluated: the engine it finished
+        refuses to run on, while one the pass ran resumes."""
+        config = NetworkConfig(k=2, n_stages=3, p=0.7, topology="random", width=16, seed=6)
+        by_pass, by_kernel = stacked_engine(config, 3), stacked_engine(config, 3)
+        by_pass.run(500, warmup=50)
+        arrivals = by_kernel.predraw(500, 50)
+        run_kernel(
+            resolve_kernel(backend)[0], by_kernel.evaluator, 500, 50, arrivals,
+            by_kernel.tracker.waits,
+        )
+        assert by_kernel.now == by_pass.now == 500
+        for name in ("injected", "completed", "dropped", "high_water"):
+            assert np.array_equal(
+                getattr(by_pass.evaluator, name), getattr(by_kernel.evaluator, name)
+            ), name
+        assert np.array_equal(by_pass.tracker.waits, by_kernel.tracker.waits)
+        assert by_pass.in_flight == by_kernel.injected - by_kernel.completed > 0
+        with pytest.raises(SimulationError, match="fresh engine"):
+            by_kernel.run(100)
+        with pytest.raises(SimulationError, match="fresh engine"):
+            by_kernel.predraw(100, 0)
+        by_pass.run(100)
+        assert by_pass.now == 600
 
 
 class TestKernelEquivalenceWindows(TestKernelEquivalence):
@@ -206,26 +238,16 @@ class TestBackendIsNotIdentity:
     def test_result_backend_label_only_differs(self):
         config = NetworkConfig(k=2, n_stages=3, p=0.5, seed=3)
         [a] = run_stacked([config], 800, backend="numpy")
-        [b] = run_stacked(
-            [config], 800, backend=NumbaBackend(kernel=cycle_loop_kernel)
-        )
+        [b] = run_stacked([config], 800, backend=cycle_loop_kernel)
         assert a.backend != b.backend
         assert_results_identical(a, b)
 
     def test_timers_label_their_backend(self):
-        from repro.simulation.batched import _build_stacked_engine
-
-        config = NetworkConfig(k=2, n_stages=3, p=0.5, seed=3)
-        engine = _build_stacked_engine([config])
+        """A stacked engine times its windows as a serial one does,
+        labelled with the pass that ran them."""
+        engine = stacked_engine(NetworkConfig(k=2, n_stages=3, p=0.5, seed=3), 2)
         engine.enable_profiling()
-        engine.run(300, backend=NumbaBackend(kernel=cycle_loop_kernel))
-        timings = engine.timers.as_dict()
-        assert timings["predraw"]["backend"] == "numba"
-        assert timings["kernel"]["backend"] == "numba"
-
-        engine = _build_stacked_engine([config])
-        engine.enable_profiling()
-        engine.run(300, backend="numpy")
+        engine.run(300)
         timings = engine.timers.as_dict()
         assert set(timings) == {"predraw", "pass"}
         for phase in ("predraw", "pass"):

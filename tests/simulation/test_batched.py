@@ -18,12 +18,14 @@ import pytest
 
 from repro.arrivals.bernoulli import UniformTraffic
 from repro.core.first_stage import FirstStageQueue
-from repro.errors import SimulationError
+from repro.errors import ModelError, SimulationError
 from repro.service.deterministic import DeterministicService
-from repro.simulation.batched import BatchedClockedEngine, run_batched, run_stacked
+from repro.simulation.batched import run_batched, run_stacked
+from repro.simulation.engine import ClockedEngine
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.replication import replicated_statistic
 from repro.simulation.stats import BatchedTrackedMessages, TrackedMessages
+from repro.simulation.traffic import NetworkTrafficGenerator
 
 
 def assert_results_identical(serial, batched):
@@ -202,25 +204,41 @@ def test_rejects_finite_buffers_and_auto_warmup():
 
 
 def test_engine_validates_replica_mismatch():
+    """The engine stacks exactly its traffic's replicas -- there is no
+    second replica count to disagree with -- and the traffic refuses
+    per-replica parameters of another length."""
     config = NetworkConfig(k=2, n_stages=3, p=0.5)
     topology = config.build_topology()
-    traffic = config.build_traffic(np.random.default_rng(0), topology, n_replicas=2)
-    with pytest.raises(SimulationError, match="replicas"):
-        BatchedClockedEngine(topology, traffic, 3)
+    traffic = config.build_traffic(np.random.default_rng(0), topology, n_replicas=3)
+    engine = ClockedEngine(topology, traffic)
+    assert engine.n_replicas == 3
+    assert engine.stats.count.size == 3 * config.n_stages
+    assert engine.evaluator.n_ports == 3 * config.n_stages * topology.width
+    with pytest.raises(ModelError, match="length-3"):
+        NetworkTrafficGenerator(
+            width=topology.width, p=[0.5, 0.5], service=config.service_model(),
+            rng=np.random.default_rng(0), n_replicas=3,
+        )
 
 
 def test_batched_tracker_matches_serial_allocation():
-    """Per-replica slot ids replay the serial tracker's sequence."""
+    """Per-replica slot ids replay the serial tracker's sequence, however
+    the messages are split into windows."""
     rng = np.random.default_rng(5)
     batched = BatchedTrackedMessages(n_replicas=3, limit=10, n_stages=2)
     serials = [TrackedMessages(10, 2) for _ in range(3)]
-    for _ in range(20):
+    for window in range(20):
         counts = rng.integers(0, 4, size=3)
         replicas = np.repeat(np.arange(3), counts)
-        got = batched.allocate(replicas)
-        expected = np.concatenate(
-            [serials[r].allocate(int(c)) for r, c in enumerate(counts)]
-        ) if replicas.size else np.empty(0, dtype=np.int64)
+        rng.shuffle(replicas)  # injection order interleaves replicas
+        cycles = np.full(replicas.size, window)
+        got = batched.assign(replicas, cycles)
+        expected = np.empty(replicas.size, dtype=np.int64)
+        for r in range(3):
+            mine = replicas == r
+            expected[mine] = serials[r].assign(
+                np.zeros(int(mine.sum()), dtype=np.int64), cycles[mine]
+            )
         # serial ids are replica-local; batched ids are offset by r*limit
         offset = np.where(expected >= 0, replicas * 10, 0)
         assert np.array_equal(got, expected + offset)
@@ -228,8 +246,8 @@ def test_batched_tracker_matches_serial_allocation():
 
 def test_batched_tracker_rows_partition_by_replica():
     tracker = BatchedTrackedMessages(n_replicas=2, limit=4, n_stages=1)
-    ids = tracker.allocate(np.array([0, 0, 1]))
-    tracker.record(ids, np.zeros(3, dtype=np.int64), np.array([1.0, 2.0, 3.0]))
+    ids = tracker.assign(np.array([0, 1, 0]), np.zeros(3, dtype=np.int64))
+    tracker.record(ids, np.zeros(3, dtype=np.int64), np.array([1.0, 3.0, 2.0]))
     assert tracker.replica_tracker(0).complete_rows().ravel().tolist() == [1.0, 2.0]
     assert tracker.replica_tracker(1).complete_rows().ravel().tolist() == [3.0]
 

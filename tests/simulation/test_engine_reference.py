@@ -1,4 +1,4 @@
-"""Differential tests: the serial engine vs the naive reference model.
+"""Differential tests: the engine vs the naive reference model.
 
 ``ClockedEngine.run`` evaluates every run stage by stage
 (:mod:`repro.simulation.stagewise`).  Every case here drives the engine
@@ -7,7 +7,9 @@ traffic* and demands identical per-message waiting times at every
 stage, identical drops, and -- once the run has stopped -- the same
 queue contents, busy ports and occupancy high-water marks, port by
 port.  Scenarios are hand-picked (multi-packet, store-and-forward,
-finite buffers, window edges, resumed runs) and hypothesis-generated.
+finite buffers, window edges, resumed runs) and hypothesis-generated,
+for one network and for stacks of replicas that each replay their own
+traffic against their own reference model.
 """
 
 from typing import List
@@ -24,7 +26,7 @@ from repro.simulation.engine import ClockedEngine
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.topology import OmegaTopology, RandomRoutingTopology
 from repro.simulation.trace import MessageTracer
-from repro.simulation.traffic import CycleArrivals
+from repro.simulation.traffic import BatchArrivals
 
 from tests.simulation.reference_model import ReferenceNetwork
 
@@ -36,20 +38,23 @@ WINDOWS = [0, 1, 5, 40]
 class ScriptedTraffic:
     """Replays a pre-generated traffic script into the engine."""
 
+    n_replicas = 1
+
     def __init__(self, width: int, script: List[tuple]) -> None:
         self.width = width
         self._script = list(script)
         self._cursor = 0
         self.injected = 0
 
-    def generate(self) -> CycleArrivals:
+    def generate_batch(self) -> BatchArrivals:
         if self._cursor >= len(self._script):
             empty = np.empty(0, dtype=np.int64)
-            return CycleArrivals(empty, empty, empty)
+            return BatchArrivals(empty, empty, empty, empty)
         sources, dests, services, _ids = self._script[self._cursor]
         self._cursor += 1
         self.injected += len(sources)
-        return CycleArrivals(
+        return BatchArrivals(
+            np.zeros(len(sources), dtype=np.int64),
             np.asarray(sources, dtype=np.int64),
             np.asarray(dests, dtype=np.int64),
             np.asarray(services, dtype=np.int64),
@@ -403,3 +408,136 @@ class TestStateAndResume:
         assert np.array_equal(plain.engine.evaluator.high_water,
                               observed.engine.evaluator.high_water)
         assert plain.engine.in_flight == observed.engine.in_flight
+
+
+class StackedScriptedTraffic:
+    """Replays one traffic script per replica into a stacked engine,
+    replica-major within each cycle as ``generate_batch`` draws them."""
+
+    def __init__(self, width: int, scripts: List[List[tuple]]) -> None:
+        self.width = width
+        self.n_replicas = len(scripts)
+        self._scripts = scripts
+        self._cursor = 0
+        self.injected = 0
+
+    def generate_batch(self) -> BatchArrivals:
+        rows = [
+            (r, *script[self._cursor][:3])
+            for r, script in enumerate(self._scripts)
+            if self._cursor < len(script)
+        ]
+        self._cursor += 1
+        parts = [
+            (np.full(len(sources), r), sources, dests, services)
+            for r, sources, dests, services in rows
+        ]
+        if not parts:
+            empty = np.empty(0, dtype=np.int64)
+            return BatchArrivals(empty, empty, empty, empty)
+        arrivals = BatchArrivals(
+            *(np.concatenate(field).astype(np.int64) for field in zip(*parts, strict=True))
+        )
+        self.injected += arrivals.sources.size
+        return arrivals
+
+
+def make_row_script(rng, width, n_cycles, p, sizes, bulk, q):
+    """One replica's script: load ``p``, services drawn from ``sizes``,
+    bulks of ``bulk`` packets, favourite (own-output) bias ``q``."""
+    script = []
+    next_id = 0
+    for _ in range(n_cycles):
+        active = np.flatnonzero(rng.random(width) < p)
+        dests = rng.integers(0, width, size=active.size)
+        if q > 0:
+            dests = np.where(rng.random(active.size) < q, active, dests)
+        if bulk > 1:
+            active = np.repeat(active, bulk)
+            dests = np.repeat(dests, bulk)
+        services = rng.choice(np.asarray(sizes), size=active.size)
+        ids = np.arange(next_id, next_id + active.size)
+        next_id += active.size
+        script.append((active, dests, services, ids))
+    return script
+
+
+ROW_PARAMS = st.tuples(
+    st.floats(min_value=0.05, max_value=0.9),                   # p
+    st.sampled_from([(1,), (2,), (1, 3), (1, 2, 4)]),           # service mix
+    st.sampled_from([1, 1, 2, 3]),                              # bulk
+    st.sampled_from([0.0, 0.0, 0.4]),                           # q
+)
+
+
+class TestStackedDifferential:
+    """An engine of R > 1 replicas against one reference model per replica.
+
+    Every replica replays its own script (rows differ in load, service
+    mix, bulk and favourite bias) and must match the reference model fed
+    the same arrivals: per-stage statistics, tracked waits, per-port
+    high-water marks, end-of-run queues and busy ports, and counts.
+    """
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        k=st.sampled_from([2, 3]),
+        n_stages=st.integers(min_value=1, max_value=3),
+        transfer=st.sampled_from(["cut_through", "store_forward"]),
+        rows=st.lists(ROW_PARAMS, min_size=2, max_size=4),
+        window=st.sampled_from([*WINDOWS, stagewise.WINDOW_MESSAGES]),
+        drain=st.sampled_from([0, 6, 200]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_replicas_match_their_reference_models(
+        self, seed, k, n_stages, transfer, rows, window, drain
+    ):
+        topo = OmegaTopology(k, n_stages)
+        rng = np.random.default_rng(seed)
+        scripts = [
+            make_row_script(rng, topo.width, 30, p, sizes, bulk, q)
+            for p, sizes, bulk, q in rows
+        ]
+        n_msgs = [sum(len(cycle[0]) for cycle in script) for script in scripts]
+        limit = max(max(n_msgs), 1)
+        engine = ClockedEngine(
+            topo,
+            StackedScriptedTraffic(topo.width, scripts),
+            transfer=transfer,
+            track_limit=limit,
+        )
+        with patch.object(stagewise, "WINDOW_MESSAGES", window):
+            engine.run(30 + drain, warmup=0)
+
+        n_replicas, ppr = len(scripts), n_stages * topo.width
+        count, total, total_sq = (a.reshape(n_replicas, n_stages) for a in engine.stats.snapshot())
+        high_water = engine.evaluator.high_water.reshape(n_replicas, ppr)
+        busy = np.maximum(engine.evaluator.free - engine.now, 0).reshape(n_replicas, ppr)
+        queued = engine.evaluator.queued()
+        for r, script in enumerate(scripts):
+            ref = make_reference(topo, script, transfer, n_cycles=30 + drain)
+            waits = engine.tracker.waits[r * limit : r * limit + n_msgs[r]]
+            for (msg_id, stage), ref_wait in ref.waits.items():
+                assert waits[msg_id, stage] == ref_wait, (r, msg_id, stage)
+            assert int((waits >= 0).sum()) == len(ref.waits)
+            for stage in range(n_stages):
+                stage_waits = [w for (_, s), w in ref.waits.items() if s == stage]
+                assert count[r, stage] == len(stage_waits)
+                assert total[r, stage] == sum(stage_waits)
+                assert total_sq[r, stage] == sum(w * w for w in stage_waits)
+            assert high_water[r].tolist() == ref.high_water
+            assert busy[r].tolist() == ref.busy
+            mine = queued.port // ppr == r
+            contents = {}
+            for port, track in zip(
+                (queued.port[mine] - r * ppr).tolist(), queued.track[mine].tolist(), strict=True
+            ):
+                contents.setdefault(port, []).append(track - r * limit)
+            assert contents == {
+                port: [msg.msg_id for msg in queue]
+                for port, queue in enumerate(ref.queues)
+                if queue
+            }
+            assert engine.evaluator.injected[r] == n_msgs[r]
+            assert engine.evaluator.completed[r] == len(ref.completed)
+            assert engine.evaluator.dropped[r] == 0

@@ -10,11 +10,13 @@ import numpy as np
 from repro.simulation.engine import ClockedEngine
 from repro.simulation.topology import OmegaTopology
 from repro.simulation.trace import MessageTracer
-from repro.simulation.traffic import CycleArrivals
+from repro.simulation.traffic import BatchArrivals
 
 
 class OneShotTraffic:
     """Injects a fixed set of messages at chosen cycles, then silence."""
+
+    n_replicas = 1
 
     def __init__(self, width, schedule):
         self.width = width
@@ -22,15 +24,15 @@ class OneShotTraffic:
         self.cycle = 0
         self.injected = 0
 
-    def generate(self):
+    def generate_batch(self):
         entry = self.schedule.get(self.cycle)
         self.cycle += 1
         if entry is None:
             empty = np.empty(0, dtype=np.int64)
-            return CycleArrivals(empty, empty, empty)
+            return BatchArrivals(empty, empty, empty, empty)
         sources, dests, services = (np.asarray(x, dtype=np.int64) for x in entry)
         self.injected += sources.size
-        return CycleArrivals(sources, dests, services)
+        return BatchArrivals(np.zeros_like(sources), sources, dests, services)
 
 
 def run_single(service, transfer, n_stages=3, inject_at=0):

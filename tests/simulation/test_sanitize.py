@@ -9,7 +9,9 @@ Three layers of evidence:
 * a deliberately poisoned kernel (NaN injected into the waiting-time
   stream mid-run) is caught in the window it happens, at the stage-wise
   pass's next window end -- with its replica on stacked and streamed
-  runs, without one on serial runs.
+  runs, without one on serial runs;
+* a compiled-loop run is checked when the kernel returns: a kernel that
+  miscounts the messages it left queued breaks conservation.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ import pytest
 from repro.errors import SanitizerError
 from repro.exec.context import use_execution
 from repro.simulation import stagewise
+from repro.simulation.backends.jit import cycle_loop_kernel
 from repro.simulation.batched import run_stacked
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.sanitize import (
@@ -116,6 +119,39 @@ class TestCleanRuns:
         cfgs = [dataclasses.replace(CFG, seed=s, track_limit=0) for s in (1, 2)]
         batch = run_streamed(cfgs, 300, warmup=30)
         assert batch.totals is not None and batch.totals.count > 0
+
+    @pytest.mark.parametrize("track_limit", [200_000, 0])
+    def test_kernel_runs_are_quiet(self, armed, track_limit):
+        """The end-of-run check after the kernel: conservation holds
+        against the messages the kernel left queued."""
+        cfgs = [dataclasses.replace(CFG, seed=s, track_limit=track_limit) for s in (1, 2)]
+        if track_limit:
+            run_stacked(cfgs, 300, warmup=30, backend=cycle_loop_kernel)
+        run_streamed(cfgs, 300, warmup=30, backend=cycle_loop_kernel)
+
+
+def miscounting_kernel(*args):
+    """The interpreted kernel, reporting one message too many in flight."""
+    return cycle_loop_kernel(*args) + 1
+
+
+class TestKernelEndOfRun:
+    def test_stacked_conservation_break_raises(self, armed):
+        cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
+        with pytest.raises(SanitizerError, match="conservation") as info:
+            run_stacked(cfgs, 300, warmup=30, backend=miscounting_kernel)
+        assert info.value.cycle == 299
+
+    @pytest.mark.parametrize("track_limit", [200_000, 0])
+    def test_streamed_conservation_break_raises(self, armed, track_limit):
+        cfgs = [dataclasses.replace(CFG, seed=s, track_limit=track_limit) for s in (1, 2)]
+        with pytest.raises(SanitizerError, match="conservation"):
+            run_streamed(cfgs, 300, warmup=30, backend=miscounting_kernel)
+
+    def test_unarmed_kernel_run_is_not_checked(self, monkeypatch):
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
+        assert len(run_stacked(cfgs, 300, warmup=30, backend=miscounting_kernel)) == 2
 
 
 class TestNanInjection:

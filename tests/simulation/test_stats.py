@@ -11,6 +11,7 @@ from repro.simulation.stats import (
     StreamingTotals,
     TotalsSummary,
     TrackedMessages,
+    assign_track_ids,
     batch_means_ci,
     histogram_pmf,
 )
@@ -85,25 +86,65 @@ class TestStageAccumulator:
         assert total_sq[0] == (sample * sample).sum()
 
 
+def take(tracker, n, cycle=0):
+    """Slots for ``n`` messages injected at ``cycle`` (one replica)."""
+    return tracker.assign(np.zeros(n, dtype=np.int64), np.full(n, cycle, dtype=np.int64))
+
+
+def per_cycle_rows(counts, limit):
+    """The rows a tracker handing out slots a cycle at a time ends with."""
+    rows, stop = min(limit, TrackedMessages.INITIAL_ROWS), 0
+    for count in counts:
+        stop = min(stop + count, limit)
+        if stop > rows:
+            rows = min(limit, max(stop, 2 * rows))
+    return rows
+
+
 class TestTrackedMessages:
     def test_allocation_caps_at_limit(self):
         t = TrackedMessages(limit=3, n_stages=2)
-        ids = t.allocate(5)
+        ids = take(t, 5)
         assert ids.tolist() == [0, 1, 2, -1, -1]
-        assert t.allocate(2).tolist() == [-1, -1]
+        assert take(t, 2, cycle=1).tolist() == [-1, -1]
+        assert t.allocated == 3
+
+    @pytest.mark.parametrize("limit", [700, 5_000, 200_000])
+    def test_growth_follows_cycles_not_windows(self, limit):
+        """However the cycles are grouped into windows, the matrix ends at
+        the size a cycle-at-a-time tracker reaches -- including a cycle
+        larger than twice the matrix."""
+        rng = np.random.default_rng(limit)
+        counts = np.concatenate(
+            [rng.integers(0, 60, size=20), [4_000], rng.integers(0, 60, size=300)]
+        )
+        cycles = np.repeat(np.arange(counts.size), counts)
+        cuts = np.sort(rng.choice(np.arange(1, counts.size), size=12, replace=False))
+        t = TrackedMessages(limit=limit, n_stages=1)
+        ids = []
+        for lo, hi in zip([0, *cuts], [*cuts, counts.size], strict=True):
+            window = cycles[(cycles >= lo) & (cycles < hi)]
+            ids.append(t.assign(np.zeros(window.size, dtype=np.int64), window))
+        ids = np.concatenate(ids)
+        n = min(int(counts.sum()), limit)
+        assert ids[:n].tolist() == list(range(n))
+        assert (ids[n:] == -1).all()
+        assert t.allocated == n
+        assert t.waits.shape == (per_cycle_rows(counts, limit), 1)
 
     def test_complete_rows_filter(self):
         t = TrackedMessages(limit=4, n_stages=2)
-        t.allocate(4)
+        take(t, 4)
         t.record(np.array([0, 1]), np.array([0, 0]), np.array([1.0, 2.0]))
         t.record(np.array([0]), np.array([1]), np.array([3.0]))
         rows = t.complete_rows()
         assert rows.shape == (1, 2)
         assert rows[0].tolist() == [1.0, 3.0]
+        assert t.replica_tracker(0).complete_rows().tolist() == [[1.0, 3.0]]
 
     def test_totals(self):
         t = TrackedMessages(limit=2, n_stages=3)
-        t.allocate(1)
+        take(t, 1)
         for s, w in enumerate([1.0, 0.0, 2.5]):
             t.record(np.array([0]), np.array([s]), np.array([w]))
         assert t.totals().tolist() == [3.5]
@@ -121,7 +162,7 @@ class TestTrackedMessages:
     def test_correlations_of_independent_streams(self):
         rng = np.random.default_rng(1)
         t = TrackedMessages(limit=5000, n_stages=2)
-        ids = t.allocate(5000)
+        ids = take(t, 5000)
         for s in range(2):
             t.record(ids, np.full(5000, s), rng.normal(size=5000))
         corr = t.stage_correlations()
@@ -191,15 +232,25 @@ class TestHistogram:
 
 
 class TestBatchedAllocateValidation:
-    def test_unsorted_replicas_raise(self):
-        t = BatchedTrackedMessages(n_replicas=3, limit=4, n_stages=2)
-        with pytest.raises(SimulationError, match="sorted ascending"):
-            t.allocate(np.array([1, 0, 2]))
-
     def test_sorted_replicas_allocate_like_serial(self):
         t = BatchedTrackedMessages(n_replicas=2, limit=2, n_stages=1)
-        ids = t.allocate(np.array([0, 0, 0, 1]))
+        ids = t.assign(np.array([0, 0, 0, 1]), np.zeros(4, dtype=np.int64))
         assert ids.tolist() == [0, 1, -1, 2]
+
+
+class TestAssignTrackIds:
+    def test_interleaved_replicas_number_sequentially(self):
+        taken = np.zeros(2, dtype=np.int64)
+        ids = assign_track_ids(np.array([1, 0, 0, 1, 0]), taken, 2)
+        assert ids.tolist() == [2, 0, 1, 3, -1]
+        assert taken.tolist() == [2, 2]
+
+    def test_continues_from_taken(self):
+        tracker = BatchedTrackedMessages(n_replicas=2, limit=3, n_stages=1)
+        first = tracker.assign(np.array([0, 1, 0]), np.zeros(3, dtype=np.int64))
+        second = tracker.assign(np.array([1, 0, 0]), np.ones(3, dtype=np.int64))
+        assert first.tolist() == [0, 3, 1]
+        assert second.tolist() == [4, 2, -1]
 
 
 class TestTotalsSummary:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ModelError, SimulationError
 from repro.simulation import stagewise
-from repro.simulation.backends.jit import compiled_kernel, cycle_loop_kernel
+from repro.simulation.backends.jit import cycle_loop_kernel, numba_available
 from repro.simulation.batched import run_stacked
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.stats import StreamingTotals
@@ -64,7 +64,7 @@ class TestBackendEquivalence:
         for ra, rb in zip(a.results, b.results, strict=True):
             assert_results_identical(ra, rb)
 
-    @pytest.mark.skipif(compiled_kernel() is None, reason="numba is not installed")
+    @pytest.mark.skipif(not numba_available(), reason="numba is not installed")
     def test_compiled_kernel(self):
         cfgs = configs(q=0.2)
         a = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend="numpy")
@@ -207,7 +207,7 @@ class TestRefusals:
             run_streamed(cfgs, 100)
 
     def test_unknown_backend_refused(self):
-        with pytest.raises(SimulationError, match="unknown streamed backend"):
+        with pytest.raises(SimulationError, match="unknown compute backend"):
             run_streamed(configs(1), 100, warmup=10, backend="cuda")
 
 
