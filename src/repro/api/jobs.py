@@ -155,7 +155,6 @@ class JobManager:
         retries: int = 1,
         timeout: Optional[float] = None,
         backend: str = "auto",
-        stream: bool = False,
         shard_mem: Optional[int] = None,
         max_queue: int = 64,
         cache: Optional[ResultCache] = None,
@@ -176,9 +175,8 @@ class JobManager:
         #: compute backend forwarded to each job's run_many call (an
         #: execution detail: digests and cached payloads never see it)
         self._backend = backend
-        #: streamed sharded execution knobs, forwarded the same way
-        #: (shard_mem is a byte budget; see docs/scaling.md)
-        self._stream = stream or shard_mem is not None
+        #: per-shard byte budget, forwarded the same way: a budget runs
+        #: each job's spec as a stacked shard (see docs/scaling.md)
         self._shard_mem = shard_mem
         self._max_queue = max_queue
         # SQLite connections are thread-bound, so the manager keeps the
@@ -296,7 +294,6 @@ class JobManager:
                 "executors": len(self._threads),
                 "workers": self._workers,
                 "backend": self._backend,
-                "stream": self._stream,
                 "shard_mem": self._shard_mem,
                 "uptime_seconds": time.time() - self._started_unix,
                 "ledger": self._db_path is not None,
@@ -389,7 +386,6 @@ class JobManager:
                     progress=progress,
                     task_fn=self._task_fn,
                     backend=self._backend,
-                    stream=self._stream,
                     shard_mem=self._shard_mem,
                 )
                 outcome = batch.outcomes[0]

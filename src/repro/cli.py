@@ -79,19 +79,21 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--vectorize-replicas",
         action="store_true",
-        help="stack same-shape scenarios (which may differ in seed, load, "
-        "bulk size, bias, and service model) onto the batched engine, "
-        "fusing replications and whole sweeps into single runs; composes "
-        "with --workers (metrics are off for stacked runs)",
+        help="run same-shape scenarios (which may differ in seed, load, "
+        "bulk size, bias, and service model) in stacked engines, fusing "
+        "replications and whole sweeps into few runs; every result and "
+        "cache entry equals the serial one; composes with --workers "
+        "(metrics are off for stacked runs)",
     )
     common.add_argument(
         "--backend",
         choices=BACKEND_CHOICES,
         default="auto",
-        help="compute backend for stacked runs: 'numpy' (reference), "
-        "'numba' (JIT cycle loop; requires numba), or 'auto' (default: "
-        "JIT when usable, reference otherwise) -- results are "
-        "bit-identical either way (see docs/backends.md)",
+        help="compute backend for stacked runs (--vectorize-replicas, "
+        "--shard-mem): 'numpy' (stage-wise pass), 'numba' (JIT cycle loop; "
+        "requires numba), or 'auto' (default: JIT when usable, the pass "
+        "otherwise) -- results are bit-identical either way (see "
+        "docs/backends.md)",
     )
     common.add_argument(
         "--shard-mem",
@@ -99,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MIB",
         dest="shard_mem",
-        help="per-shard memory budget in MiB for huge replication batches; "
-        "implies the streamed sharded engine (results are bit-identical "
-        "under any budget; see docs/scaling.md)",
+        help="per-shard memory budget in MiB of stacked runs; implies "
+        "--vectorize-replicas (results are bit-identical under any "
+        "budget; see docs/scaling.md)",
     )
     common.add_argument(
         "--target-ci",
@@ -273,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dq.add_argument(
         "--engine", default=None,
-        choices=["serial", "replica-batched", "scenario-batched", "stream"],
+        help="digest family: serial (older ledgers also hold rows of "
+        "three retired batch families)",
     )
     dq.add_argument(
         "--limit", type=int, default=20, help="max rows (default 20; 0 = all)"
@@ -345,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKEND_CHOICES,
         default="auto",
-        help="compute backend for vectorized jobs (default auto)",
+        help="compute backend for stacked jobs (with --shard-mem; default auto)",
     )
     serve.add_argument(
         "--timeout", type=float, default=None,
@@ -357,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MIB",
         dest="shard_mem",
-        help="run jobs on the streamed sharded engine with this per-shard "
-        "memory budget in MiB (see docs/scaling.md)",
+        help="run each job's spec as a stacked shard with this per-shard "
+        "memory budget in MiB; results are those of serial runs (see "
+        "docs/scaling.md)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=64,
@@ -549,7 +553,6 @@ def _run_batch(args) -> int:
         progress=progress,
         vectorize=getattr(args, "vectorize_replicas", False),
         backend=getattr(args, "backend", "auto"),
-        stream=shard_mib is not None,
         shard_mem=shard_mib * 1024 * 1024 if shard_mib is not None else None,
         db=db,
     )
@@ -981,7 +984,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache=ResultCache(cache_dir) if cache_dir else None,
             vectorize=getattr(args, "vectorize_replicas", False),
             backend=getattr(args, "backend", "auto"),
-            stream=shard_mib is not None,
             shard_mem=shard_mib * 1024 * 1024 if shard_mib is not None else None,
             target_ci=getattr(args, "target_ci", None),
             sanitize=getattr(args, "sanitize", False),

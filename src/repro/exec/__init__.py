@@ -66,10 +66,8 @@ from repro.exec.sharded import (
 )
 from repro.exec.spec import (
     SPEC_SCHEMA_VERSION,
-    STREAM_MARKER,
     ExperimentSpec,
-    group_for_stream,
-    group_for_vectorize,
+    group_by_shape,
     resolve_seeds,
     spec_from_jsonable,
     specs_from_file,
@@ -78,10 +76,8 @@ from repro.exec.spec import (
 __all__ = [
     # spec
     "SPEC_SCHEMA_VERSION",
-    "STREAM_MARKER",
     "ExperimentSpec",
-    "group_for_stream",
-    "group_for_vectorize",
+    "group_by_shape",
     "resolve_seeds",
     "spec_from_jsonable",
     "specs_from_file",

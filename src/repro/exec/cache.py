@@ -3,7 +3,7 @@
 Layout (under the cache root, default ``.repro-cache/``)::
 
     .repro-cache/
-      v1/                      # CACHE_SCHEMA_VERSION directory
+      v2/                      # CACHE_SCHEMA_VERSION directory
         3f/                    # first two hex chars of the digest
           3f9a...e2.json       # metadata + scalar payload
           3f9a...e2.npz        # array payload (stage moments, cohort)
@@ -54,7 +54,10 @@ __all__ = [
     "payload_to_result",
 ]
 
-CACHE_SCHEMA_VERSION = 1
+#: 2: every replica draws from its own streams in blocks of cycles, so
+#: a spec's result is the same on every execution path -- and differs
+#: from the sample path a v1 entry holds
+CACHE_SCHEMA_VERSION = 2
 
 #: Default cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"

@@ -43,18 +43,17 @@ class ExecutionContext:
     cache: Optional[ResultCache] = None
     retries: int = 1
     timeout: Optional[float] = None
-    #: stack same-shape specs onto the replica-batched engine
-    #: (:mod:`repro.simulation.batched`); composes with ``workers``
+    #: run same-shape specs in stacked engines, in memory-bounded shards
+    #: (:mod:`repro.simulation.batched`); composes with ``workers`` and
+    #: never changes a result
     vectorize: bool = False
-    #: compute backend for vectorized groups (``"numpy"``/``"numba"``/
+    #: compute backend for stacked shards (``"numpy"``/``"numba"``/
     #: ``"auto"``); an execution detail -- results and cache keys are
     #: backend-independent (see :mod:`repro.simulation.backends`)
     backend: str = "auto"
-    #: run specs on the streamed engine in memory-bounded shards
-    #: (:mod:`repro.exec.sharded`); mutually exclusive with ``vectorize``
-    stream: bool = False
-    #: per-shard byte budget for ``stream`` mode (``None`` = the
-    #: 256 MiB default); never enters digests or results
+    #: per-shard byte budget of the stacked path (``None`` = the 256 MiB
+    #: default; setting it implies ``vectorize``); never enters digests
+    #: or results
     shard_mem: Optional[int] = None
     #: when set, adaptive replication helpers
     #: (:func:`repro.simulation.replication.replicate_until`, sweep
@@ -119,7 +118,6 @@ def run_batch(specs: Sequence[ExperimentSpec], **overrides) -> BatchResult:
         "timeout": ctx.timeout,
         "vectorize": ctx.vectorize,
         "backend": ctx.backend,
-        "stream": ctx.stream,
         "shard_mem": ctx.shard_mem,
     }
     kwargs.update(overrides)

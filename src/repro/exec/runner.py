@@ -42,12 +42,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.exec.cache import ResultCache, payload_to_result, result_to_payload
-from repro.exec.spec import (
-    ExperimentSpec,
-    group_for_stream,
-    group_for_vectorize,
-    resolve_seeds,
-)
+from repro.exec.spec import ExperimentSpec, group_by_shape, resolve_seeds
 from repro.obs.session import current_session
 from repro.simulation.backends import BACKEND_CHOICES
 from repro.simulation.network import NetworkResult, NetworkSimulator
@@ -100,58 +95,19 @@ def _run_chunk(specs: List[ExperimentSpec], task_fn) -> List[tuple]:
     return out
 
 
-def _run_batched_group(specs: List[ExperimentSpec], backend: str = "auto") -> List[tuple]:
-    """Worker-side batched executor: one stacked run, one payload per spec.
+def _run_shard(specs: List[ExperimentSpec], backend: str = "auto") -> List[tuple]:
+    """Worker-side stacked executor: one engine, one payload per spec.
 
-    The specs must share everything that fixes the engine's array
-    shapes (guaranteed by :func:`~repro.exec.spec.group_for_vectorize`);
-    stackable parameters -- seed, load, bulk, bias, service model -- may
-    differ per spec and ride the scenario axis of
-    :func:`~repro.simulation.batched.run_stacked`.  ``backend`` selects
-    the compute backend of the stacked cycle loop (an execution detail:
-    results and cache keys are backend-independent).  Failure is
-    atomic -- a stacked run cannot partially succeed -- so an exception
-    reports every spec of the group as one failed attempt.
+    The specs share everything that fixes the engine's array shapes
+    (:func:`~repro.exec.spec.group_by_shape`) and may differ in seed
+    and the stackable parameters.  Each result equals a serial run of
+    its spec, whatever the shard holds.  A finite-buffer spec runs on
+    the serial path instead (stacked engines refuse finite buffers).
+    Shard failure is atomic: an exception reports every spec of the
+    shard as one failed attempt.
     """
-    started = perf_counter()
-    try:
-        from repro.simulation.batched import run_stacked
-
-        results = run_stacked(
-            [s.config for s in specs],
-            specs[0].n_cycles,
-            warmup=specs[0].warmup,
-            backend=backend,
-        )
-        elapsed = perf_counter() - started
-        out = []
-        for result in results:
-            payload = result_to_payload(result)
-            payload["elapsed_seconds"] = elapsed / len(specs)
-            out.append(("ok", payload))
-        return out
-    except Exception:
-        return [("err", traceback.format_exc(limit=20))] * len(specs)
-
-
-def _execute_job(
-    specs: List[ExperimentSpec], batched: bool, backend: str = "auto"
-) -> List[tuple]:
-    """One vectorized-path job: a stacked group or a serial fallback."""
-    if batched:
-        return _run_batched_group(specs, backend)
-    return _run_chunk(specs, None)
-
-
-def _run_stream_shard(
-    specs: List[ExperimentSpec], batched: bool, backend: str = "auto"
-) -> List[tuple]:
-    """Worker-side streamed executor: one shard, one payload per spec.
-
-    ``batched`` is accepted for dispatcher symmetry and ignored -- every
-    stream job is a :func:`~repro.simulation.streamed.run_streamed`
-    call.  Shard failure is atomic, like a stacked group.
-    """
+    if specs[0].config.buffer_capacity is not None:
+        return _run_chunk(specs, None)
     started = perf_counter()
     try:
         from repro.simulation.streamed import run_streamed
@@ -173,68 +129,33 @@ def _run_stream_shard(
         return [("err", traceback.format_exc(limit=20))] * len(specs)
 
 
-def _run_vectorized(
-    specs, pending, groups, outcomes, *,
-    workers, retries, timeout, cache, progress, backend="auto",
-) -> None:
-    """Execute a grouped batch: stacked runs for marked groups.
-
-    Jobs are whole groups: if *any* member of a batchable group is
-    uncached, the entire group re-runs (a stacked run is a pure function
-    of the ordered scenario list, so the cached members are simply
-    reproduced and only the pending ones are finished).  Unbatchable
-    specs (singletons, finite buffers) become one-spec serial jobs on
-    the proven :func:`_run_chunk` path.  Retries and timeouts apply per
-    job, atomically.
-    """
-    pending_set = set(pending)
-    jobs: List[tuple] = []  # (indices_to_run, indices_to_finish, batched)
-    for indices, batchable in groups:
-        need = [i for i in indices if i in pending_set]
-        if not need:
-            continue
-        if batchable:
-            jobs.append((indices, need, True))
-        else:
-            jobs.extend(([i], [i], False) for i in need)
-    execute = partial(_execute_job, backend=backend)
-    _dispatch_jobs(
-        specs, jobs, outcomes, workers=workers, retries=retries,
-        timeout=timeout, cache=cache, progress=progress, execute=execute,
-    )
-
-
-def _run_streamed_groups(
-    specs, pending, groups, outcomes, *,
+def _run_stacked(
+    specs, pending, outcomes, *,
     workers, retries, timeout, cache, progress, backend="auto", shard_mem=None,
 ) -> None:
-    """Execute a stream-marked batch in memory-bounded shards.
+    """Execute the pending specs as stacked shards.
 
-    Unlike the vectorized path, jobs cover only *pending* specs: a
-    streamed replica's result is independent of its shard-mates, so
-    cached members are genuinely skipped and the pending remainder is
-    sharded under the byte budget.  Shard composition affects neither
-    results (shard-invariance, test-asserted) nor digests
-    (:data:`~repro.exec.spec.STREAM_MARKER` carries no batch info).
+    Pending specs are grouped by shape; each group is split into shards
+    of :func:`~repro.exec.sharded.plan_shard_size` specs under the byte
+    budget ``shard_mem`` (finite-buffer specs run one by one, serially).
+    Cached specs were skipped before: a spec's result depends neither
+    on its shard-mates nor on the shard size.
     """
     from repro.exec.sharded import plan_shard_size
 
-    pending_set = set(pending)
-    jobs: List[tuple] = []
-    for indices, _ in groups:
-        need = [i for i in indices if i in pending_set]
-        if not need:
-            continue
-        shard_size = plan_shard_size(
-            specs[need[0]].config, specs[need[0]].n_cycles, shard_mem
-        )
-        for j in range(0, len(need), shard_size):
-            shard = need[j : j + shard_size]
-            jobs.append((shard, shard, True))
-    execute = partial(_run_stream_shard, backend=backend)
+    jobs: List[List[int]] = []
+    for group in group_by_shape([specs[i] for i in pending]):
+        members = [pending[j] for j in group]
+        first = specs[members[0]]
+        if first.config.buffer_capacity is not None:
+            size = 1
+        else:
+            size = plan_shard_size(first.config, first.n_cycles, shard_mem)
+        jobs.extend(members[j : j + size] for j in range(0, len(members), size))
     _dispatch_jobs(
         specs, jobs, outcomes, workers=workers, retries=retries,
-        timeout=timeout, cache=cache, progress=progress, execute=execute,
+        timeout=timeout, cache=cache, progress=progress,
+        execute=partial(_run_shard, backend=backend),
     )
 
 
@@ -242,30 +163,24 @@ def _dispatch_jobs(
     specs, jobs, outcomes, *,
     workers, retries, timeout, cache, progress, execute,
 ) -> None:
-    """Run group-shaped jobs in-process or on a pool, with retries.
+    """Run jobs (lists of spec indices) in-process or on a pool, with retries.
 
-    A job is ``(indices_to_run, indices_to_finish, batched)``;
-    ``execute(specs_list, batched)`` returns one ``("ok"|"err", ...)``
-    per spec.  ``execute`` must be picklable for pooled dispatch.
-    Retries and timeouts apply per job, atomically.
+    ``execute(specs_list)`` returns one ``("ok"|"err", ...)`` per spec
+    and must be picklable for pooled dispatch.  A job's failed members
+    are retried together as one job, under the same timeout.
     """
 
     def finish(job, attempt, job_out) -> List[tuple]:
-        """Finish a job's pending members; return member-level errors."""
-        indices, need, _ = job
-        by_index = dict(zip(indices, job_out, strict=True))
+        """Finish a job's members; return member-level errors."""
         errors = []
-        for i in need:
-            kind, value = by_index[i]
+        for i, (kind, value) in zip(job, job_out, strict=True):
             if kind == "ok":
                 _finish_ok(outcomes, specs, i, value, attempt, cache, progress)
             else:
                 errors.append((i, value))
         return errors
 
-    def handle_errors(job, attempt, errors, resubmit) -> None:
-        indices, need, batched = job
-        still = [i for i, _ in errors]
+    def handle_errors(attempt, errors, resubmit) -> None:
         if attempt <= retries:
             for i, error in errors:
                 _emit(
@@ -275,25 +190,20 @@ def _dispatch_jobs(
                         error=error, attempts=attempt,
                     ),
                 )
-            resubmit((indices, still, batched), attempt + 1)
+            resubmit([i for i, _ in errors], attempt + 1)
         else:
             for i, error in errors:
                 _finish_failed(outcomes, specs, i, error, attempt, progress)
 
     if workers == 1 or len(jobs) == 1:
-        for job in jobs:
-            attempt = 1
-            while job is not None:
-                indices, need, batched = job
-                job_out = execute([specs[i] for i in indices], batched)
-                errors = finish(job, attempt, job_out)
-                job = None
-                if errors:
-                    def retry(next_job, next_attempt):
-                        nonlocal job, attempt
-                        job, attempt = next_job, next_attempt
-
-                    handle_errors((indices, need, batched), attempt, errors, retry)
+        pending = [(job, 1) for job in jobs]
+        while pending:
+            job, attempt = pending.pop(0)
+            errors = finish(job, attempt, execute([specs[i] for i in job]))
+            if errors:
+                handle_errors(
+                    attempt, errors, lambda again, n: pending.insert(0, (again, n))
+                )
         return
 
     futures = {}  # future -> (job, attempt, dispatch time)
@@ -302,8 +212,7 @@ def _dispatch_jobs(
     ) as pool:
 
         def submit(job, attempt: int) -> None:
-            indices, _, batched = job
-            fut = pool.submit(execute, [specs[i] for i in indices], batched)
+            fut = pool.submit(execute, [specs[i] for i in job])
             futures[fut] = (job, attempt, perf_counter())
 
         for job in jobs:
@@ -315,7 +224,7 @@ def _dispatch_jobs(
             else:
                 now = perf_counter()
                 deadlines = {
-                    fut: t0 + timeout * len(job[0])
+                    fut: t0 + timeout * len(job)
                     for fut, (job, _, t0) in futures.items()
                 }
                 slack = max(0.0, min(deadlines.values()) - now)
@@ -328,11 +237,9 @@ def _dispatch_jobs(
                         fut.cancel()
                         note = (
                             f"timeout: no result within "
-                            f"{timeout * len(job[0]):.1f}s of dispatch"
+                            f"{timeout * len(job):.1f}s of dispatch"
                         )
-                        handle_errors(
-                            job, attempt, [(i, note) for i in job[1]], submit
-                        )
+                        handle_errors(attempt, [(i, note) for i in job], submit)
                     continue
             for fut in done:
                 job, attempt, _ = futures.pop(fut)
@@ -340,13 +247,11 @@ def _dispatch_jobs(
                     job_out = fut.result()
                 except Exception:
                     error = traceback.format_exc(limit=10)
-                    handle_errors(
-                        job, attempt, [(i, error) for i in job[1]], submit
-                    )
+                    handle_errors(attempt, [(i, error) for i in job], submit)
                     continue
                 errors = finish(job, attempt, job_out)
                 if errors:
-                    handle_errors(job, attempt, errors, submit)
+                    handle_errors(attempt, errors, submit)
 
 
 @dataclass
@@ -626,7 +531,6 @@ def run_many(
     progress: Optional[Callable[[dict], None]] = None,
     task_fn: Optional[Callable[[ExperimentSpec], NetworkResult]] = None,
     vectorize: bool = False,
-    stream: bool = False,
     shard_mem: Optional[int] = None,
     backend: str = "auto",
     db: Optional["ExperimentDB"] = None,
@@ -657,42 +561,29 @@ def run_many(
         Override for the per-spec work -- used by fault-injection
         tests and custom workloads; must be picklable for ``workers > 1``.
     vectorize:
-        Stack same-shape specs into replica-batched engine runs
-        (:mod:`repro.simulation.batched`), one stacked run per group --
-        composing with ``workers`` (groups are pool jobs) and the cache
-        (entries stay per-spec, keyed by batch-marked digests; see
-        :func:`~repro.exec.spec.group_for_vectorize`).  Group members
-        may differ in seed, load ``p``, bulk size, favourite bias
-        ``q``, and service model -- a whole sweep becomes one
-        scenario-stacked kernel pass -- as long as the shape-fixing
-        fields (topology, ``k``, stages, width, transfer, buffers,
-        track limit, cycle budget, warm-up) agree.  Specs with no
-        same-shape partner, or with finite buffers, silently fall back
-        to the serial engine, so ``vectorize=True`` is always safe.
-        Incompatible with ``task_fn`` and ``chunksize``.
-    stream:
-        Run every spec on the streamed engine
-        (:mod:`repro.simulation.streamed`) in memory-bounded shards.
-        Specs are stream-marked (digest kind ``"stream"`` -- a distinct
-        replication design from both serial and batched runs), grouped
-        by shape like ``vectorize``, and the *pending* members of each
-        group sharded under ``shard_mem``: cached specs are skipped
-        outright, and results are bit-identical for any shard size or
-        worker count (streamed replicas are seeded independently).
-        Requires infinite buffers; incompatible with ``vectorize``,
-        ``task_fn``, and ``chunksize``.  ``track_limit=0`` specs
-        additionally return streaming totals summaries instead of
-        per-message panels (see ``docs/scaling.md``).
+        Run same-shape specs in stacked engines
+        (:mod:`repro.simulation.batched`), in shards of
+        :func:`~repro.exec.sharded.plan_shard_size` specs -- composing
+        with ``workers`` (shards are pool jobs) and the cache (cached
+        specs are skipped).  Shard members may differ in seed, load
+        ``p``, bulk size, favourite bias ``q`` and service model, as long
+        as the shape-fixing fields (topology, ``k``, stages, width,
+        transfer, buffers, track limit, cycle budget, warm-up) agree.
+        Every spec's result, and so its digest and cache entry, is the
+        one a serial run gives it.  Finite-buffer specs run serially.
+        ``track_limit=0`` specs return streaming totals summaries instead
+        of per-message panels (see ``docs/scaling.md``).  Incompatible
+        with ``task_fn`` and ``chunksize``.
     shard_mem:
-        Per-shard working-set budget in bytes for ``stream=True``
+        Per-shard working-set budget in bytes of the stacked path
         (default :data:`~repro.exec.sharded.DEFAULT_SHARD_MEM`,
-        256 MiB).  Purely an execution knob: it never enters digests or
-        results.
+        256 MiB); giving one implies ``vectorize=True``.  Purely an
+        execution knob: it never enters digests or results.
     backend:
-        Compute backend for vectorized groups -- ``"numpy"``,
-        ``"numba"``, or ``"auto"`` (default; JIT when numba is usable,
-        reference otherwise).  Purely an execution detail: results,
-        digests, and cache keys are backend-independent (the JIT loop is
+        Compute backend for stacked shards -- ``"numpy"``, ``"numba"``,
+        or ``"auto"`` (default; JIT when numba is usable, reference
+        otherwise).  Purely an execution detail: results, digests, and
+        cache keys are backend-independent (the JIT loop is
         bit-identical to the reference), and serial paths always use the
         reference implementation.  See :mod:`repro.simulation.backends`.
     db:
@@ -707,21 +598,11 @@ def run_many(
         raise ExecutionError(f"workers must be >= 1, got {workers}")
     if retries < 0:
         raise ExecutionError(f"retries must be >= 0, got {retries}")
+    vectorize = vectorize or shard_mem is not None
     if vectorize and task_fn is not None:
         raise ExecutionError("vectorize=True cannot run a custom task_fn")
     if vectorize and chunksize is not None:
-        raise ExecutionError("vectorize=True groups specs itself; drop chunksize")
-    if stream and vectorize:
-        raise ExecutionError(
-            "stream=True and vectorize=True are distinct replication "
-            "designs (independent vs shared-stream seeding); pick one"
-        )
-    if stream and task_fn is not None:
-        raise ExecutionError("stream=True cannot run a custom task_fn")
-    if stream and chunksize is not None:
-        raise ExecutionError("stream=True shards specs itself; drop chunksize")
-    if shard_mem is not None and not stream:
-        raise ExecutionError("shard_mem only applies with stream=True")
+        raise ExecutionError("vectorize=True shards specs itself; drop chunksize")
     if backend not in BACKEND_CHOICES:
         raise ExecutionError(
             f"backend must be one of {', '.join(map(repr, BACKEND_CHOICES))}; "
@@ -729,16 +610,6 @@ def run_many(
         )
     started = perf_counter()
     specs = resolve_seeds(specs, base_seed=base_seed)
-    groups = None
-    if vectorize:
-        # grouping sees the FULL batch (before cache lookups), so batch
-        # composition -- and hence every digest and result -- is a pure
-        # function of the spec list, never of cache state
-        specs, groups = group_for_vectorize(specs)
-    elif stream:
-        # stream marking is composition-free, so here the cache may
-        # legitimately shape execution: only pending specs are sharded
-        specs, groups = group_for_stream(specs)
     outcomes: List[Optional[TaskOutcome]] = [None] * len(specs)
 
     pending: List[int] = []
@@ -754,14 +625,8 @@ def run_many(
 
     if pending:
         if vectorize:
-            _run_vectorized(
-                specs, pending, groups, outcomes,
-                workers=workers, retries=retries, timeout=timeout,
-                cache=cache, progress=progress, backend=backend,
-            )
-        elif stream:
-            _run_streamed_groups(
-                specs, pending, groups, outcomes,
+            _run_stacked(
+                specs, pending, outcomes,
                 workers=workers, retries=retries, timeout=timeout,
                 cache=cache, progress=progress, backend=backend,
                 shard_mem=shard_mem,

@@ -2,25 +2,25 @@
 
 Two layers live here:
 
-* **Shard planning** -- :func:`estimate_replica_bytes` models the
-  streamed engine's per-replica working set (ring buffers, the
-  pre-drawn arrival arrays, tracker or streaming per-message scalars)
-  and :func:`plan_shard_size` turns a byte budget into a replica count.
-  The shard size is an *execution* knob: it never enters a spec digest
-  (:data:`repro.exec.spec.STREAM_MARKER` is composition-free), so the
-  same cache entries serve every budget.
+* **Shard planning** -- :func:`estimate_replica_bytes` models a stacked
+  engine's per-replica working set (queued messages, one drawn block of
+  arrivals, tracker or streaming per-message scalars) and
+  :func:`plan_shard_size` turns a byte budget into a replica count.
+  The shard size is an *execution* knob: a replica's result does not
+  depend on its shard, so it never enters a spec digest and the same
+  cache entries serve every budget.
 * **The direct driver** -- :func:`stream_totals` runs ``R`` replicas of
   one scenario in streaming summary mode (``track_limit=0``) without
   materialising specs, results, or cache entries: shards are dispatched
   to a process pool and their
   :class:`~repro.simulation.stats.StreamingTotals` merged in shard
   order, so peak memory is one shard's working set per worker while the
-  merged moments are bit-identical to a monolithic run (shard-invariance
-  of the streamed engine).  This is the R >= 1e5 path used by the scale
-  benchmark and the figure overlays.
+  merged moments are bit-identical to a monolithic run (shard
+  invariance).  This is the R >= 1e5 path used by the scale benchmark
+  and the figure overlays.
 
 Spec-level sharded execution (cache-aware, per-spec results) is
-``run_many(stream=True, shard_mem=...)`` in :mod:`repro.exec.runner`,
+``run_many(vectorize=True, shard_mem=...)`` in :mod:`repro.exec.runner`,
 which plans its shards with the same functions.
 """
 
@@ -40,6 +40,7 @@ from repro.simulation.streamed import (
     DEFAULT_TAIL_K,
     run_streamed,
 )
+from repro.simulation.traffic import BLOCK_CYCLES
 
 __all__ = [
     "DEFAULT_SHARD_MEM",
@@ -54,37 +55,35 @@ __all__ = [
 #: that shard dispatch overhead is noise.
 DEFAULT_SHARD_MEM = 256 * 1024 * 1024
 
-#: Ring-buffer geometry of the streamed engine: 4 int64 fields at the
-#: initial capacity of 64 slots per port.
+#: Queued-message allowance per port: 4 int64 fields for 64 messages.
 _QUEUE_FIELDS = 4
 _QUEUE_CAPACITY = 64
 
 
 def estimate_replica_bytes(config: NetworkConfig, n_cycles: int) -> int:
-    """Model of one replica's working set inside a streamed shard.
+    """Model of one replica's working set inside a stacked shard.
 
-    Counts the dominant allocations: the per-port ring buffers, the
-    ``(n_cycles, width)`` injection-coin block, the pre-drawn arrival
-    arrays (six int64 columns per expected message), and either the
-    tracker matrix (tracked mode) or the per-message total/done scalars
-    (streaming mode).  A deliberate over-estimate is harmless (smaller
-    shards); an under-estimate risks the memory budget, so queue growth
-    beyond the initial capacity is absorbed by the x2 safety factor on
-    the message-proportional terms.
+    Counts the dominant allocations: an allowance for queued messages,
+    one drawn block of :data:`~repro.simulation.traffic.BLOCK_CYCLES`
+    cycles of arrivals (six int64 rows per expected message), and
+    either the tracker matrix (tracked mode) or the per-message
+    total/done/replica scalars (streaming mode).  A deliberate
+    over-estimate is harmless (smaller shards); an under-estimate risks
+    the memory budget, so deeper queues and the copies a block draw
+    makes are absorbed by the x2 safety factor on the message-
+    proportional terms.
     """
     topology = config.build_topology()
     ppr = topology.n_stages * topology.width
-    expected_msgs = max(
-        1.0, n_cycles * topology.width * config.p * config.bulk_size
-    )
+    rate = topology.width * config.p * config.bulk_size
+    expected_msgs = max(1.0, n_cycles * rate)
     queue_bytes = ppr * _QUEUE_FIELDS * _QUEUE_CAPACITY * 8
-    coin_bytes = n_cycles * topology.width * 8
-    predraw_bytes = 6 * 8 * expected_msgs
+    block_bytes = 6 * 8 * BLOCK_CYCLES * rate
     if config.track_limit > 0:
         per_message = min(config.track_limit, expected_msgs) * topology.n_stages * 4
     else:
-        per_message = expected_msgs * (8 + 1)  # msg_total f64 + msg_done u8
-    return int(queue_bytes + coin_bytes + 2.0 * (predraw_bytes + per_message))
+        per_message = expected_msgs * (8 + 1 + 8)  # total f64, done u8, replica i64
+    return int(queue_bytes + 2.0 * (block_bytes + per_message))
 
 
 def plan_shard_size(
@@ -154,7 +153,7 @@ def stream_totals(
     streaming summary mode; the batch is split into shards of
     :func:`plan_shard_size` replicas and the per-shard
     :class:`~repro.simulation.stats.StreamingTotals` merged in shard
-    order.  Because the streamed engine is shard-invariant and the
+    order.  Because every replica is shard-invariant and the
     merge concatenates per-replica accumulators in replica order, the
     result's exact statistics (count, moments, tail) are **independent
     of both ``shard_mem`` and ``workers``** -- only the quantile sketch

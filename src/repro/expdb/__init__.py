@@ -2,8 +2,8 @@
 
 ``repro.expdb`` records every simulation run, benchmark measurement and
 paper-target evaluation in a single SQLite file so that the repository's
-claims -- "stage-one wait matches Table I", "the replica-batched engine
-is 5x faster than serial" -- are backed by queryable history instead of
+claims -- "stage-one wait matches Table I", "stacked replicas run 5x
+faster than serial ones" -- are backed by queryable history instead of
 hand-edited markdown.
 
 Layers:
@@ -52,7 +52,6 @@ from repro.expdb.expectations import (
 )
 from repro.expdb.ingest import (
     bench_record_from_artifact,
-    engine_kind,
     ingest_batch,
     ingest_bench_file,
     ingest_manifest,
@@ -88,7 +87,6 @@ __all__ = [
     "find_regressions",
     "record_evaluations",
     "bench_record_from_artifact",
-    "engine_kind",
     "ingest_batch",
     "ingest_bench_file",
     "ingest_manifest",

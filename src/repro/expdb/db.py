@@ -172,7 +172,7 @@ class RunRecord:
 
     digest: str
     status: str  # "completed" | "cached" | "failed"
-    engine: str  # "serial" | "replica-batched" | "scenario-batched"
+    engine: str  # digest family: "serial" (older ledgers: also retired batch families)
     source: str  # "exec" | "manifest" | ...
     n_cycles: int
     config_json: str

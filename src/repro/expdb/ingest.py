@@ -45,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 __all__ = [
     "provenance",
-    "engine_kind",
     "spec_record_fields",
     "run_record_from_outcome",
     "ingest_outcome",
@@ -97,19 +96,6 @@ def provenance() -> Dict[str, Optional[str]]:
     }
 
 
-def engine_kind(spec: "ExperimentSpec") -> str:
-    """Which engine variant a spec's digest is keyed for."""
-    if spec.batch_marker is None:
-        return "serial"
-    if spec.batch_marker[0] == "stream":
-        # the composition-free streamed marker (repro.exec.spec.STREAM_MARKER)
-        return "stream"
-    rows = spec.batch_marker[2]
-    if rows and isinstance(rows[0], str):
-        return "scenario-batched"
-    return "replica-batched"
-
-
 def _clean(value: Optional[float]) -> Optional[float]:
     """NaN/Inf -> None; everything stored must survive JSON export."""
     if value is None:
@@ -134,7 +120,7 @@ def spec_record_fields(spec: "ExperimentSpec") -> Dict[str, Any]:
     """The spec -> row conversion every ingestion surface shares.
 
     Digest-keyed identity columns (digest, seed, budget, canonical
-    config JSON, engine variant, denormalised scenario selectors) for
+    config JSON, digest family, denormalised scenario selectors) for
     one :class:`~repro.exec.spec.ExperimentSpec`.  Used by the batch
     path (:func:`run_record_from_outcome`, hence ``run_many(db=...)``
     and the :mod:`repro.api` service) and the manifest path
@@ -145,7 +131,10 @@ def spec_record_fields(spec: "ExperimentSpec") -> Dict[str, Any]:
     config_doc = spec.identity()["config"]
     fields: Dict[str, Any] = {
         "digest": spec.digest,
-        "engine": engine_kind(spec),
+        # the digest family: one since cache schema v2, whichever path
+        # ran the spec (older ledgers also hold rows of three retired
+        # batch families)
+        "engine": "serial",
         "seed": spec.config.seed,
         "n_cycles": int(spec.n_cycles),
         "warmup": spec.warmup,

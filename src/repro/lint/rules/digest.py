@@ -3,12 +3,11 @@
 
 The result cache (:mod:`repro.exec.cache`) is keyed by a SHA-256 over
 a spec's identity document, and the scenario-stacking machinery
-(:func:`repro.exec.spec.group_for_vectorize`) splits every
+(:func:`repro.exec.spec.group_by_shape`) splits every
 ``NetworkConfig`` field into exactly one of three buckets:
 
 * ``STACKABLE_CONFIG_FIELDS`` (``repro/exec/spec.py``) -- parameters a
-  stacked batch lets vary per replica; they enter the per-replica
-  batch rows of the digest;
+  stacked batch lets vary per replica;
 * ``STACK_SHAPE_FIELDS`` (``repro/simulation/batched.py``) -- fields
   that fix engine array shapes and must agree across a batch;
 * ``seed`` -- handled separately by the seed-resolution pipeline.

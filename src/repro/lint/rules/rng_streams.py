@@ -6,8 +6,7 @@ system cannot see:
 
 1. **Single construction point.**  Every ``numpy`` generator used by a
    kernel derives from a ``SeedSequence`` built in
-   ``simulation/rng.py`` (``make_rng`` / ``spawn_rngs`` /
-   ``spawn_stacked_rngs``).  A ``default_rng`` / ``SeedSequence`` /
+   ``simulation/rng.py`` (``make_rng`` / ``spawn_rngs``).  A ``default_rng`` / ``SeedSequence`` /
    ``Generator`` call anywhere else in the kernel directories creates
    an undisciplined stream whose draws cannot be replayed.
 2. **No stream sharing.**  A generator object that flows into two
@@ -36,7 +35,7 @@ __all__ = ["RngStreamRule"]
 _CONSTRUCTORS = frozenset({"default_rng", "SeedSequence", "Generator", "RandomState"})
 
 #: Sanctioned factory functions exported by ``simulation/rng.py``.
-_SANCTIONED_FACTORIES = frozenset({"make_rng", "spawn_rngs", "spawn_stacked_rngs"})
+_SANCTIONED_FACTORIES = frozenset({"make_rng", "spawn_rngs"})
 
 
 def _is_rng_name(name: str) -> bool:
@@ -102,7 +101,7 @@ class RngStreamRule(ProjectRule):
                     f"generator constructed via {name} outside "
                     "simulation/rng.py: kernel streams must derive from "
                     "the sanctioned SeedSequence factories (make_rng / "
-                    "spawn_rngs / spawn_stacked_rngs) to stay replayable",
+                    "spawn_rngs) to stay replayable",
                 )
 
         # (2) one generator, one kernel entry point.

@@ -17,13 +17,14 @@ Modules
     Vectorised multi-queue FIFO ring buffers (the output queues).
 :mod:`repro.simulation.traffic`
     First-stage message generation: Bernoulli loads, bulks, favourite
-    bias, multi-size messages.
+    bias, multi-size messages -- one stream per replica, drawn in
+    blocks of 256 cycles.
 :mod:`repro.simulation.engine`
     The clocked engine, ``R >= 1`` replicas evaluated window by window
     by :mod:`repro.simulation.stagewise`.
 :mod:`repro.simulation.batched`
     Stacked runs: ``R`` independent scenarios in one engine, amortising
-    per-cycle kernel-call overhead.
+    per-call overhead; each replica's result equals its serial run.
 :mod:`repro.simulation.network`
     The user-facing facade: :class:`~repro.simulation.network.NetworkSimulator`
     built from a :class:`~repro.simulation.network.NetworkConfig`,

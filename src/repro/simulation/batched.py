@@ -6,29 +6,27 @@ dominates, so running replicas one after another multiplies that
 overhead by ``R``.  :func:`run_stacked` instead runs ``R`` scenarios in
 one :class:`~repro.simulation.engine.ClockedEngine` of ``R`` replicas:
 flat arrays of ``R * n_stages * width`` ports (global port = ``replica *
-n_stages * width + stage * width + line``), one set of draws per cycle
-for all of them, and one stage-wise pass (or one kernel call) over all
-of them.
+n_stages * width + stage * width + line``) and one stage-wise pass (or
+one kernel call) over all of them.
 
 Randomness
 ----------
-One traffic generator draws a single ``(R, width)`` uniform block per
-cycle; replicas consume disjoint slices of one shared stream, which
-keeps them statistically independent.  The stream is seeded from the
-*list* of per-replica seeds (``SeedSequence([s_0, ..., s_{R-1}])``),
-so a batch's results are a pure function of the ordered seed list.
-Because ``SeedSequence([s]) == SeedSequence(s)`` and the engine draws a
-serial run the same way, a batch of **one** replica reproduces the
-serial engine **bit-for-bit** -- this is test-asserted.  For ``R > 1``
-each replica's sample path depends on the whole batch (still a valid
-i.i.d. replication design, just a different one than ``R`` serial
-runs), which is why :mod:`repro.exec` marks batched specs with a
-distinct cache digest.
+Every replica draws from its own streams, ``spawn_rngs(seed, 2)`` of its
+own config -- exactly how a serial run is seeded -- in blocks of
+:data:`~repro.simulation.traffic.BLOCK_CYCLES` cycles
+(:mod:`repro.simulation.traffic`).  Replica dynamics are disjoint, so a
+replica's :class:`~repro.simulation.network.NetworkResult` is a pure
+function of its ``(config, n_cycles, warmup)``: the same as a serial
+run of that config, at any position of any batch, in any shard
+(test-asserted).  :func:`run_stacked`, :func:`run_batched` and
+:func:`~repro.simulation.streamed.run_streamed` are entry points over
+one driver, :func:`run_replicas`.
 
 Limitations
 -----------
-* Finite buffers and ``track_limit=0`` are refused (the streamed
-  engine, :mod:`repro.simulation.streamed`, takes the latter).
+* Finite buffers are refused (the serial engine takes them), and so is
+  ``track_limit=0`` here: its batch totals come back from
+  :func:`~repro.simulation.streamed.run_streamed`.
 * Observers and metrics collectors are refused: they read one
   network's ports.  Run serially when you need instrumentation.
 * ``warmup="auto"`` (MSER-5) is refused: the detector is a per-run
@@ -39,11 +37,10 @@ Backends
 ``backend`` picks the evaluator
 (:func:`~repro.simulation.backends.jit.resolve_kernel`): the stage-wise
 NumPy pass (:mod:`repro.simulation.stagewise`) window by window, or the
-compiled cycle loop over the whole run's pre-drawn arrivals.  The
-default ``"auto"`` takes the compiled loop when numba is importable.
-Either way the results are bit-identical (test-asserted), so backend
-choice is an execution detail -- never part of a spec digest or cache
-key.
+compiled cycle loop over the whole run's drawn arrivals.  The default
+``"auto"`` takes the compiled loop when numba is importable.  Either way
+the results are bit-identical (test-asserted), so backend choice is an
+execution detail -- never part of a spec digest or cache key.
 """
 
 from __future__ import annotations
@@ -52,24 +49,27 @@ from dataclasses import replace
 
 # repro: lint-ok RPR001 -- elapsed_seconds bookkeeping; never enters results
 from time import perf_counter
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.simulation.backends.jit import Backend, resolve_kernel, run_kernel
-from repro.simulation.engine import ClockedEngine
-from repro.simulation.network import NetworkConfig, NetworkResult
-from repro.simulation.rng import DEFAULT_SEED, spawn_stacked_rngs
+from repro.simulation.network import NetworkConfig, NetworkResult, build_engine
 from repro.simulation.stagewise import StagewisePass
 from repro.simulation.stats import (
     BatchedTrackedMessages,
+    MessageTotals,
     StreamingTotals,
     TrackedMessages,
 )
-from repro.simulation.traffic import NetworkTrafficGenerator
 
-__all__ = ["run_batched", "run_stacked"]
+__all__ = ["run_batched", "run_replicas", "run_stacked"]
+
+#: default quantile-sketch resolution / tail-reservoir size of a
+#: streaming summary run (shared with the sharded exec driver)
+DEFAULT_SKETCH_MARKERS = 129
+DEFAULT_TAIL_K = 1024
 
 #: config fields that fix the stacked engine's array shapes -- scenarios
 #: in one batch must agree on all of these (everything else may vary)
@@ -126,7 +126,7 @@ def replica_results(
     n_cycles: int,
     warmup: int,
     evaluator: StagewisePass,
-    tracker: Union[TrackedMessages, BatchedTrackedMessages, None],
+    tracker: Union[TrackedMessages, BatchedTrackedMessages, MessageTotals],
     elapsed: float,
     backend: str,
     totals: Optional[StreamingTotals] = None,
@@ -135,10 +135,10 @@ def replica_results(
     replicas.
 
     ``evaluator`` holds the run's statistics and per-replica counters
-    (whichever backend evaluated it); ``tracker`` its tracked waits, or
-    ``None`` in streaming summary mode, where ``totals`` holds the
-    per-replica summaries.  ``elapsed_seconds`` is the run's wall clock
-    divided by ``R`` (the amortised per-replica cost).
+    (whichever backend evaluated it); ``tracker`` its tracked waits --
+    or, in streaming summary mode, its message totals, summarised in
+    ``totals``.  ``elapsed_seconds`` is the run's wall clock divided by
+    ``R`` (the amortised per-replica cost).
     """
     n_replicas = len(configs)
     n_stages = evaluator.n_stages
@@ -158,7 +158,7 @@ def replica_results(
                 stage_counts=counts[i].copy(),
                 tracked=(
                     tracker.replica_tracker(i)
-                    if tracker is not None
+                    if not isinstance(tracker, MessageTotals)
                     else TrackedMessages.from_rows(
                         np.empty((0, n_stages), dtype=np.float32), n_stages
                     )
@@ -177,6 +177,56 @@ def replica_results(
     return results
 
 
+def run_replicas(
+    configs: Sequence[NetworkConfig],
+    n_cycles: int,
+    warmup: Union[int, str, None] = None,
+    backend: Backend = "auto",
+    *,
+    n_markers: int = DEFAULT_SKETCH_MARKERS,
+    tail_k: int = DEFAULT_TAIL_K,
+) -> Tuple[List[NetworkResult], Optional[StreamingTotals]]:
+    """Run one replica per config in one engine: the stacked driver.
+
+    Returns one result per config, in order, and -- in streaming
+    summary mode (``track_limit=0``) -- the batch's merged
+    :class:`~repro.simulation.stats.StreamingTotals` (``n_markers`` and
+    ``tail_k`` size its sketch and tail), else ``None``.
+    """
+    configs = list(configs)
+    warmup = stack_warmup(configs, n_cycles, warmup)
+    kernel, backend_name = resolve_kernel(backend)
+    engine = build_engine(configs)
+    tracker = engine.tracker
+    started = perf_counter()
+    if kernel is None:
+        engine.run(n_cycles, warmup=warmup)
+    else:
+        arrivals = engine.predraw(n_cycles, warmup)
+        if isinstance(tracker, MessageTotals):
+            no_rows = np.zeros((1, engine.n_stages), dtype=np.float32)
+            run_kernel(
+                kernel, engine.evaluator, n_cycles, warmup, arrivals, no_rows,
+                tracker.total, tracker.done,
+            )
+        else:
+            run_kernel(kernel, engine.evaluator, n_cycles, warmup, arrivals, tracker.waits)
+    totals = None
+    if isinstance(tracker, MessageTotals):
+        totals = tracker.summary(n_markers, tail_k)
+    results = replica_results(
+        configs,
+        n_cycles,
+        warmup,
+        engine.evaluator,
+        tracker,
+        perf_counter() - started,
+        backend_name,
+        totals,
+    )
+    return results, totals
+
+
 def run_stacked(
     configs: Sequence[NetworkConfig],
     n_cycles: int,
@@ -185,24 +235,18 @@ def run_stacked(
 ) -> List[NetworkResult]:
     """Run ``len(configs)`` *scenarios* in one stacked engine.
 
-    The scenario generalisation of :func:`run_batched`: each replica of
-    the batch simulates its own :class:`NetworkConfig`, which may differ
-    in arrival rate ``p``, bulk size, favourite bias ``q``, service
-    model (``message_size`` / ``sizes`` / explicit ``service``), and
-    seed -- anything that does not change the engine's array shapes.
-    The shape-fixing fields (:data:`STACK_SHAPE_FIELDS`: ``k``,
+    Each replica simulates its own :class:`NetworkConfig`, which may
+    differ in arrival rate ``p``, bulk size, favourite bias ``q``,
+    service model (``message_size`` / ``sizes`` / explicit ``service``),
+    and seed -- anything that does not change the engine's array
+    shapes.  The shape-fixing fields (:data:`STACK_SHAPE_FIELDS`: ``k``,
     ``n_stages``, ``topology``, ``width``, ``transfer``,
     ``buffer_capacity``, ``track_limit``) must agree across the batch.
 
     Returns one :class:`NetworkResult` per config, in order, each
-    carrying its own config -- the same schema serial runs produce, so
-    downstream analysis and the result cache need no batch awareness.
-
-    A stack whose rows are identical except for the seed consumes the
-    RNG stream exactly like the homogeneous batched engine (see
-    :mod:`repro.simulation.traffic`), so :func:`run_batched` is this
-    function applied to ``[replace(config, seed=s) for s in seeds]``
-    and the R=1 serial bit-identity anchor carries over unchanged.
+    carrying its own config and equal to a serial run of it -- the same
+    schema serial runs produce, so downstream analysis and the result
+    cache need no batch awareness.
 
     ``backend`` selects the evaluator (see the module notes); every
     backend produces bit-identical results, and the one that actually
@@ -210,52 +254,13 @@ def run_stacked(
     :attr:`NetworkResult.backend <repro.simulation.network.NetworkResult.backend>`.
     """
     configs = list(configs)
-    warmup = stack_warmup(configs, n_cycles, warmup)
-    first = configs[0]
-    if first.track_limit == 0:
+    if configs and configs[0].track_limit == 0:
         raise SimulationError(
             "track_limit=0 (streaming summary mode) is only supported by "
             "the streamed engine -- use repro.simulation.streamed."
             "run_streamed; see docs/scaling.md"
         )
-    kernel, backend_name = resolve_kernel(backend)
-    entropy = [DEFAULT_SEED if c.seed is None else int(c.seed) for c in configs]
-    traffic_rng, routing_rng = spawn_stacked_rngs(entropy)
-    topology = first.build_topology()
-    traffic = NetworkTrafficGenerator(
-        width=topology.width,
-        p=[c.p for c in configs],
-        service=[c.service_model() for c in configs],
-        rng=traffic_rng,
-        bulk_size=[c.bulk_size for c in configs],
-        q=[c.q for c in configs],
-        dest_space=topology.destination_space,
-        n_replicas=len(configs),
-    )
-    engine = ClockedEngine(
-        topology,
-        traffic,
-        transfer=first.transfer,
-        routing_rng=routing_rng,
-        track_limit=first.track_limit,
-    )
-    started = perf_counter()
-    if kernel is None:
-        engine.run(n_cycles, warmup=warmup)
-    else:
-        arrivals = engine.predraw(n_cycles, warmup)
-        run_kernel(
-            kernel, engine.evaluator, n_cycles, warmup, arrivals, engine.tracker.waits
-        )
-    return replica_results(
-        configs,
-        n_cycles,
-        warmup,
-        engine.evaluator,
-        engine.tracker,
-        perf_counter() - started,
-        backend_name,
-    )
+    return run_replicas(configs, n_cycles, warmup, backend)[0]
 
 
 def run_batched(

@@ -11,19 +11,24 @@ hands them to one :class:`~repro.simulation.stagewise.StagewisePass`,
 which carries queued messages, next-free cycles and high-water marks
 into the next window and the next :meth:`~ClockedEngine.run`.
 
-One engine evaluates ``R >= 1`` disjoint copies of the network -- the
-replicas of its traffic generator (``traffic.n_replicas``) -- in one
-set of arrays: a serial run is ``R = 1``, and the stacked runs of
-:mod:`repro.simulation.batched` are ``R`` scenarios at once.
-:func:`run_windows` is the one loop that feeds the pass, for this engine
-and for the streamed engine's pre-drawn replicas alike.
+One engine evaluates ``R >= 1`` disjoint copies of the network -- one
+replica per traffic generator -- in one set of arrays: a serial run is
+``R = 1``, and the stacked runs of :mod:`repro.simulation.batched` are
+``R`` scenarios at once.  Each replica draws its arrivals from its own
+traffic stream in blocks of
+:data:`~repro.simulation.traffic.BLOCK_CYCLES` cycles on a grid that
+starts at cycle 0 (:mod:`repro.simulation.traffic`).  The engine draws a
+block the first time a window needs one of its cycles and keeps the rest
+for later windows and the next :meth:`~ClockedEngine.run`, so a
+replica's sample path depends only on its own streams -- not on the
+run, window or batch it is evaluated in.
 """
 
 from __future__ import annotations
 
 # repro: lint-ok RPR001 -- phase profiling only; timings never enter simulation state
 from time import perf_counter
-from typing import Callable, Literal, Optional
+from typing import List, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -34,18 +39,14 @@ from repro.simulation.sanitize import sanitizer_enabled
 from repro.simulation.stagewise import Hops, StagewisePass
 from repro.simulation.stats import (
     BatchedTrackedMessages,
+    MessageTotals,
     StageAccumulator,
     TrackedMessages,
 )
 from repro.simulation.topology import MultistageTopology
-from repro.simulation.traffic import NetworkTrafficGenerator
+from repro.simulation.traffic import BLOCK_CYCLES, NetworkTrafficGenerator
 
-__all__ = ["ClockedEngine", "build_routing_tables", "run_windows"]
-
-#: ``draw(t0, end)`` -> the end cycle of the window of cycles opening at
-#: ``t0`` (at most ``end``), its arrivals in injection order and -- for
-#: an observed run only, else ``None`` -- each arrival's network input
-WindowDraw = Callable[[int, int], tuple]
+__all__ = ["ClockedEngine", "build_routing_tables"]
 
 
 def build_routing_tables(topology: MultistageTopology):
@@ -71,36 +72,9 @@ def build_routing_tables(topology: MultistageTopology):
     return perm_stack, shifts
 
 
-def run_windows(
-    evaluator: StagewisePass,
-    end: int,
-    measure_from: int,
-    draw: WindowDraw,
-    timers: Optional[PhaseTimers] = None,
-) -> None:
-    """Advance ``evaluator`` to cycle ``end``, one drawn window at a time.
-
-    Service starts from ``measure_from`` on are recorded.  With
-    ``REPRO_SANITIZE=1`` (read once per call) every window end is
-    checked by the invariant hooks of :mod:`repro.simulation.sanitize`
-    (finite statistics, non-negative queue depths, message
-    conservation).  ``timers`` accumulate each window's ``predraw`` and
-    ``pass`` wall time.
-    """
-    evaluator.sanitize = sanitizer_enabled()
-    while evaluator.now < end:
-        t0 = perf_counter()
-        window_end, arrivals, sources = draw(evaluator.now, end)
-        t1 = perf_counter()
-        evaluator.advance(window_end, arrivals, measure_from, sources)
-        if timers is not None:
-            timers.add("predraw", t1 - t0, backend="numpy")
-            timers.add("pass", perf_counter() - t1, backend="numpy")
-
-
 class ClockedEngine:
-    """Cycle-accurate simulator of ``traffic.n_replicas`` disjoint copies
-    of one multistage network.
+    """Cycle-accurate simulator of ``len(traffic)`` disjoint copies of
+    one multistage network.
 
     Ports are numbered ``replica * n_stages * width + stage * width +
     line`` and statistic bins ``replica * n_stages + stage``; with one
@@ -112,35 +86,48 @@ class ClockedEngine:
         The wiring/routing model (digit-routed; see
         :func:`build_routing_tables`).
     traffic:
-        First-stage message source; one ``generate_batch()`` per cycle
-        draws every replica's arrivals.
+        One first-stage message source per replica; each
+        ``generate_batch()`` draws that replica's next block of cycles.
     transfer:
         ``"cut_through"`` (paper model: total service ``n + m - 1``) or
         ``"store_forward"`` (total service ``n * m``).
     buffer_capacity:
         ``None`` for the paper's infinite buffers; an integer makes
         every output queue a finite FIFO that *drops* overflow.
-    routing_rng:
-        Handed to the topology's ``entry_queue`` (the built-in
+    routing_rngs:
+        One generator per replica, handed to the topology's
+        ``entry_queue`` with that replica's arrivals (the built-in
         topologies are deterministic in the destination and ignore it).
     track_limit:
         Maximum number of per-message rows kept per replica for
         correlation/total statistics (streaming stage statistics are
-        unaffected).
+        unaffected); ``0`` keeps each measured message's total wait
+        instead (:class:`~repro.simulation.stats.MessageTotals`).
     """
 
     def __init__(
         self,
         topology: MultistageTopology,
-        traffic: NetworkTrafficGenerator,
+        traffic: Sequence[NetworkTrafficGenerator],
         transfer: Literal["cut_through", "store_forward"] = "cut_through",
         buffer_capacity: Optional[int] = None,
-        routing_rng: Optional[np.random.Generator] = None,
+        routing_rngs: Optional[Sequence[Optional[np.random.Generator]]] = None,
         track_limit: int = 200_000,
     ) -> None:
-        if traffic.width != topology.width:
+        traffic = list(traffic)
+        if not traffic:
+            raise SimulationError("need one traffic source per replica, got none")
+        for source in traffic:
+            if source.width != topology.width:
+                raise SimulationError(
+                    f"traffic width {source.width} != topology width {topology.width}"
+                )
+        routing: List[Optional[np.random.Generator]] = (
+            [None] * len(traffic) if routing_rngs is None else list(routing_rngs)
+        )
+        if len(routing) != len(traffic):
             raise SimulationError(
-                f"traffic width {traffic.width} != topology width {topology.width}"
+                f"{len(routing)} routing generators for {len(traffic)} replicas"
             )
         if transfer not in ("cut_through", "store_forward"):
             raise SimulationError(f"unknown transfer mode {transfer!r}")
@@ -150,21 +137,23 @@ class ClockedEngine:
         self.topology = topology
         self.traffic = traffic
         self.transfer = transfer
-        self.routing_rng = routing_rng
+        self.routing_rngs = routing
         #: attached observers, in attachment order (see :mod:`repro.obs.base`)
         self.observers: list = []
         #: phase timers (``predraw``/``pass``); ``None`` = off
         self.timers: Optional[PhaseTimers] = None
-        self.n_replicas = traffic.n_replicas
+        self.n_replicas = len(traffic)
         self.width = topology.width
         self.n_stages = topology.n_stages
         self.stats = StageAccumulator(self.n_replicas * self.n_stages)
         # one replica's tracker grows with its run; a stack's is full-size
-        self.tracker = (
-            TrackedMessages(track_limit, self.n_stages)
-            if self.n_replicas == 1
-            else BatchedTrackedMessages(self.n_replicas, track_limit, self.n_stages)
-        )
+        self.tracker: "TrackedMessages | BatchedTrackedMessages | MessageTotals"
+        if track_limit == 0:
+            self.tracker = MessageTotals(self.n_replicas, self.n_stages)
+        elif self.n_replicas == 1:
+            self.tracker = TrackedMessages(track_limit, self.n_stages)
+        else:
+            self.tracker = BatchedTrackedMessages(self.n_replicas, track_limit, self.n_stages)
         #: cycle from which statistics are recorded and messages tracked
         self.measure_from = 0
         # set once a kernel was handed the run (predraw): the queues are then
@@ -182,6 +171,12 @@ class ClockedEngine:
             capacity=buffer_capacity,
         )
         self.evaluator.observers = self.observers
+        # drawn arrivals not yet evaluated, cycle-major, one row per Hops
+        # field (the track row holds the replica) plus, for one replica,
+        # the network inputs observers read; they reach _drawn_until, a
+        # multiple of BLOCK_CYCLES
+        self._drawn = np.empty((len(Hops._fields) + (self.n_replicas == 1), 0), np.int64)
+        self._drawn_until = 0
 
     # ------------------------------------------------------------------
     # observers / instrumentation
@@ -218,18 +213,29 @@ class ClockedEngine:
     # simulation
     # ------------------------------------------------------------------
     def run(self, n_cycles: int, warmup: int = 0) -> None:
-        """Advance ``n_cycles`` from where the engine stands; discard
-        statistics before ``warmup`` cycles into them (see
-        :func:`run_windows`)."""
+        """Advance ``n_cycles`` from where the engine stands, one drawn
+        window at a time; discard statistics before ``warmup`` cycles
+        into them.
+
+        With ``REPRO_SANITIZE=1`` (read once per call) every window end
+        is checked by the invariant hooks of
+        :mod:`repro.simulation.sanitize` (finite statistics, non-negative
+        queue depths, message conservation).  Phase timers accumulate
+        each window's ``predraw`` and ``pass`` wall time.
+        """
         self._start(n_cycles, warmup)
         self.measure_from = self.now + warmup
-        run_windows(
-            self.evaluator,
-            self.now + n_cycles,
-            self.measure_from,
-            self._predraw_window,
-            self.timers,
-        )
+        end = self.now + n_cycles
+        evaluator, timers = self.evaluator, self.timers
+        evaluator.sanitize = sanitizer_enabled()
+        while evaluator.now < end:
+            t0 = perf_counter()
+            window_end, arrivals, sources = self._predraw_window(evaluator.now, end)
+            t1 = perf_counter()
+            evaluator.advance(window_end, arrivals, self.measure_from, sources)
+            if timers is not None:
+                timers.add("predraw", t1 - t0, backend="numpy")
+                timers.add("pass", perf_counter() - t1, backend="numpy")
 
     def predraw(self, n_cycles: int, warmup: int) -> Hops:
         """The arrivals of a fresh engine's first ``n_cycles``, for a
@@ -267,61 +273,81 @@ class ClockedEngine:
             )
 
     def _predraw_window(self, t0: int, end: int) -> tuple:
-        """Draw the arrivals of the window of cycles opening at ``t0``.
+        """The arrivals of the window of cycles opening at ``t0``.
 
-        One ``generate_batch`` / ``entry_queue`` call per cycle, in cycle
-        order; the window closes after the cycle that brings it to
-        :data:`~repro.simulation.stagewise.WINDOW_MESSAGES` messages, or
-        at ``end``.  Returns the window's end cycle, its messages in
+        Draws block rows (:meth:`_draw_blocks`) until the undrawn cycles
+        before ``end`` are gone or the drawn ones hold
+        :data:`~repro.simulation.stagewise.WINDOW_MESSAGES` messages; the
+        window closes after the cycle that brings it to that many, or at
+        ``end``.  Returns the window's end cycle, its messages in
         injection order with their tracker slots, and -- only with
         observers attached -- their network inputs.
         """
-        # one buffer row per Hops field (plus the sources when observed),
-        # filled cycle by cycle: holding on to every cycle's small arrays
-        # until the window closes scatters them through the heap, which
-        # raised the peak memory of `repro serve` by about 15 % over 20
-        # cold requests.  The spare columns take the cycle that closes
-        # the window; a larger one grows the buffer.
-        observed = bool(self.observers)
+        limit = stagewise.WINDOW_MESSAGES
+        while self._drawn_until <= t0 or (
+            self._drawn.shape[1] < limit and self._drawn_until < end
+        ):
+            self._draw_blocks()
+        arrival = self._drawn[1]
+        if limit == 0:
+            t1 = t0 + 1
+        elif limit <= arrival.size:
+            t1 = int(arrival[limit - 1]) + 1
+        else:
+            t1 = end
+        t1 = min(max(t1, t0 + 1), end)
+        n = int(np.searchsorted(arrival, t1))
+        rows, self._drawn = self._drawn[:, :n], self._drawn[:, n:]
         n_fields = len(Hops._fields)
-        buf = np.empty(
-            (n_fields + observed, stagewise.WINDOW_MESSAGES + 64), dtype=np.int64
-        )
-        n = 0
-        t = t0
-        while t < end:
-            arrivals = self.traffic.generate_batch()
-            m = arrivals.sources.size
-            if m:
-                if n + m > buf.shape[1]:
-                    grow = np.empty((buf.shape[0], max(m, buf.shape[1])), np.int64)
-                    buf = np.concatenate([buf, grow], axis=1)
-                row = buf[:, n : n + m]
-                row[0] = self.topology.entry_queue(
-                    arrivals.sources, arrivals.destinations, self.routing_rng
-                )
-                row[1] = t
-                row[2] = arrivals.destinations
-                row[3] = arrivals.services
-                row[4] = arrivals.replicas
-                if observed:
-                    row[5] = arrivals.sources
-                n += m
-            t += 1
-            if n >= stagewise.WINDOW_MESSAGES:
-                break
-        window = Hops(*buf[:n_fields, :n])
+        window = Hops(*rows[:n_fields])
         # the track row holds each message's replica until its slot
         # replaces it; messages before measure_from are not tracked
-        port, replicas = window.port, window.track
-        if self.n_replicas > 1:
-            port += replicas * self.evaluator.ports_per_replica
+        replicas = window.track
         measured = int(np.searchsorted(window.arrival, self.measure_from))
         replicas[measured:] = self.tracker.assign(
             replicas[measured:], window.arrival[measured:]
         )
         replicas[:measured] = -1
-        return t, window, buf[n_fields, :n] if observed else None
+        return t1, window, rows[n_fields] if self.observers else None
+
+    def _draw_blocks(self) -> None:
+        """Draw every replica's next block of cycles and queue it behind
+        the arrivals still undrawn, cycle-major (replica-major within a
+        cycle, each replica's own order kept)."""
+        t0 = self._drawn_until
+        ppr = self.evaluator.ports_per_replica
+        single = self.n_replicas == 1
+        parts = []
+        for replica, (traffic, rng) in enumerate(
+            zip(self.traffic, self.routing_rngs, strict=True)
+        ):
+            block = traffic.generate_batch()
+            port = self.topology.entry_queue(block.sources, block.destinations, rng)
+            # in the order of the rows they fill: port, cycle, dest, service
+            # and, for the observers of one replica, the network inputs
+            parts.append((
+                port + replica * ppr, block.cycles, block.destinations, block.services,
+                block.sources if single else None,
+            ))
+        # one buffer for the arrivals still undrawn and the new block row
+        held = self._drawn.shape[1]
+        sizes = [part[1].size for part in parts]
+        rows = np.empty((self._drawn.shape[0], held + sum(sizes)), dtype=np.int64)
+        rows[:, :held] = self._drawn
+        new = rows[:, held:]
+        if single:
+            port, cycles, dest, service, sources = parts[0]
+            new[0], new[2], new[3], new[4], new[5] = port, dest, service, 0, sources
+        else:
+            cycles = np.concatenate([part[1] for part in parts])
+            order = np.argsort(cycles.astype(np.uint16), kind="stable")
+            cycles = cycles[order]
+            for row in (0, 2, 3):
+                new[row] = np.concatenate([part[row] for part in parts])[order]
+            new[4] = np.repeat(np.arange(self.n_replicas), sizes)[order]
+        np.add(cycles, t0, out=new[1])
+        self._drawn = rows
+        self._drawn_until = t0 + BLOCK_CYCLES
 
     # ------------------------------------------------------------------
     # inspection

@@ -22,7 +22,7 @@ ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional, Tuple
+from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.simulation.topology import (
 )
 from repro.simulation.traffic import NetworkTrafficGenerator
 
-__all__ = ["NetworkConfig", "NetworkResult", "NetworkSimulator"]
+__all__ = ["NetworkConfig", "NetworkResult", "NetworkSimulator", "build_engine"]
 
 _TOPOLOGIES = {
     "omega": OmegaTopology,
@@ -130,7 +130,7 @@ class NetworkConfig:
         if self.track_limit < 0:
             raise ModelError(
                 "track_limit must be >= 0 (0 = streaming summary mode, "
-                "supported by the streamed engine only)"
+                "supported by streamed runs only)"
             )
 
     # ------------------------------------------------------------------
@@ -161,15 +161,8 @@ class NetworkConfig:
         self,
         rng: np.random.Generator,
         topology: Optional[MultistageTopology] = None,
-        n_replicas: int = 1,
     ) -> NetworkTrafficGenerator:
-        """Traffic generator for this scenario (shared serial/batched).
-
-        ``n_replicas > 1`` sizes the generator's per-cycle uniform block
-        for the replica-batched engine
-        (:mod:`repro.simulation.batched`); the single-replica serial
-        path is the default.
-        """
+        """This scenario's traffic stream, drawing from ``rng``."""
         topology = self.build_topology() if topology is None else topology
         return NetworkTrafficGenerator(
             width=topology.width,
@@ -179,7 +172,6 @@ class NetworkConfig:
             bulk_size=self.bulk_size,
             q=self.q,
             dest_space=topology.destination_space,
-            n_replicas=n_replicas,
         )
 
     @property
@@ -187,6 +179,32 @@ class NetworkConfig:
         """``rho`` = mean work per output-port cycle."""
         service = self.service_model()
         return self.p * self.bulk_size * float(service.mean)
+
+
+def build_engine(configs: Sequence[NetworkConfig]) -> ClockedEngine:
+    """One engine with a replica per config, each seeded from its own.
+
+    Replica ``r`` draws its traffic and routing from
+    ``spawn_rngs(configs[r].seed, 2)`` -- how a serial run is seeded --
+    so its sample path is the same in any engine it shares.  The first
+    config fixes the network shape, buffers and track limit.
+    """
+    first = configs[0]
+    topology = first.build_topology()
+    traffic: List[NetworkTrafficGenerator] = []
+    routing: List[np.random.Generator] = []
+    for config in configs:
+        traffic_rng, routing_rng = spawn_rngs(config.seed, 2)
+        traffic.append(config.build_traffic(traffic_rng, topology))
+        routing.append(routing_rng)
+    return ClockedEngine(
+        topology,
+        traffic,
+        transfer=first.transfer,
+        buffer_capacity=first.buffer_capacity,
+        routing_rngs=routing,
+        track_limit=first.track_limit,
+    )
 
 
 @dataclass
@@ -216,7 +234,7 @@ class NetworkResult:
     #: manifest written for this run (observation session only)
     manifest_path: Optional[str] = None
     #: streaming summary of the total waiting times (``track_limit=0``
-    #: runs of the streamed engine only; ``None`` = per-message tracking)
+    #: streamed runs only; ``None`` = per-message tracking)
     totals_summary: Optional[TotalsSummary] = None
 
     # -- totals ---------------------------------------------------------
@@ -293,17 +311,8 @@ class NetworkSimulator:
                 "exec driver; see docs/scaling.md"
             )
         self.config = config
-        traffic_rng, routing_rng = spawn_rngs(config.seed, 2)
-        self.topology = config.build_topology()
-        self.traffic = config.build_traffic(traffic_rng, self.topology)
-        self.engine = ClockedEngine(
-            self.topology,
-            self.traffic,
-            transfer=config.transfer,
-            buffer_capacity=config.buffer_capacity,
-            routing_rng=routing_rng,
-            track_limit=config.track_limit,
-        )
+        self.engine = build_engine([config])
+        self.topology = self.engine.topology
         #: metrics collector attached by the active observation session
         #: (or by the user via :meth:`attach_metrics`); ``None`` = off
         self.metrics = None

@@ -98,11 +98,10 @@ def replicate(
     The batch goes through :func:`repro.exec.run_many`; ``workers``
     overrides the ambient :class:`~repro.exec.context.ExecutionContext`
     (default: serial, no cache -- identical to the historical inline
-    loop).  ``vectorize=True`` stacks the replications onto the
-    replica-batched engine (:mod:`repro.simulation.batched`) -- one
-    stacked run instead of ``R`` serial ones; with infinite buffers the
-    result schema is unchanged and metrics/manifests are off (batched
-    runs are uninstrumented).  ``None`` defers to the ambient context.
+    loop).  ``vectorize=True`` runs the replications in stacked engines
+    (:mod:`repro.simulation.batched`) instead of ``R`` serial ones, with
+    the same results; metrics/manifests are then off (stacked runs are
+    uninstrumented).  ``None`` defers to the ambient context.
     """
     if n_replications < 2:
         raise SimulationError("need at least 2 replications for an interval")
@@ -194,7 +193,6 @@ def replicate_until(
     r0: int = 8,
     r_max: int = 4096,
     workers: Optional[int] = None,
-    stream: Optional[bool] = None,
     shard_mem: Optional[int] = None,
 ) -> AdaptiveReplication:
     """Grow replications until the t-interval is tight enough.
@@ -209,15 +207,13 @@ def replicate_until(
     stop after the pilot while noisy ones approach their forecast in
     O(log) rounds rather than creeping one replication at a time.
 
-    Replications are executed through :func:`repro.exec.run_many` on
-    the streamed engine by default (``stream=None`` follows the ambient
-    :class:`~repro.exec.context.ExecutionContext`; its default is
-    streamed here because adaptive growth *extends* earlier rounds, and
-    streamed replicas are exactly the engine whose results are
-    extension-invariant and individually cacheable).  Earlier rounds'
-    replicas are therefore never re-simulated: a grown round re-submits
-    their specs and the cache (when ambient) serves them, or the
-    streamed engine reproduces them bit-identically.
+    Replications are executed through :func:`repro.exec.run_many` under
+    the ambient :class:`~repro.exec.context.ExecutionContext` (its
+    ``vectorize`` and ``shard_mem``; ``workers`` and ``shard_mem``
+    override it; ``shard_mem`` implies stacked shards).  Every replica's
+    result depends only on its own spec, so a grown round re-submits
+    the earlier rounds' specs and the cache (when ambient) serves them;
+    without a cache they are re-simulated, bit-identically.
 
     The early-stopping contract asserted by the tests: for a
     low-variance scenario, ``engine_cycles`` is strictly less than the
@@ -240,10 +236,7 @@ def replicate_until(
 
     ctx = current_execution()
     effective_workers = ctx.workers if workers is None else workers
-    effective_stream = ctx.stream if stream is None else stream
     effective_shard_mem = ctx.shard_mem if shard_mem is None else shard_mem
-    if not effective_stream:
-        effective_shard_mem = None
 
     def specs_for(count: int) -> list:
         return [
@@ -267,7 +260,7 @@ def replicate_until(
             cache=ctx.cache,
             retries=ctx.retries,
             timeout=ctx.timeout,
-            stream=effective_stream,
+            vectorize=ctx.vectorize,
             shard_mem=effective_shard_mem,
         )
         batch.raise_on_failure()

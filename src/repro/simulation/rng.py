@@ -11,11 +11,11 @@ and a shared stream could silently couple them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs", "spawn_stacked_rngs", "DEFAULT_SEED"]
+__all__ = ["make_rng", "spawn_rngs", "DEFAULT_SEED"]
 
 #: Seed used by examples and benchmarks when none is given.
 DEFAULT_SEED = 19880101  # the paper's publication year/month
@@ -33,17 +33,3 @@ def spawn_rngs(seed: Optional[int], n: int) -> List[np.random.Generator]:
     seq = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed)
     return [np.random.default_rng(child) for child in seq.spawn(n)]
 
-
-def spawn_stacked_rngs(seeds: Sequence[int]) -> List[np.random.Generator]:
-    """The (traffic, routing) generator pair for a stacked batch.
-
-    The whole per-replica seed vector forms the ``SeedSequence``
-    entropy, so stacking is order-sensitive by design: the same
-    scenarios stacked in a different order are a different experiment.
-    Bit-identical to seeding each replica with
-    ``SeedSequence(list(seeds))`` directly -- this function exists so
-    the batched engine never constructs generators outside this module
-    (lint rule RPR007).
-    """
-    children = np.random.SeedSequence(list(seeds)).spawn(2)
-    return [np.random.default_rng(child) for child in children]

@@ -62,7 +62,7 @@ def _decode_bin(bin_index: int, n_stages: Optional[int]) -> tuple[Optional[int],
     """``(replica, stage)`` for a flat stat-bin index.
 
     Serial engines bin by stage alone (``n_stages=None`` -> no replica
-    coordinate); batched/streamed engines bin by
+    coordinate); stacked engines bin by
     ``replica * n_stages + stage``.
     """
     if n_stages is None:

@@ -65,7 +65,7 @@ from repro.simulation.sanitize import (
 )
 from repro.simulation.stats import StageAccumulator
 
-__all__ = ["Hops", "Recorder", "StagewisePass", "WINDOW_MESSAGES", "window_end"]
+__all__ = ["Hops", "Recorder", "StagewisePass", "WINDOW_MESSAGES"]
 
 #: Injected messages after which a window of cycles closes.  It bounds
 #: the pass's working set (a few arrays of this length per stage) and is
@@ -99,17 +99,6 @@ class Hops(NamedTuple):
     @classmethod
     def concat(cls, parts: List["Hops"]) -> "Hops":
         return cls(*(np.concatenate(fields) for fields in zip(*parts, strict=True)))
-
-
-def window_end(offsets: np.ndarray, t0: int, end: int) -> int:
-    """First cycle after the window opening at ``t0``.
-
-    ``offsets[t]`` counts the messages injected before cycle ``t``; the
-    window closes after the first cycle that brings it to
-    :data:`WINDOW_MESSAGES` (at least one cycle, at most ``end``).
-    """
-    t1 = int(np.searchsorted(offsets, offsets[t0] + WINDOW_MESSAGES, side="left"))
-    return min(max(t1, t0 + 1), end)
 
 
 def _port_order(port: np.ndarray, n_ports: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from repro.simulation.sanitize import check_merged_totals, sanitizer_enabled
 
 __all__ = [
     "BatchedTrackedMessages",
+    "MessageTotals",
     "QuantileSketch",
     "StageAccumulator",
     "StreamingTotals",
@@ -290,6 +291,55 @@ class BatchedTrackedMessages:
         block = self.waits[first : first + int(self._taken[replica])]
         done = (block >= 0).all(axis=1)
         return TrackedMessages.from_rows(block[done], self.n_stages)
+
+
+class MessageTotals:
+    """Per-message total waits of a streaming summary run (``track_limit=0``).
+
+    Every measured message gets the next id (:meth:`assign`, injection
+    order); :meth:`record` sums its waits over the stages and flags it
+    once its last-stage service starts.  :meth:`summary` reduces the
+    completed ones to a :class:`StreamingTotals`.  The arrays grow by
+    half again as needed; :attr:`total` and :attr:`done` are what a
+    kernel writes.
+    """
+
+    def __init__(self, n_replicas: int, n_stages: int) -> None:
+        self.n_replicas = n_replicas
+        self.n_stages = n_stages
+        self.allocated = 0
+        self.total = np.zeros(1, dtype=np.float64)
+        self.done = np.zeros(1, dtype=np.uint8)
+        self.replica = np.zeros(1, dtype=np.int32)
+
+    def assign(self, replicas: np.ndarray, cycles: np.ndarray) -> np.ndarray:
+        """Consecutive ids for messages of ``replicas``, in order."""
+        start, end = self.allocated, self.allocated + replicas.size
+        if end > self.total.size:
+            grow = max(end, self.total.size * 3 // 2) - self.total.size
+            self.total = np.concatenate([self.total, np.zeros(grow)])
+            self.done = np.concatenate([self.done, np.zeros(grow, np.uint8)])
+            self.replica = np.concatenate([self.replica, np.zeros(grow, np.int32)])
+        self.replica[start:end] = replicas
+        self.allocated = end
+        return np.arange(start, end)
+
+    def record(self, track_ids: np.ndarray, stages: np.ndarray, waits: np.ndarray) -> None:
+        """Add waits to their messages' totals (ids ``>= 0``)."""
+        live = track_ids >= 0
+        self.total[track_ids[live]] += waits[live]
+        self.done[track_ids[live & (stages == self.n_stages - 1)]] = 1
+
+    def summary(self, n_markers: int, tail_k: int) -> "StreamingTotals":
+        """The completed messages' totals, per replica and merged."""
+        done = self.done[: self.allocated].astype(bool)
+        return StreamingTotals.from_totals(
+            self.total[: self.allocated][done],
+            self.replica[: self.allocated][done],
+            self.n_replicas,
+            n_markers=n_markers,
+            tail_k=tail_k,
+        )
 
 
 @dataclass(frozen=True)

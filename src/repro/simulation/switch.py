@@ -99,8 +99,8 @@ class RingBufferQueues:
     def high_water(self) -> np.ndarray:
         """Per-queue occupancy high-water marks (read-only view).
 
-        Lets a caller that partitions the queues (e.g. the
-        replica-batched engine, one block of queues per replica) report
+        Lets a caller that partitions the queues (e.g. a stacked
+        engine, one block of queues per replica) report
         a high-water mark per partition instead of one global scalar.
         """
         return self._high_water

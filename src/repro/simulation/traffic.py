@@ -12,214 +12,99 @@ favourite bias ``q`` (Section III-A-3/IV-D): with probability ``q``
 the destination is ``favorite[input]`` (a permutation -- each output is
 some input's private memory), otherwise uniform.
 
-The generator works in the engine's flat representation: it returns,
-for one cycle, parallel arrays (source, destination, service) of the
-injected packets.
-
-Parameter stacking
-------------------
-For the scenario-stacked engine (:mod:`repro.simulation.batched`),
-``p``, ``q``, ``bulk_size``, and ``service`` each accept *per-replica*
-values -- a length-``n_replicas`` sequence instead of a scalar.  The
-per-cycle kernel structure is unchanged: the injection coin flips
-compare the one shared ``(n_replicas, width)`` uniform block against an
-``(n_replicas, 1)`` probability column (a broadcast, zero extra RNG
-draws), the favourite gate compares one uniform vector against the
-per-packet ``q`` column, and bulk expansion repeats by a per-packet
-count vector.  Service times are drawn per *distinct* service model in
-first-appearance order, so a stack whose replicas share one model makes
-exactly the homogeneous path's single ``sample`` call.  Consequently a
-stacked generator whose per-replica parameters happen to be equal
-consumes the RNG stream bit-for-bit like the scalar-parameter
-generator -- the equivalence anchor the batched-engine tests assert.
+Draw blocks
+-----------
+One generator is one replica's traffic stream.  It draws its arrivals
+in blocks of :data:`BLOCK_CYCLES` cycles, always in this order: one
+``(BLOCK_CYCLES, width)`` uniform block of injection coins, the
+destinations of the active slots in cycle-major order, the favourite
+gate, bulk expansion (no draws), then the service times.  Block ``j``
+covers cycles ``[j * BLOCK_CYCLES, (j + 1) * BLOCK_CYCLES)`` of the
+run, so a replica's arrivals depend only on its own stream -- never on
+how long a run is, how it is cut into windows or runs, or which other
+replicas share its engine.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.errors import ModelError
 from repro.service.base import ServiceProcess
 
-__all__ = ["BatchArrivals", "CycleArrivals", "NetworkTrafficGenerator"]
+__all__ = ["BLOCK_CYCLES", "BlockArrivals", "NetworkTrafficGenerator"]
+
+#: Cycles per draw block: every replica's arrivals are drawn on this
+#: fixed grid, starting at cycle 0.
+BLOCK_CYCLES = 256
 
 
-class CycleArrivals(NamedTuple):
-    """Packets injected at the network inputs in one cycle."""
+class BlockArrivals(NamedTuple):
+    """Packets injected in one block of cycles, in injection order."""
 
+    cycles: np.ndarray  # cycle within the block
     sources: np.ndarray
     destinations: np.ndarray
     services: np.ndarray
-
-
-class BatchArrivals(NamedTuple):
-    """Packets injected across a replica batch in one cycle."""
-
-    replicas: np.ndarray
-    sources: np.ndarray
-    destinations: np.ndarray
-    services: np.ndarray
-
-
-def _per_replica(value, n_replicas: int, name: str, dtype) -> np.ndarray:
-    """A scalar or length-``n_replicas`` sequence as an ``(R,)`` array."""
-    arr = np.asarray(value, dtype=dtype)
-    if arr.ndim == 0:
-        return np.full(n_replicas, arr[()], dtype=dtype)
-    if arr.shape != (n_replicas,):
-        raise ModelError(
-            f"{name} must be a scalar or a length-{n_replicas} sequence, "
-            f"got shape {arr.shape}"
-        )
-    return arr.copy()
-
-
-def _models_equal(a: ServiceProcess, b: ServiceProcess) -> bool:
-    """Value equality, tolerating models whose fields don't compare.
-
-    Two failure modes count as "not equal": array-valued fields whose
-    ``==`` is elementwise (``bool`` of the result raises ``ValueError``)
-    and exotic fields that refuse comparison outright (``TypeError``).
-    Anything else propagates -- treating, say, a ``RecursionError`` as
-    inequality would silently split one service group into two and
-    change the RNG draw order.
-    """
-    if a is b:
-        return True
-    try:
-        return bool(a == b)
-    except (TypeError, ValueError):
-        return False
 
 
 class NetworkTrafficGenerator:
-    """Vectorised per-cycle message source.
+    """One replica's message source, drawn a block of cycles at a time.
 
     Parameters
     ----------
     width:
         Number of network inputs (= outputs).
     p:
-        Per-input message probability per cycle.  Scalar, or one value
-        per replica for a parameter-stacked batch.
+        Per-input message probability per cycle.
     service:
-        Service-time model for individual packets/messages.  One
-        :class:`~repro.service.base.ServiceProcess`, or a sequence of
-        ``n_replicas`` models for a parameter-stacked batch.
+        Service-time model for individual packets/messages.
+    rng:
+        Generator for all of this replica's traffic randomness.
     bulk_size:
-        Packets per message batch (each serviced separately).  Scalar
-        or per-replica.
+        Packets per message batch (each serviced separately).
     q:
-        Favourite-output bias.  Scalar or per-replica.
+        Favourite-output bias.
     favorite:
         Favourite permutation (default: identity -- input ``i``'s
-        private memory is output ``i``).  Shared by all replicas.
+        private memory is output ``i``).
     dest_space:
         Number of destination values (defaults to ``width``; the
         width-decoupled topology uses its virtual digit space instead).
         Favourite bias requires ``dest_space == width``.
-    rng:
-        Generator for all traffic randomness.
-    n_replicas:
-        Number of stacked replicas served by :meth:`generate_batch`
-        (one shared RNG stream; replicas consume disjoint slices of it).
-
-    With any per-replica parameter actually varying, the generator is
-    *heterogeneous*: the scalar convenience attributes ``p`` / ``q`` /
-    ``bulk_size`` / ``service`` are ``None`` (the per-replica truth
-    lives in ``p_per_replica`` and friends) and the single-replica
-    :meth:`generate` path refuses to run.
     """
 
     def __init__(
         self,
         width: int,
-        p: Union[float, Sequence[float]],
-        service: Union[ServiceProcess, Sequence[ServiceProcess]],
+        p: float,
+        service: ServiceProcess,
         rng: np.random.Generator,
-        bulk_size: Union[int, Sequence[int]] = 1,
-        q: Union[float, Sequence[float]] = 0.0,
+        bulk_size: int = 1,
+        q: float = 0.0,
         favorite: Optional[np.ndarray] = None,
         dest_space: Optional[int] = None,
-        n_replicas: int = 1,
     ) -> None:
         if width < 1:
             raise ModelError(f"width must be >= 1, got {width}")
-        if n_replicas < 1:
-            raise ModelError(f"n_replicas must be >= 1, got {n_replicas}")
-        self.width = width
-        self.n_replicas = n_replicas
-        self.rng = rng
-
-        p_arr = _per_replica(p, n_replicas, "p", np.float64)
-        if ((p_arr < 0) | (p_arr > 1)).any():
+        if not 0 <= p <= 1:
             raise ModelError(f"input load p={p} outside [0, 1]")
-        q_arr = _per_replica(q, n_replicas, "q", np.float64)
-        if ((q_arr < 0) | (q_arr > 1)).any():
+        if not 0 <= q <= 1:
             raise ModelError(f"favourite bias q={q} outside [0, 1]")
-        bulk_arr = _per_replica(bulk_size, n_replicas, "bulk_size", np.int64)
-        if (bulk_arr < 1).any():
+        if bulk_size < 1:
             raise ModelError(f"bulk size must be >= 1, got {bulk_size}")
-
-        if isinstance(service, ServiceProcess):
-            services = (service,) * n_replicas
-        else:
-            services = tuple(service)
-            if len(services) != n_replicas:
-                raise ModelError(
-                    f"need one service model per replica: got {len(services)} "
-                    f"for n_replicas={n_replicas}"
-                )
-            for s in services:
-                if not isinstance(s, ServiceProcess):
-                    raise ModelError(
-                        f"service models must be ServiceProcess instances, "
-                        f"got {type(s).__name__}"
-                    )
-        # distinct models in first-appearance order; replica -> group id.
-        # Heterogeneous service draws happen per group in this order, so
-        # one distinct model degenerates to the homogeneous single call.
-        models = []
-        group = np.empty(n_replicas, dtype=np.int64)
-        for r, s in enumerate(services):
-            for gid, m in enumerate(models):
-                if _models_equal(m, s):
-                    group[r] = gid
-                    break
-            else:
-                group[r] = len(models)
-                models.append(s)
-
-        #: per-replica parameter columns (the stacked-engine truth)
-        self.p_per_replica = p_arr
-        self.q_per_replica = q_arr
-        self.bulk_per_replica = bulk_arr
-        self.services = services
-        self._p_col = p_arr[:, None]
-        self._q_max = float(q_arr.max())
-        self._bulk_max = int(bulk_arr.max())
-        self._service_models = models
-        self._service_group = group
-
-        #: True when any parameter actually varies across replicas
-        self.heterogeneous = bool(
-            (p_arr != p_arr[0]).any()
-            or (q_arr != q_arr[0]).any()
-            or (bulk_arr != bulk_arr[0]).any()
-            or len(models) > 1
-        )
-        # scalar convenience attributes (None when heterogeneous)
-        self.p = None if self.heterogeneous else float(p_arr[0])
-        self.q = None if self.heterogeneous else float(q_arr[0])
-        self.bulk_size = None if self.heterogeneous else int(bulk_arr[0])
-        self.service = None if self.heterogeneous else services[0]
-
+        self.width = width
+        self.p = float(p)
+        self.q = float(q)
+        self.bulk_size = int(bulk_size)
+        self.service = service
+        self.rng = rng
         self.dest_space = width if dest_space is None else int(dest_space)
         if self.dest_space < 1:
             raise ModelError(f"dest_space must be >= 1, got {self.dest_space}")
-        if self._q_max > 0 and self.dest_space != width:
+        if self.q > 0 and self.dest_space != width:
             raise ModelError(
                 "favourite bias requires real destinations (dest_space == width)"
             )
@@ -229,99 +114,35 @@ class NetworkTrafficGenerator:
         if sorted(favorite.tolist()) != list(range(width)):
             raise ModelError("favorite map must be a permutation of the outputs")
         self.favorite = favorite
-        # preallocated per-cycle uniform block, filled in place so a
-        # cycle's coin flips cost no allocation; row 0 doubles as the
-        # single-replica buffer (rng.random(out=view) consumes the
-        # stream exactly like rng.random(width), so this fast path is
-        # bit-identical to the old allocating draw)
-        self._uniform = np.empty((n_replicas, width))
-        #: total packets injected so far (offered load bookkeeping)
+        #: total packets drawn so far (offered load bookkeeping)
         self.injected = 0
 
-    def generate(self) -> CycleArrivals:
-        """Arrivals for one cycle (single replica)."""
-        if self.heterogeneous:
-            raise ModelError(
-                "per-replica parameters vary; there is no single-replica "
-                "stream -- use generate_batch()"
-            )
-        buf = self._uniform[0]
-        self.rng.random(out=buf)
-        active = np.flatnonzero(buf < self.p)
-        n = active.size
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return CycleArrivals(empty, empty, empty)
-        dests = self.rng.integers(0, self.dest_space, size=n)
+    def generate_batch(self) -> BlockArrivals:
+        """The arrivals of the next :data:`BLOCK_CYCLES` cycles.
+
+        Draws in the block order of the module notes, so block ``j`` of
+        a stream is a pure function of the stream's seed and ``j``.
+        """
+        coins = self.rng.random((BLOCK_CYCLES, self.width))
+        cycles, sources = np.nonzero(coins < self.p)
+        dests = self.rng.integers(0, self.dest_space, size=cycles.size)
         if self.q > 0:
-            use_fav = self.rng.random(n) < self.q
-            dests = np.where(use_fav, self.favorite[active], dests)
+            use_fav = self.rng.random(cycles.size) < self.q
+            dests = np.where(use_fav, self.favorite[sources], dests)
         if self.bulk_size > 1:
-            active = np.repeat(active, self.bulk_size)
+            cycles = np.repeat(cycles, self.bulk_size)
+            sources = np.repeat(sources, self.bulk_size)
             dests = np.repeat(dests, self.bulk_size)
-        services = self.service.sample(self.rng, active.size)
-        self.injected += active.size
-        return CycleArrivals(active, dests, np.asarray(services, dtype=np.int64))
+        services = np.asarray(self.service.sample(self.rng, cycles.size), dtype=np.int64)
+        self.injected += cycles.size
+        return BlockArrivals(cycles, sources, dests, services)
 
-    def generate_batch(self) -> BatchArrivals:
-        """Arrivals for one cycle across all ``n_replicas`` replicas.
-
-        One ``(n_replicas, width)`` uniform block decides every
-        replica's injections, then destination/favourite/service draws
-        run over the concatenated active set -- the per-cycle kernel
-        count stays flat in ``n_replicas`` whether or not the replicas
-        share parameters.  At ``n_replicas == 1`` the stream consumption
-        is identical to :meth:`generate`, so a batched run of one
-        replica reproduces a serial run bit-for-bit; equal per-replica
-        parameter columns reproduce the scalar-parameter generator
-        bit-for-bit (see the module notes).
-        """
-        buf = self._uniform
-        self.rng.random(out=buf)
-        flat = np.flatnonzero((buf < self._p_col).ravel())
-        n = flat.size
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return BatchArrivals(empty, empty, empty, empty)
-        replicas = flat // self.width
-        active = flat - replicas * self.width
-        dests = self.rng.integers(0, self.dest_space, size=n)
-        if self._q_max > 0:
-            use_fav = self.rng.random(n) < self.q_per_replica[replicas]
-            dests = np.where(use_fav, self.favorite[active], dests)
-        if self._bulk_max > 1:
-            counts = self.bulk_per_replica[replicas]
-            replicas = np.repeat(replicas, counts)
-            active = np.repeat(active, counts)
-            dests = np.repeat(dests, counts)
-        services = self._sample_services(replicas)
-        self.injected += active.size
-        return BatchArrivals(
-            replicas, active, dests, np.asarray(services, dtype=np.int64)
-        )
-
-    def _sample_services(self, replicas: np.ndarray) -> np.ndarray:
-        """Service times for one cycle's packets (replica-major order).
-
-        One distinct model: a single vectorised ``sample`` call, exactly
-        the homogeneous kernel.  Several: one call per distinct model in
-        first-appearance order over its packet subset -- the draw order
-        is a pure function of the cycle's batch composition, keeping
-        stacked runs deterministic.
-        """
-        if len(self._service_models) == 1:
-            return self._service_models[0].sample(self.rng, replicas.size)
-        out = np.empty(replicas.size, dtype=np.int64)
-        groups = self._service_group[replicas]
-        for gid, model in enumerate(self._service_models):
-            mask = groups == gid
-            count = int(mask.sum())
-            if count:
-                out[mask] = model.sample(self.rng, count)
-        return out
+    def generate(self) -> BlockArrivals:
+        """The arrivals of the next block: :meth:`generate_batch` under
+        its older name (``bench/spans.py`` times both)."""
+        return self.generate_batch()
 
     @property
     def offered_load(self) -> float:
-        """Mean packets injected per input per cycle (``p * bulk_size``),
-        averaged over replicas when parameters vary."""
-        return float(np.mean(self.p_per_replica * self.bulk_per_replica))
+        """Mean packets injected per input per cycle (``p * bulk_size``)."""
+        return self.p * self.bulk_size

@@ -64,9 +64,9 @@ class TestExecutionRouting:
             assert a.first_stage_ci == b.first_stage_ci
 
     def test_load_sweep_fuses_under_vectorized_context(self, tmp_path):
-        """With vectorize on, a whole load sweep is one scenario-stacked
-        engine run; the fused results still bracket the predictions and
-        occupy cache keys disjoint from serial ones."""
+        """With vectorize on, a whole load sweep is one stacked engine
+        run; the fused results still bracket the predictions and are the
+        serial ones, under the serial cache keys."""
         from repro.exec import ExecutionContext, ResultCache, use_execution
 
         cache = ResultCache(tmp_path / "cache")
@@ -83,11 +83,12 @@ class TestExecutionRouting:
                 abs(r.first_stage_mean - r.predicted_first_mean)
                 < max(3 * r.first_stage_ci, 0.02)
             )
-        # stacked entries are scenario-batched: the same grid run
-        # serially cannot be served from them (no cache aliasing)
+        # one digest family: the same grid run serially is served from
+        # the stacked entries
         with use_execution(ExecutionContext(cache=cache)):
-            load_sweep(**grid)
-        assert cache.misses == 6
+            serial = load_sweep(**grid)
+        assert (cache.hits, cache.misses) == (6, 3)
+        assert [r.first_stage_mean for r in serial] == [r.first_stage_mean for r in rows]
 
     def test_first_stage_ci_brackets_cohort_mean(self):
         # the CI is batch means over the tracked cohort's first-stage

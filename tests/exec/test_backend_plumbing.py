@@ -14,7 +14,7 @@ from repro.errors import ExecutionError
 from repro.exec.cache import ResultCache
 from repro.exec.context import ExecutionContext, run_batch, use_execution
 from repro.exec.runner import run_many
-from repro.exec.spec import ExperimentSpec, group_for_vectorize
+from repro.exec.spec import ExperimentSpec, group_by_shape
 from repro.simulation.backends.jit import cycle_loop_kernel
 from repro.simulation.network import NetworkConfig
 
@@ -48,11 +48,11 @@ class TestBackendAbsentFromIdentity:
         assert digests_numpy == digests_auto == [s.digest for s in specs_a]
 
     def test_grouping_ignores_backend(self):
-        """group_for_vectorize partitions by shape, never by backend."""
+        """group_by_shape partitions by shape, never by backend."""
         specs = make_specs(4)
-        _, groups_a = group_for_vectorize(specs)
+        groups_a = group_by_shape(specs)
         with use_execution(backend="numpy"):
-            _, groups_b = group_for_vectorize(make_specs(4))
+            groups_b = group_by_shape(make_specs(4))
         assert groups_a == groups_b
 
 

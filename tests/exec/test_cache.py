@@ -72,11 +72,23 @@ class TestHitMiss:
     def test_schema_bump_invalidates(self, tmp_path, spec, result, monkeypatch):
         cache = ResultCache(tmp_path / "cache")
         cache.put(spec, result)
-        monkeypatch.setattr(cache_mod, "CACHE_SCHEMA_VERSION", 2)
-        assert cache.get(spec) is None  # old entry lives under v1/
+        monkeypatch.setattr(cache_mod, "CACHE_SCHEMA_VERSION", cache_mod.CACHE_SCHEMA_VERSION + 1)
+        assert cache.get(spec) is None  # old entry lives under the old v{N}/
         cache.put(spec, result)
         assert cache.get(spec) is not None
         assert len(cache.entries()) == 2  # both versions on disk, disjoint
+
+    def test_v1_entries_are_not_served(self, tmp_path, spec, result, monkeypatch):
+        """v1 entries hold the sample paths of the shared-stream and
+        whole-run draws; the block-draw results of v2 never alias them."""
+        assert cache_mod.CACHE_SCHEMA_VERSION == 2
+        cache = ResultCache(tmp_path / "cache")
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_mod, "CACHE_SCHEMA_VERSION", 1)
+            cache.put(spec, result)
+            assert cache.get(spec) is not None
+        assert (tmp_path / "cache" / "v1").is_dir()
+        assert cache.get(spec) is None
 
     def test_stale_metadata_version_is_miss(self, tmp_path, spec, result):
         # same directory layout but a doctored in-file version field

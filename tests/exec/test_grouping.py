@@ -1,25 +1,22 @@
-"""group_for_vectorize regression suite: shape keys and marker digests.
+"""group_by_shape regression suite: which specs one stacked engine runs.
 
-The grouping rules carry the cache-correctness burden of the stacked
-path: serial, homogeneous-batched, and heterogeneous scenario-stacked
-executions of the *same* scenario must live under pairwise-disjoint
-digests (they are three different sample paths), while everything that
-should stay on the serial engine -- singletons, finite buffers --
-must keep its historical digest untouched.
+Grouping is an execution detail of the stacked path: specs that agree
+on every shape-fixing field share a group, whatever their seed and
+stackable parameters, and no spec or digest is touched -- a spec's
+result is the same in any group, so its digest is the serial one.
 """
 
-from dataclasses import replace
-
+import numpy as np
 import pytest
 
-from repro.errors import ExecutionError
+from repro.exec.runner import run_many
 from repro.exec.spec import (
     STACKABLE_CONFIG_FIELDS,
     ExperimentSpec,
-    group_for_vectorize,
+    group_by_shape,
 )
 from repro.simulation.batched import STACK_SHAPE_FIELDS
-from repro.simulation.network import NetworkConfig
+from repro.simulation.network import NetworkConfig, NetworkSimulator
 
 
 def spec(n_cycles=1_200, **kwargs):
@@ -48,8 +45,7 @@ class TestShapeKeys:
             base = dict(topology="omega", width=None)
             variant = {k: v for k, v in variant.items() if k not in ("topology", "width")}
         specs = [spec(seed=1, **base), spec(seed=2, **{**base, **variant})]
-        _, groups = group_for_vectorize(specs)
-        assert groups == [([0, 1], True)]
+        assert group_by_shape(specs) == [[0, 1]]
 
     @pytest.mark.parametrize(
         "variant",
@@ -69,8 +65,7 @@ class TestShapeKeys:
         else:
             a = spec(seed=1)
         b = spec(seed=2, **variant)
-        _, groups = group_for_vectorize([a, b])
-        assert sorted(groups) == [([0], False), ([1], False)]
+        assert group_by_shape([a, b]) == [[0], [1]]
 
     def test_shape_field_lists_are_consistent(self):
         """Every config field is either stackable or shape-fixing
@@ -91,68 +86,21 @@ class TestGroupStructure:
             spec(seed=4, n_cycles=9_99),  # singleton (cycle budget)
             spec(seed=5),                 # group A
         ]
-        marked, groups = group_for_vectorize(specs)
-        assert ([0, 2, 4], True) in groups
-        assert ([1], False) in groups and ([3], False) in groups
-        for i in (1, 3):
-            assert marked[i].batch_marker is None
-            assert marked[i].digest == specs[i].digest
+        digests = [s.digest for s in specs]
+        assert group_by_shape(specs) == [[0, 2, 4], [1], [3]]
+        assert [s.digest for s in specs] == digests
 
     def test_finite_buffer_groups_never_stack(self):
+        """Finite-buffer specs share a shape group, but the stacked path
+        runs each of them serially: results equal serial runs."""
         specs = [
-            spec(seed=s, p=p, buffer_capacity=4)
-            for s, p in [(1, 0.3), (2, 0.6)]
+            spec(n_cycles=800, seed=s, p=p, buffer_capacity=2)
+            for s, p in [(1, 0.5), (2, 0.8)]
         ]
-        marked, groups = group_for_vectorize(specs)
-        assert groups == [([0, 1], False)]
-        assert all(s.batch_marker is None for s in marked)
-        assert [s.digest for s in marked] == [s.digest for s in specs]
-
-    def test_homogeneous_groups_keep_int_seed_markers(self):
-        specs = [spec(seed=s) for s in (10, 11, 12)]
-        marked, _ = group_for_vectorize(specs)
-        for pos, m in enumerate(marked):
-            assert m.batch_marker == (3, pos, (10, 11, 12))
-            assert m.identity()["engine"]["kind"] == "replica-batched"
-
-    def test_heterogeneous_groups_carry_scenario_rows(self):
-        specs = [spec(seed=10), spec(seed=11, p=0.9)]
-        marked, _ = group_for_vectorize(specs)
-        for m in marked:
-            n, _, rows = m.batch_marker
-            assert n == 2 and all(isinstance(r, str) for r in rows)
-            engine = m.identity()["engine"]
-            assert engine["kind"] == "scenario-batched"
-            assert engine["batch_rows"] == list(rows)
-        # the rows record seed + every stackable field, canonically
-        assert '"p":0.9' in marked[1].batch_marker[2][1]
-        assert '"seed":11' in marked[1].batch_marker[2][1]
-
-
-class TestDigestDisjointness:
-    def test_serial_homogeneous_heterogeneous_never_alias(self):
-        """The same (scenario, seed) under the three execution kinds
-        must produce three distinct cache keys."""
-        target = spec(seed=101)
-        serial_digest = target.digest
-
-        homo, _ = group_for_vectorize([spec(seed=100), target, spec(seed=102)])
-        homo_digest = homo[1].digest
-
-        het, _ = group_for_vectorize(
-            [spec(seed=100), target, spec(seed=102, p=0.9)]
-        )
-        het_digest = het[1].digest
-
-        assert len({serial_digest, homo_digest, het_digest}) == 3
-
-    def test_batch_composition_enters_heterogeneous_digest(self):
-        target = spec(seed=101)
-        a, _ = group_for_vectorize([target, spec(seed=102, p=0.9)])
-        b, _ = group_for_vectorize([target, spec(seed=102, p=0.8)])
-        c, _ = group_for_vectorize([spec(seed=102, p=0.9), target])
-        assert len({a[0].digest, b[0].digest, c[1].digest}) == 3
-
-    def test_marker_row_type_mixing_rejected(self):
-        with pytest.raises(ExecutionError, match="rows all ints"):
-            replace(spec(seed=1), batch_marker=(2, 0, (100, "x")))
+        assert group_by_shape(specs) == [[0, 1]]
+        batch = run_many(specs, vectorize=True).raise_on_failure()
+        for s, result in zip(specs, batch.results(), strict=True):
+            serial = NetworkSimulator(s.config).run(s.n_cycles, warmup=s.warmup)
+            assert np.array_equal(result.stage_means, serial.stage_means, equal_nan=True)
+            assert result.dropped == serial.dropped
+        assert batch.results()[1].dropped > 0

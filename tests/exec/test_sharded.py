@@ -1,4 +1,4 @@
-"""Sharded streamed execution: digests, cache reuse, bit-identity."""
+"""Sharded stacked execution: digests, cache reuse, bit-identity."""
 
 import dataclasses
 
@@ -13,12 +13,6 @@ from repro.exec import (
     plan_shard_size,
     run_many,
     stream_totals,
-)
-from repro.exec.spec import (
-    STREAM_MARKER,
-    group_for_stream,
-    group_for_vectorize,
-    resolve_seeds,
 )
 from repro.simulation.network import NetworkConfig
 
@@ -49,56 +43,27 @@ def assert_batches_identical(a, b):
         assert x.totals_summary == y.totals_summary
 
 
-class TestStreamMarker:
-    def test_marker_enters_digest_without_batch_info(self):
-        specs = resolve_seeds(make_specs(2))
-        marked, _ = group_for_stream(specs)
-        assert marked[0].batch_marker == STREAM_MARKER
-        assert marked[0].identity()["engine"] == {"kind": "stream"}
-        # serial digest differs (distinct replication design)...
-        assert marked[0].digest != specs[0].digest
-        # ...and so does the replica-batched digest for the same batch
-        batched, _ = group_for_vectorize(specs)
-        assert marked[0].digest != batched[0].digest
-
-    def test_singletons_are_marked_too(self):
-        specs = resolve_seeds(make_specs(1))
-        marked, groups = group_for_stream(specs)
-        assert marked[0].batch_marker == STREAM_MARKER
-        assert groups == [([0], True)]
-
-    def test_digest_is_shard_configuration_free(self):
-        """The same spec carries the same digest in any stream batch."""
-        specs = resolve_seeds(make_specs(6))
-        alone, _ = group_for_stream([specs[2]])
-        together, _ = group_for_stream(specs)
-        assert alone[0].digest == together[2].digest
-
-    def test_finite_buffers_refused(self):
-        spec = ExperimentSpec(
-            config=NetworkConfig(
-                k=2, n_stages=2, p=0.4, seed=1, buffer_capacity=4
-            ),
-            n_cycles=100,
-        )
-        with pytest.raises(ExecutionError, match="finite"):
-            group_for_stream([spec])
-
-    def test_marked_specs_refused(self):
-        specs = resolve_seeds(make_specs(2))
-        marked, _ = group_for_stream(specs)
-        with pytest.raises(ExecutionError, match="already"):
-            group_for_stream(marked)
+class TestDigests:
+    def test_digest_is_shard_configuration_free(self, tmp_path):
+        """A spec carries its serial digest in any shard of any batch,
+        so entries a sharded batch writes serve a serial repeat."""
+        specs = make_specs(6, track_limit=1000)
+        cache = ResultCache(tmp_path / "cache")
+        sharded = run_many(specs, shard_mem=200_000, cache=cache).raise_on_failure()
+        serial = run_many(specs, cache=cache).raise_on_failure()
+        assert [o.spec.digest for o in sharded.outcomes] == [s.digest for s in specs]
+        assert serial.n_cached == len(specs)
+        assert_batches_identical(sharded, serial)
 
 
 class TestShardedRunMany:
     def test_bit_identical_across_shard_budgets_and_workers(self, tmp_path):
         specs = make_specs()
         mono = run_many(
-            specs, stream=True, shard_mem=1 << 30
+            specs, shard_mem=1 << 30
         ).raise_on_failure()
         tiny = run_many(
-            specs, stream=True, shard_mem=200_000, workers=2,
+            specs, shard_mem=200_000, workers=2,
             cache=ResultCache(tmp_path / "c"),
         ).raise_on_failure()
         assert_batches_identical(mono, tiny)
@@ -109,11 +74,11 @@ class TestShardedRunMany:
         cache = ResultCache(tmp_path / "cache")
         specs = make_specs()
         first = run_many(
-            specs, stream=True, shard_mem=1 << 30, cache=cache
+            specs, shard_mem=1 << 30, cache=cache
         ).raise_on_failure()
         assert first.n_simulated == len(specs)
         second = run_many(
-            specs, stream=True, shard_mem=150_000, workers=2, cache=cache
+            specs, shard_mem=150_000, workers=2, cache=cache
         ).raise_on_failure()
         assert second.n_cached == len(specs)
         assert_batches_identical(first, second)
@@ -121,17 +86,17 @@ class TestShardedRunMany:
     def test_partial_cache_shards_only_pending(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         specs = make_specs()
-        run_many(specs[:3], stream=True, cache=cache).raise_on_failure()
-        batch = run_many(specs, stream=True, cache=cache).raise_on_failure()
+        run_many(specs[:3], vectorize=True, cache=cache).raise_on_failure()
+        batch = run_many(specs, vectorize=True, cache=cache).raise_on_failure()
         assert batch.n_cached == 3
         assert batch.n_simulated == len(specs) - 3
-        mono = run_many(specs, stream=True).raise_on_failure()
+        mono = run_many(specs, vectorize=True).raise_on_failure()
         assert_batches_identical(batch, mono)
 
     def test_tracked_mode_streams_too(self):
         specs = make_specs(4, track_limit=1000)
         batch = run_many(
-            specs, stream=True, shard_mem=300_000
+            specs, shard_mem=300_000
         ).raise_on_failure()
         result = batch.results()[0]
         assert result.totals_summary is None
@@ -140,22 +105,20 @@ class TestShardedRunMany:
     def test_rehydrated_summary_round_trips(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         specs = make_specs(2)
-        fresh = run_many(specs, stream=True, cache=cache).raise_on_failure()
+        fresh = run_many(specs, vectorize=True, cache=cache).raise_on_failure()
         hit = cache.get(fresh.outcomes[0].spec)
         assert hit is not None
         assert hit.totals_summary == fresh.results()[0].totals_summary
         assert hit.total_waiting_mean() == fresh.results()[0].total_waiting_mean()
 
     def test_incompatible_options_refused(self):
+        """A shard budget implies the stacked path, which shards specs
+        itself and runs no custom task."""
         specs = make_specs(2)
-        with pytest.raises(ExecutionError, match="pick one"):
-            run_many(specs, stream=True, vectorize=True)
         with pytest.raises(ExecutionError, match="task_fn"):
-            run_many(specs, stream=True, task_fn=lambda s: None)
+            run_many(specs, shard_mem=1 << 20, task_fn=lambda s: None)
         with pytest.raises(ExecutionError, match="chunksize"):
-            run_many(specs, stream=True, chunksize=2)
-        with pytest.raises(ExecutionError, match="shard_mem"):
-            run_many(specs, shard_mem=1 << 20)
+            run_many(specs, shard_mem=1 << 20, chunksize=2)
 
 
 class TestShardPlanning:
@@ -208,7 +171,7 @@ class TestStreamTotalsDriver:
             )
             for i in range(5)
         ]
-        batch = run_many(specs, stream=True).raise_on_failure()
+        batch = run_many(specs, vectorize=True).raise_on_failure()
         means = np.array([r.totals_summary.mean for r in batch.results()])
         assert np.array_equal(driver.totals.replica_means(), means)
 

@@ -1,16 +1,16 @@
-"""Vectorized (replica-batched) execution through run_many.
+"""Vectorized (stacked) execution through run_many.
 
 Contract under test:
 
 * grouping is by shape (identical specs up to the config seed and the
-  stackable traffic parameters), a pure function of the spec list, with
-  singletons and finite-buffer specs left on the serial path;
-* marked specs get distinct digests (no cache aliasing between batched
-  and serial results of the same scenario), while unmarked specs keep
-  their historical digests;
+  stackable traffic parameters), with finite-buffer specs left on the
+  serial path;
+* every spec keeps its serial digest and result, so cache entries cross
+  the serial and vectorized paths in both directions;
 * ``vectorize=True`` composes with workers and the cache: pool runs are
-  bit-identical to in-process runs, repeats are fully cache-served;
-* a failing stacked group fails atomically without sinking the batch.
+  bit-identical to in-process runs, repeats are fully cache-served, and
+  only uncached specs are simulated;
+* a failing shard fails atomically without sinking the batch.
 """
 
 from dataclasses import replace
@@ -21,7 +21,7 @@ import pytest
 from repro.errors import ExecutionError
 from repro.exec.cache import ResultCache
 from repro.exec.runner import run_many
-from repro.exec.spec import ExperimentSpec, group_for_vectorize, resolve_seeds
+from repro.exec.spec import ExperimentSpec, group_by_shape
 from repro.simulation.network import NetworkConfig
 from repro.simulation.replication import replicate
 
@@ -44,39 +44,21 @@ def spec_batch(n=4, n_cycles=1_200, **kwargs):
 
 
 class TestGrouping:
-    def test_same_shape_specs_marked_as_one_group(self):
-        specs = spec_batch(3)
-        marked, groups = group_for_vectorize(specs)
-        assert groups == [([0, 1, 2], True)]
-        seeds = (100, 101, 102)
-        for pos, spec in enumerate(marked):
-            assert spec.batch_marker == (3, pos, seeds)
-
-    def test_mixed_shapes_split_and_singletons_unmarked(self):
-        # n_stages changes the engine's array shapes, so the odd spec
-        # cannot join the stack (a mere load difference now could)
-        specs = [
-            *spec_batch(2),
-            ExperimentSpec(config=base_config(n_stages=4, seed=7), n_cycles=1_200),
-        ]
-        marked, groups = group_for_vectorize(specs)
-        assert ([0, 1], True) in groups and ([2], False) in groups
-        assert marked[2].batch_marker is None
-        assert marked[2].digest == specs[2].digest
-
     def test_load_sweep_specs_stack_heterogeneously(self):
         specs = [
             ExperimentSpec(config=base_config(p=p, seed=7 + i), n_cycles=1_200)
             for i, p in enumerate([0.2, 0.5, 0.8])
         ]
-        marked, groups = group_for_vectorize(specs)
-        assert groups == [([0, 1, 2], True)]
-        for pos, spec in enumerate(marked):
-            n, where, rows = spec.batch_marker
-            assert (n, where) == (3, pos)
-            assert all(isinstance(r, str) for r in rows)
+        assert group_by_shape(specs) == [[0, 1, 2]]
 
-    def test_finite_buffer_groups_stay_serial(self):
+    def test_finite_buffer_groups_stay_serial(self, monkeypatch):
+        """Finite-buffer specs never reach a stacked engine."""
+        import repro.simulation.streamed as streamed_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("stacked engine used")
+
+        monkeypatch.setattr(streamed_mod, "run_streamed", boom)
         specs = [
             ExperimentSpec(
                 config=NetworkConfig(
@@ -86,46 +68,13 @@ class TestGrouping:
             )
             for s in (1, 2)
         ]
-        marked, groups = group_for_vectorize(specs)
-        assert groups == [([0, 1], False)]
-        assert all(s.batch_marker is None for s in marked)
-
-    def test_needs_resolved_seeds_and_unmarked_input(self):
-        unseeded = ExperimentSpec(config=base_config(), n_cycles=1_200)
-        with pytest.raises(ExecutionError, match="seed-resolved"):
-            group_for_vectorize([unseeded])
-        marked, _ = group_for_vectorize(resolve_seeds(spec_batch(2)))
-        with pytest.raises(ExecutionError, match="already"):
-            group_for_vectorize(marked)
+        batch = run_many(specs, vectorize=True, retries=0)
+        assert batch.n_simulated == 2
 
     def test_grouping_ignores_labels(self):
         specs = spec_batch(2)
         relabelled = [replace(specs[0], label="x"), replace(specs[1], label="y")]
-        _, g1 = group_for_vectorize(specs)
-        _, g2 = group_for_vectorize(relabelled)
-        assert g1 == g2
-
-
-class TestDigests:
-    def test_marker_changes_digest(self):
-        [spec] = spec_batch(1)
-        marked = replace(spec, batch_marker=(2, 0, (100, 101)))
-        assert marked.digest != spec.digest
-        assert "engine" in marked.identity()
-        assert "engine" not in spec.identity()
-
-    def test_marker_position_and_seed_list_enter_digest(self):
-        [spec] = spec_batch(1)
-        a = replace(spec, batch_marker=(2, 0, (100, 101)))
-        b = replace(spec, batch_marker=(2, 1, (100, 101)))
-        c = replace(spec, batch_marker=(2, 0, (100, 999)))
-        assert len({a.digest, b.digest, c.digest}) == 3
-
-    def test_invalid_markers_rejected(self):
-        [spec] = spec_batch(1)
-        for bad in [(1, 0, (100,)), (2, 2, (100, 101)), (2, 0, (100,)), ("x",)]:
-            with pytest.raises(ExecutionError):
-                replace(spec, batch_marker=bad)
+        assert group_by_shape(specs) == group_by_shape(relabelled)
 
 
 class TestRunMany:
@@ -151,23 +100,23 @@ class TestRunMany:
                 a.result.tracked.complete_rows(), b.result.tracked.complete_rows()
             )
 
-    def test_no_aliasing_with_serial_cache_entries(self, tmp_path):
+    def test_serial_batch_served_from_vectorized_entries(self, tmp_path):
         specs = spec_batch(3)
         cache = ResultCache(tmp_path / "cache")
-        run_many(specs, vectorize=True, cache=cache).raise_on_failure()
+        vec = run_many(specs, vectorize=True, cache=cache).raise_on_failure()
         serial = run_many(specs, cache=cache).raise_on_failure()
-        # marked digests differ, so the serial batch cannot be served
-        # from the batched entries
-        assert serial.n_simulated == 3 and serial.n_cached == 0
+        # one digest per spec, whichever path ran it
+        assert serial.n_simulated == 0 and serial.n_cached == 3
+        for a, b in zip(vec.outcomes, serial.outcomes, strict=True):
+            assert a.spec.digest == b.spec.digest
+            assert np.array_equal(a.result.stage_means, b.result.stage_means)
 
-    def test_partial_cache_reruns_whole_group_consistently(self, tmp_path):
+    def test_partial_cache_reruns_only_missing_members(self, tmp_path):
         specs = spec_batch(4)
         cache = ResultCache(tmp_path / "cache")
         full = run_many(specs, vectorize=True, cache=cache).raise_on_failure()
-        # evict one member; the group re-runs but every result must
-        # reproduce (stacked runs are pure functions of the seed list)
-        marked, _ = group_for_vectorize(resolve_seeds(specs))
-        for path in cache._entry_paths(marked[2].digest):
+        # evict one member: it alone is simulated again, and reproduces
+        for path in cache._entry_paths(specs[2].digest):
             path.unlink()
         partial = run_many(specs, vectorize=True, cache=cache).raise_on_failure()
         assert partial.n_cached == 3 and partial.n_simulated == 1
@@ -175,7 +124,7 @@ class TestRunMany:
             assert np.array_equal(a.result.stage_means, b.result.stage_means)
 
     def test_single_replica_batch_matches_serial_digest_and_result(self):
-        """A 1-spec 'group' runs serial and shares the serial digest."""
+        """A 1-spec group shares the serial digest and result."""
         specs = spec_batch(1)
         vec = run_many(specs, vectorize=True).raise_on_failure()
         ser = run_many(specs).raise_on_failure()
@@ -185,19 +134,23 @@ class TestRunMany:
         )
 
     def test_atomic_group_failure(self, monkeypatch):
-        import repro.simulation.batched as batched_mod
+        import repro.simulation.streamed as streamed_mod
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected batched failure")
+        real = streamed_mod.run_streamed
 
-        monkeypatch.setattr(batched_mod, "run_stacked", boom)
+        def boom(configs, *args, **kwargs):
+            if len(configs) > 1:
+                raise RuntimeError("injected batched failure")
+            return real(configs, *args, **kwargs)
+
+        monkeypatch.setattr(streamed_mod, "run_streamed", boom)
         specs = [
             *spec_batch(3),
             ExperimentSpec(config=base_config(n_stages=4, seed=9), n_cycles=1_200),
         ]
         batch = run_many(specs, vectorize=True, retries=1)
         assert batch.n_failed == 3
-        assert batch.n_simulated == 1  # the singleton ran serially
+        assert batch.n_simulated == 1  # the singleton's own shard ran
         for o in batch.failures():
             assert o.attempts == 2
             assert "injected batched failure" in o.error
@@ -212,40 +165,28 @@ class TestRunMany:
 
 class TestStatisticalEquivalence:
     def test_stacked_heterogeneous_sweep_agrees_with_serial_runs(self):
-        """A vectorized loads x seeds sweep (one scenario-stacked group)
-        and the same specs run serially are different sample paths of
-        the same system: per-load cross-replication t-intervals must
-        overlap at every load."""
-        from repro.simulation.replication import replicated_statistic
-
+        """A vectorized loads x seeds sweep (one stacked group) and the
+        same specs run serially are the same sample paths, bit for bit."""
         loads = [0.3, 0.6]
         seeds = range(300, 308)
         specs = [
             ExperimentSpec(
                 config=base_config(p=p, seed=s, n_stages=4),
-                n_cycles=6_000,
+                n_cycles=3_000,
                 label=f"p={p}/s={s}",
             )
             for p in loads
             for s in seeds
         ]
         # sanity: the whole sweep really is one stacked group
-        _, groups = group_for_vectorize(resolve_seeds(specs))
-        assert groups == [(list(range(len(specs))), True)]
+        assert group_by_shape(specs) == [list(range(len(specs)))]
 
         vec = run_many(specs, vectorize=True).raise_on_failure()
         ser = run_many(specs).raise_on_failure()
-        n_seeds = len(list(seeds))
-        for j, p in enumerate(loads):
-            rows = slice(j * n_seeds, (j + 1) * n_seeds)
-            stat = lambda r: float(r.stage_means[0])
-            a = replicated_statistic([o.result for o in vec.outcomes[rows]], stat)
-            b = replicated_statistic([o.result for o in ser.outcomes[rows]], stat)
-            lo_a, hi_a = a.interval()
-            lo_b, hi_b = b.interval()
-            assert max(lo_a, lo_b) <= min(hi_a, hi_b), (
-                f"p={p}: stacked {a.interval()} vs serial {b.interval()}"
-            )
+        for a, b in zip(vec.results(), ser.results(), strict=True):
+            assert np.array_equal(a.stage_means, b.stage_means)
+            assert np.array_equal(a.stage_variances, b.stage_variances)
+            assert np.array_equal(a.tracked.complete_rows(), b.tracked.complete_rows())
 
 
 class TestReplicate:

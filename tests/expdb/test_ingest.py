@@ -1,6 +1,5 @@
 """Ingestion bridges: run_many batches, manifests, BENCH artifacts."""
 
-import dataclasses
 import json
 
 import pytest
@@ -11,7 +10,6 @@ from repro.exec.spec import ExperimentSpec
 from repro.expdb.db import ExperimentDB
 from repro.expdb.ingest import (
     bench_record_from_artifact,
-    engine_kind,
     ingest_batch,
     ingest_bench_file,
     ingest_manifest,
@@ -108,15 +106,15 @@ class TestBatchIngestion:
         ingest_batch(db, batch, created_unix=99.0)
         assert db.export() == first
 
-    def test_engine_kind_from_batch_marker(self):
-        (spec,) = make_specs(n=1)
-        assert engine_kind(spec) == "serial"
-        replicas = dataclasses.replace(spec, batch_marker=(2, 0, (101, 102)))
-        assert engine_kind(replicas) == "replica-batched"
-        stacked = dataclasses.replace(
-            spec, batch_marker=(2, 0, ('{"seed":101}', '{"seed":102}'))
-        )
-        assert engine_kind(stacked) == "scenario-batched"
+    def test_engine_column_is_the_one_digest_family(self, tmp_path):
+        """Stacked and serial runs of a spec land as one digest-keyed row
+        of the one digest family."""
+        db = ExperimentDB(tmp_path / "x.sqlite")
+        ingest_batch(db, run_many(make_specs(), vectorize=True), created_unix=1.0)
+        ingest_batch(db, run_many(make_specs()), created_unix=2.0)
+        rows = db.runs()
+        assert len(rows) == 3
+        assert {row["engine"] for row in rows} == {"serial"}
 
     def test_provenance_fields_are_populated(self):
         prov = provenance()

@@ -246,7 +246,7 @@ class TestOccupancyIdentities:
         n_cycles = len(script) + 400  # an idle tail: the network drains
         services = np.concatenate([s[2] for s in script])
         engine = ClockedEngine(
-            topo, ScriptedTraffic(8, script), transfer=transfer,
+            topo, [ScriptedTraffic(8, script)], transfer=transfer,
             buffer_capacity=capacity, track_limit=services.size,
         )
         collector = MetricsCollector(stride=1, capacity=n_cycles)

@@ -17,6 +17,7 @@ re-asserted here per backend.
 """
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from repro.simulation.backends import BACKEND_CHOICES, numba_available, resolve_
 from repro.simulation.backends.jit import cycle_loop_kernel, run_kernel
 from repro.simulation.batched import run_batched, run_stacked
 from repro.simulation.engine import ClockedEngine
-from repro.simulation.network import NetworkConfig, NetworkSimulator
+from repro.simulation.network import NetworkConfig, NetworkSimulator, build_engine
 from repro.simulation.streamed import run_streamed
 
 from tests.simulation.test_batched import assert_results_identical
@@ -55,12 +56,11 @@ ANCHOR_IDS = ["omega", "random-deep", "bulk", "favourite", "store-forward",
 # resolution
 # ----------------------------------------------------------------------
 def stacked_engine(config: NetworkConfig, n_replicas: int) -> ClockedEngine:
-    """An engine of ``n_replicas`` copies of ``config``'s network."""
-    topology = config.build_topology()
-    traffic = config.build_traffic(
-        np.random.default_rng(config.seed), topology, n_replicas=n_replicas
+    """An engine of ``n_replicas`` copies of ``config``'s network, seeded
+    ``config.seed``, ``+ 1``, ..."""
+    return build_engine(
+        [replace(config, seed=config.seed + r) for r in range(n_replicas)]
     )
-    return ClockedEngine(topology, traffic, transfer=config.transfer)
 
 
 class TestResolution:

@@ -1,12 +1,12 @@
-"""Replica-batched engine: serial equivalence and statistical validity.
+"""Stacked runs: serial equivalence and statistical validity.
 
 Two layers of evidence that the stacked path simulates the same system
-as :class:`~repro.simulation.engine.ClockedEngine`:
+as a serial :class:`~repro.simulation.network.NetworkSimulator`:
 
-* **bit-for-bit at R=1** -- a one-replica batch shares the serial
-  engine's seeding (``SeedSequence([s]) == SeedSequence(s)``) and
-  consumes the RNG stream identically, so every statistic must match
-  exactly, across traffic/service/topology/transfer variants;
+* **bit-for-bit** -- every replica draws from its own config's streams
+  exactly as a serial run does, so a one-replica batch must match the
+  serial run exactly, across traffic/service/topology/transfer
+  variants (``test_one_contract.py`` checks larger batches);
 * **statistically at R=32** -- the cross-replication t-interval on the
   mean first-stage wait must cover Theorem 1's exact ``E[w]`` at load
   points up to ``rho = 0.9`` (heavy traffic, where a subtly wrong
@@ -18,14 +18,13 @@ import pytest
 
 from repro.arrivals.bernoulli import UniformTraffic
 from repro.core.first_stage import FirstStageQueue
-from repro.errors import ModelError, SimulationError
+from repro.errors import SimulationError
 from repro.service.deterministic import DeterministicService
 from repro.simulation.batched import run_batched, run_stacked
 from repro.simulation.engine import ClockedEngine
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.replication import replicated_statistic
 from repro.simulation.stats import BatchedTrackedMessages, TrackedMessages
-from repro.simulation.traffic import NetworkTrafficGenerator
 
 
 def assert_results_identical(serial, batched):
@@ -204,21 +203,19 @@ def test_rejects_finite_buffers_and_auto_warmup():
 
 
 def test_engine_validates_replica_mismatch():
-    """The engine stacks exactly its traffic's replicas -- there is no
-    second replica count to disagree with -- and the traffic refuses
-    per-replica parameters of another length."""
+    """The engine stacks one replica per traffic source, and refuses a
+    routing generator list of another length, or no source at all."""
     config = NetworkConfig(k=2, n_stages=3, p=0.5)
     topology = config.build_topology()
-    traffic = config.build_traffic(np.random.default_rng(0), topology, n_replicas=3)
+    traffic = [config.build_traffic(np.random.default_rng(s), topology) for s in range(3)]
     engine = ClockedEngine(topology, traffic)
     assert engine.n_replicas == 3
     assert engine.stats.count.size == 3 * config.n_stages
     assert engine.evaluator.n_ports == 3 * config.n_stages * topology.width
-    with pytest.raises(ModelError, match="length-3"):
-        NetworkTrafficGenerator(
-            width=topology.width, p=[0.5, 0.5], service=config.service_model(),
-            rng=np.random.default_rng(0), n_replicas=3,
-        )
+    with pytest.raises(SimulationError, match="routing generators"):
+        ClockedEngine(topology, traffic, routing_rngs=[None, None])
+    with pytest.raises(SimulationError, match="none"):
+        ClockedEngine(topology, [])
 
 
 def test_batched_tracker_matches_serial_allocation():

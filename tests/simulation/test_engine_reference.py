@@ -26,7 +26,7 @@ from repro.simulation.engine import ClockedEngine
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.topology import OmegaTopology, RandomRoutingTopology
 from repro.simulation.trace import MessageTracer
-from repro.simulation.traffic import BatchArrivals
+from repro.simulation.traffic import BLOCK_CYCLES, BlockArrivals
 
 from tests.simulation.reference_model import ReferenceNetwork
 
@@ -36,9 +36,8 @@ WINDOWS = [0, 1, 5, 40]
 
 
 class ScriptedTraffic:
-    """Replays a pre-generated traffic script into the engine."""
-
-    n_replicas = 1
+    """Replays a pre-generated traffic script into the engine, one block
+    of cycles per ``generate_batch``; the script's cycles start at 0."""
 
     def __init__(self, width: int, script: List[tuple]) -> None:
         self.width = width
@@ -46,19 +45,21 @@ class ScriptedTraffic:
         self._cursor = 0
         self.injected = 0
 
-    def generate_batch(self) -> BatchArrivals:
-        if self._cursor >= len(self._script):
+    def generate_batch(self) -> BlockArrivals:
+        cycles = self._script[self._cursor : self._cursor + BLOCK_CYCLES]
+        self._cursor += BLOCK_CYCLES
+        parts = [
+            (np.full(len(sources), c), sources, dests, services)
+            for c, (sources, dests, services, _ids) in enumerate(cycles)
+        ]
+        if not parts:
             empty = np.empty(0, dtype=np.int64)
-            return BatchArrivals(empty, empty, empty, empty)
-        sources, dests, services, _ids = self._script[self._cursor]
-        self._cursor += 1
-        self.injected += len(sources)
-        return BatchArrivals(
-            np.zeros(len(sources), dtype=np.int64),
-            np.asarray(sources, dtype=np.int64),
-            np.asarray(dests, dtype=np.int64),
-            np.asarray(services, dtype=np.int64),
+            return BlockArrivals(empty, empty, empty, empty)
+        block = BlockArrivals(
+            *(np.concatenate(field).astype(np.int64) for field in zip(*parts, strict=True))
         )
+        self.injected += block.sources.size
+        return block
 
 
 def make_script(rng, width, dest_space, n_cycles, p, max_service=1, bulk=1):
@@ -87,7 +88,7 @@ def make_engine(topology, script, *, transfer="cut_through", buffer_capacity=Non
     total_msgs = sum(len(s[0]) for s in script)
     return ClockedEngine(
         topology,
-        ScriptedTraffic(topology.width, script),
+        [ScriptedTraffic(topology.width, script)],
         transfer=transfer,
         buffer_capacity=buffer_capacity,
         track_limit=max(total_msgs, 1),
@@ -410,38 +411,6 @@ class TestStateAndResume:
         assert plain.engine.in_flight == observed.engine.in_flight
 
 
-class StackedScriptedTraffic:
-    """Replays one traffic script per replica into a stacked engine,
-    replica-major within each cycle as ``generate_batch`` draws them."""
-
-    def __init__(self, width: int, scripts: List[List[tuple]]) -> None:
-        self.width = width
-        self.n_replicas = len(scripts)
-        self._scripts = scripts
-        self._cursor = 0
-        self.injected = 0
-
-    def generate_batch(self) -> BatchArrivals:
-        rows = [
-            (r, *script[self._cursor][:3])
-            for r, script in enumerate(self._scripts)
-            if self._cursor < len(script)
-        ]
-        self._cursor += 1
-        parts = [
-            (np.full(len(sources), r), sources, dests, services)
-            for r, sources, dests, services in rows
-        ]
-        if not parts:
-            empty = np.empty(0, dtype=np.int64)
-            return BatchArrivals(empty, empty, empty, empty)
-        arrivals = BatchArrivals(
-            *(np.concatenate(field).astype(np.int64) for field in zip(*parts, strict=True))
-        )
-        self.injected += arrivals.sources.size
-        return arrivals
-
-
 def make_row_script(rng, width, n_cycles, p, sizes, bulk, q):
     """One replica's script: load ``p``, services drawn from ``sizes``,
     bulks of ``bulk`` packets, favourite (own-output) bias ``q``."""
@@ -502,7 +471,7 @@ class TestStackedDifferential:
         limit = max(max(n_msgs), 1)
         engine = ClockedEngine(
             topo,
-            StackedScriptedTraffic(topo.width, scripts),
+            [ScriptedTraffic(topo.width, script) for script in scripts],
             transfer=transfer,
             track_limit=limit,
         )

@@ -10,29 +10,34 @@ import numpy as np
 from repro.simulation.engine import ClockedEngine
 from repro.simulation.topology import OmegaTopology
 from repro.simulation.trace import MessageTracer
-from repro.simulation.traffic import BatchArrivals
+from repro.simulation.traffic import BLOCK_CYCLES, BlockArrivals
 
 
 class OneShotTraffic:
     """Injects a fixed set of messages at chosen cycles, then silence."""
 
-    n_replicas = 1
-
     def __init__(self, width, schedule):
         self.width = width
         self.schedule = dict(schedule)  # cycle -> (sources, dests, services)
-        self.cycle = 0
+        self.block = 0
         self.injected = 0
 
     def generate_batch(self):
-        entry = self.schedule.get(self.cycle)
-        self.cycle += 1
-        if entry is None:
+        first = self.block * BLOCK_CYCLES
+        self.block += 1
+        rows = [
+            (cycle - first, *(np.asarray(x, dtype=np.int64) for x in entry))
+            for cycle, entry in sorted(self.schedule.items())
+            if first <= cycle < first + BLOCK_CYCLES
+        ]
+        parts = [(np.full(sources.size, c), sources, dests, services)
+                 for c, sources, dests, services in rows]
+        if not parts:
             empty = np.empty(0, dtype=np.int64)
-            return BatchArrivals(empty, empty, empty, empty)
-        sources, dests, services = (np.asarray(x, dtype=np.int64) for x in entry)
-        self.injected += sources.size
-        return BatchArrivals(np.zeros_like(sources), sources, dests, services)
+            return BlockArrivals(empty, empty, empty, empty)
+        block = BlockArrivals(*(np.concatenate(f) for f in zip(*parts, strict=True)))
+        self.injected += block.sources.size
+        return block
 
 
 def run_single(service, transfer, n_stages=3, inject_at=0):
@@ -41,7 +46,7 @@ def run_single(service, transfer, n_stages=3, inject_at=0):
         topo.width, {inject_at: ([0], [topo.width - 1], [service])}
     )
     tracer = MessageTracer(limit=8)
-    engine = ClockedEngine(topo, traffic, transfer=transfer)
+    engine = ClockedEngine(topo, [traffic], transfer=transfer)
     engine.add_observer(tracer)
     engine.run(40, warmup=0)
     return engine, tracer.journey(0)
@@ -75,7 +80,7 @@ class TestCutThroughTiming:
             topo.width, {0: ([0, 1], [0, 0], [3, 3])}
         )
         tracer = MessageTracer(limit=4)
-        engine = ClockedEngine(topo, traffic)
+        engine = ClockedEngine(topo, [traffic])
         engine.add_observer(tracer)
         engine.run(20, warmup=0)
         starts = sorted(

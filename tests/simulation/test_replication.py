@@ -177,8 +177,8 @@ class TestReplicateUntil:
         assert out.engine_cycles == out.n_replications * 400
 
     def test_streamed_execution_path(self):
-        """stream=True routes rounds through the streamed engine, which
-        re-derives earlier replicas bit-identically without a cache."""
+        """A shard budget routes rounds through stacked shards, which
+        re-derive earlier replicas bit-identically without a cache."""
         cfg = NetworkConfig(k=2, n_stages=3, p=0.5)
         out = replicate_until(
             cfg,
@@ -188,7 +188,7 @@ class TestReplicateUntil:
             warmup=40,
             r0=2,
             r_max=8,
-            stream=True,
+            shard_mem=1 << 20,
         )
         fixed = replicate_until(
             cfg,
@@ -198,7 +198,7 @@ class TestReplicateUntil:
             warmup=40,
             r0=8,
             r_max=8,
-            stream=True,
+            shard_mem=1 << 20,
         )
         # growth rounds extend, never perturb: the final 8-replica
         # statistic is identical whether grown 2->4->8 or run at 8

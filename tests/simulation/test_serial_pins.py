@@ -65,34 +65,34 @@ def result_fields(result) -> dict:
 METRICS_CASES = {
     "cut-through-stride1": (
         dict(k=2, n_stages=3, p=0.5, seed=3), 600, 0, 1, 4096,
-        "f62191649ef95bba",
+        "9ed1ba10ae369cf1",
     ),
     "store-forward-m4-stride16-warmup": (
         dict(k=2, n_stages=3, p=0.2, message_size=4, transfer="store_forward", seed=4),
         3000, 400, 16, 4096,
-        "42086c7c1a681303",
+        "20e2d795cc088512",
     ),
     "m4-cut-through-wraparound": (
         dict(k=2, n_stages=4, p=0.2, message_size=4, seed=5), 2000, None, 16, 8,
-        "6e9337f60ba2880b",
+        "dd5042a4a4b876ed",
     ),
     "bulk-stride3": (
         dict(k=2, n_stages=3, p=0.3, bulk_size=2, seed=6), 900, 50, 3, 4096,
-        "dbc6dd722fdeea0d",
+        "bb8d2c039ca66c1e",
     ),
     "capacity2-drops-stride1": (
         dict(k=2, n_stages=3, p=0.8, buffer_capacity=2, seed=7), 700, 0, 1, 4096,
-        "ae7c1187d54b3b21",
+        "3124f467de1c3bd9",
     ),
     "capacity4-drops-m2-stride16": (
         dict(k=2, n_stages=4, p=0.45, message_size=2, buffer_capacity=4, seed=8),
         2500, 200, 16, 4096,
-        "fbd93d7b09398b95",
+        "987e1482db57002f",
     ),
     "random-width-wraparound-stride1": (
         dict(k=2, n_stages=4, p=0.6, topology="random", width=16, seed=9),
         1200, 300, 1, 50,
-        "3db9ff7b8483478e",
+        "26ac69f7794f84a5",
     ),
 }
 
@@ -111,15 +111,15 @@ def test_metrics_records_and_summary(case):
 #: (config, n_cycles, warmup, limit) -> journeys fingerprint
 TRACER_CASES = {
     "short-circuits": (dict(k=2, n_stages=3, p=0.4, seed=11), 400, 0, 5,
-                       "bf005e317ee433de"),
+                       "9fb09744313b640e"),
     "store-forward-warmup": (
         dict(k=2, n_stages=3, p=0.25, message_size=3, transfer="store_forward", seed=12),
         500, 60, 150,
-        "8ddb572e1cf4b7a1",
+        "66dcb02ba2fcfbba",
     ),
     "drops-never-finish": (
         dict(k=2, n_stages=3, p=0.85, buffer_capacity=2, seed=13), 300, 0, 400,
-        "1800a1208a717190",
+        "155a98abc618ac1a",
     ),
 }
 
@@ -141,8 +141,8 @@ def test_tracer_journeys(case):
 AUTO_WARMUP_CASES = {
     "light": (dict(k=2, n_stages=4, p=0.5, topology="random", width=64, seed=5), 6000, 100),
     "heavy-m2": (dict(k=2, n_stages=5, p=0.4, message_size=2, topology="random",
-                      width=32, seed=21), 8000, 155),
-    "banyan-bulk": (dict(k=2, n_stages=3, p=0.3, bulk_size=2, seed=22), 4000, 495),
+                      width=32, seed=21), 8000, 100),
+    "banyan-bulk": (dict(k=2, n_stages=3, p=0.3, bulk_size=2, seed=22), 4000, 100),
 }
 
 
@@ -156,14 +156,14 @@ def test_auto_warmup_truncation(case):
 #: finite-buffer configs -> NetworkResult fingerprint
 FINITE_CASES = {
     "capacity4-p05": (dict(k=2, n_stages=4, p=0.5, buffer_capacity=4, topology="random",
-                           width=32, seed=1), 2000, None, "307115c9900543a5"),
+                           width=32, seed=1), 2000, None, "ef67a4191f746111"),
     "capacity2-p08": (dict(k=2, n_stages=3, p=0.8, buffer_capacity=2, seed=2),
-                      1500, 100, "1c2a64f10769cfbe"),
+                      1500, 100, "0ba443ea0ca1a538"),
     "capacity1-m3-store-forward": (
         dict(k=2, n_stages=3, p=0.3, message_size=3, transfer="store_forward",
-             buffer_capacity=1, seed=3), 1200, 0, "ff0b6d78bdd95e0b"),
+             buffer_capacity=1, seed=3), 1200, 0, "c7f7d8000ad5eb7b"),
     "capacity3-bulk": (dict(k=3, n_stages=2, p=0.35, bulk_size=3, buffer_capacity=3,
-                            seed=4), 1500, 150, "fc393871770bb2ac"),
+                            seed=4), 1500, 150, "489888565b502f51"),
 }
 
 
@@ -179,7 +179,7 @@ def test_run_split_across_two_calls():
     sim = NetworkSimulator(NetworkConfig(k=2, n_stages=3, p=0.7, message_size=2, seed=31))
     first = fingerprint(result_fields(sim.run(700, warmup=50)))
     second = fingerprint(result_fields(sim.run(900, warmup=20)))
-    assert (first, second) == ("ea78e4ee6f444df9", "3feef2fe1d2c61da")
+    assert (first, second) == ("1cd7c603f608b57e", "6a50f29b76a3120c")
 
 
 def _metrics_report(argv):
@@ -195,10 +195,10 @@ def _metrics_report(argv):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["metrics", "--stages", "4", "--p", "0.6", "--cycles", "3000"], "287345a77ba11f97"),
+        (["metrics", "--stages", "4", "--p", "0.6", "--cycles", "3000"], "a971fe2f49590d50"),
         (["metrics", "--stages", "3", "--p", "0.7", "--m", "2", "--width", "16",
           "--buffer", "4", "--cycles", "2000", "--seed", "5",
-          "--metrics-stride", "7"], "67532cb38a2da940"),
+          "--metrics-stride", "7"], "4238ee4cb8e9e7b7"),
     ],
     ids=["plain", "finite-buffer"],
 )

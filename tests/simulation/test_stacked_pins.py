@@ -2,8 +2,9 @@
 
 The expected SHA-256 fingerprints cover every deterministic
 :class:`NetworkResult` field (the tracked rows included), the streamed
-engine's :class:`~repro.simulation.stats.StreamingTotals`, and the spec
-digests of a vectorized and a streamed ``run_many`` batch.  Each case is
+runs' :class:`~repro.simulation.stats.StreamingTotals`, and the spec
+digests of a vectorized and a sharded ``run_many`` batch (one digest
+family: both equal the serial digests, and their results agree).  Each case is
 evaluated by the stage-wise pass (``backend="numpy"``) and by the
 interpreted per-cycle kernel; both must reproduce the same fingerprint,
 so a change to how stacked or streamed runs are driven cannot move a
@@ -83,16 +84,16 @@ class TestStackedPins:
     def test_run_batched_single_replica(self, backend):
         config = NetworkConfig(k=2, n_stages=3, p=0.5, seed=42)
         results = run_batched(config, [42], 1_500, warmup=300, backend=backend)
-        check_results(results, backend, "af04351c380c1860")
+        check_results(results, backend, "a955fff978ce3c02")
 
     def test_run_batched_four_replicas(self, backend):
         config = NetworkConfig(k=2, n_stages=3, p=0.6, topology="random", width=16)
         results = run_batched(config, [11, 12, 13, 14], 1_200, warmup=200, backend=backend)
-        check_results(results, backend, "cbd6f8702003402a")
+        check_results(results, backend, "f830d9e81925d9aa")
 
     def test_run_stacked_heterogeneous_rows(self, backend):
         results = run_stacked(HETEROGENEOUS_ROWS, 1_000, warmup=150, backend=backend)
-        check_results(results, backend, "292f9eb14a12fcf2")
+        check_results(results, backend, "d4fce0cd37a9b857")
 
     def test_run_stacked_store_and_forward(self, backend):
         config = NetworkConfig(
@@ -100,7 +101,7 @@ class TestStackedPins:
         )
         configs = [replace(config, seed=s) for s in (5, 6, 7)]
         results = run_stacked(configs, 1_000, warmup=100, backend=backend)
-        check_results(results, backend, "fbcf914c16063ed6")
+        check_results(results, backend, "9c73ccf0bc78cf25")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -112,7 +113,7 @@ class TestStreamedPins:
         ]
         batch = run_streamed(configs, 600, warmup=80, backend=backend)
         assert batch.totals is None
-        check_results(batch.results, backend, "47c46b2e514f9ff9")
+        check_results(batch.results, backend, "b7f9f247dfea9432")
 
     def test_run_streamed_summary_mode(self, backend):
         configs = [
@@ -120,8 +121,59 @@ class TestStreamedPins:
             for i, p in enumerate([0.3, 0.6, 0.45])
         ]
         batch = run_streamed(configs, 600, warmup=80, backend=backend)
-        check_results(batch.results, backend, "d5578ca3a4768783")
-        assert fingerprint(totals_fields(batch.totals)) == "bec0797fd4841744"
+        check_results(batch.results, backend, "fbb5c9e184d2ea85")
+        assert fingerprint(totals_fields(batch.totals)) == "fc4aeb193f9b5249"
+
+
+#: rows of the one-block anchor: a favourite bias on omega, bulks of
+#: two, four-packet messages, a size mix and plain uniform traffic
+ONE_BLOCK_BASE = NetworkConfig(k=2, n_stages=3, p=0.3, topology="omega")
+ONE_BLOCK_ROWS = [
+    replace(ONE_BLOCK_BASE, p=0.3, q=0.3, seed=91),
+    replace(ONE_BLOCK_BASE, p=0.2, bulk_size=2, seed=92),
+    replace(ONE_BLOCK_BASE, p=0.12, message_size=4, seed=93),
+    replace(ONE_BLOCK_BASE, p=0.3, sizes=(1, 3), probabilities=(0.6, 0.4), seed=94),
+    replace(ONE_BLOCK_BASE, p=0.55, seed=95),
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestOneBlockPins:
+    """Streamed runs of exactly one 256-cycle draw block.
+
+    A replica's first block draws what a whole 256-cycle streamed run
+    drew before draws were made in blocks (one ``(256, width)`` coin
+    block, destinations, favourite gate, bulk expansion, services), so
+    these fingerprints link the block draw to the whole-run draw it
+    replaced, bit for bit.
+    """
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            (ONE_BLOCK_ROWS[:1], "10eeffce056b32e7"),
+            (ONE_BLOCK_ROWS[1:], "dfd46e62c2bb487a"),
+        ],
+        ids=["R1", "R4"],
+    )
+    def test_tracked(self, backend, rows, expected):
+        batch = run_streamed(rows, 256, warmup=40, backend=backend)
+        assert batch.totals is None
+        check_results(batch.results, backend, expected)
+
+    @pytest.mark.parametrize(
+        "rows, expected, expected_totals",
+        [
+            (ONE_BLOCK_ROWS[:1], "9eb23c3d34fc5c24", "b62951fa1a6ec642"),
+            (ONE_BLOCK_ROWS[1:], "f302f0ac21645675", "66484b3496584304"),
+        ],
+        ids=["R1", "R4"],
+    )
+    def test_summary_mode(self, backend, rows, expected, expected_totals):
+        rows = [replace(row, track_limit=0) for row in rows]
+        batch = run_streamed(rows, 256, warmup=40, backend=backend)
+        check_results(batch.results, backend, expected)
+        assert fingerprint(totals_fields(batch.totals)) == expected_totals
 
 
 def batch_specs():
@@ -136,13 +188,13 @@ def test_vectorized_run_many_batch():
     batch = run_many(batch_specs(), vectorize=True, backend="numpy")
     assert batch.n_failed == 0
     digests = [o.spec.digest for o in batch.outcomes]
-    assert fingerprint(digests) == "293b222d3dacb54b"
-    assert fingerprint([pinned_fields(r) for r in batch.results()]) == "e19c344c4b62adc6"
+    assert fingerprint(digests) == "7e307cbda6e5acb6"
+    assert fingerprint([pinned_fields(r) for r in batch.results()]) == "049725e82fb3b1b8"
 
 
 def test_streamed_run_many_batch():
-    batch = run_many(batch_specs(), stream=True, backend="numpy")
+    batch = run_many(batch_specs(), shard_mem=1 << 20, backend="numpy")
     assert batch.n_failed == 0
     digests = [o.spec.digest for o in batch.outcomes]
-    assert fingerprint(digests) == "c3e798fa93ff3aa0"
-    assert fingerprint([pinned_fields(r) for r in batch.results()]) == "2b8b93a57d7b1742"
+    assert fingerprint(digests) == "7e307cbda6e5acb6"
+    assert fingerprint([pinned_fields(r) for r in batch.results()]) == "049725e82fb3b1b8"

@@ -1,157 +1,108 @@
-"""Replica-aware traffic generation: stream equivalence and batching."""
+"""Block draws: one replica's traffic stream, 256 cycles at a time."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
 from repro.service.deterministic import DeterministicService
-from repro.simulation.traffic import NetworkTrafficGenerator
+from repro.service.multisize import MultiSizeService
+from repro.simulation.traffic import BLOCK_CYCLES, NetworkTrafficGenerator
 
 
-def make(n_replicas=1, **kwargs):
+def make(**kwargs):
     defaults = dict(
         width=8,
         p=0.5,
         service=DeterministicService(1),
         rng=np.random.default_rng(kwargs.pop("seed", 11)),
-        n_replicas=n_replicas,
     )
     defaults.update(kwargs)
     return NetworkTrafficGenerator(**defaults)
 
 
-def test_generate_batch_r1_matches_generate():
-    """One-replica batches consume the RNG stream exactly like the
-    serial path, cycle for cycle."""
-    serial = make(seed=3)
-    batched = make(n_replicas=1, seed=3)
-    for _ in range(200):
-        s = serial.generate()
-        b = batched.generate_batch()
-        assert np.array_equal(b.replicas, np.zeros(b.sources.size, dtype=np.int64))
-        assert np.array_equal(s.sources, b.sources)
-        assert np.array_equal(s.destinations, b.destinations)
-        assert np.array_equal(s.services, b.services)
-    assert serial.injected == batched.injected
+def reference_block(rng, width, p, q, bulk, service):
+    """The block draw order spelled out: coins, destinations, the
+    favourite gate, bulk expansion, services."""
+    coins = rng.random((BLOCK_CYCLES, width))
+    cycles, sources = np.nonzero(coins < p)
+    dests = rng.integers(0, width, size=cycles.size)
+    if q > 0:
+        dests = np.where(rng.random(cycles.size) < q, sources, dests)
+    cycles, sources, dests = (np.repeat(a, bulk) for a in (cycles, sources, dests))
+    return cycles, sources, dests, service.sample(rng, cycles.size)
 
 
-def test_generate_batch_replica_major_order():
-    gen = make(n_replicas=4, seed=9)
-    for _ in range(50):
-        arrivals = gen.generate_batch()
-        assert np.all(np.diff(arrivals.replicas) >= 0)
-        assert np.all((arrivals.replicas >= 0) & (arrivals.replicas < 4))
-        assert np.all((arrivals.sources >= 0) & (arrivals.sources < 8))
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(p=0.3),
+        dict(p=0.5, q=0.3),
+        dict(p=0.2, bulk_size=2),
+        dict(p=0.3, service=MultiSizeService((1, 3), (0.6, 0.4))),
+    ],
+    ids=["uniform", "favourite", "bulk", "sizes"],
+)
+def test_consecutive_blocks_follow_the_draw_order(kw):
+    gen = make(seed=5, **kw)
+    rng = np.random.default_rng(5)
+    ref_kw = dict(
+        q=kw.get("q", 0.0),
+        bulk=kw.get("bulk_size", 1),
+        service=kw.get("service", DeterministicService(1)),
+    )
+    for _ in range(3):
+        block = gen.generate_batch()
+        for got, expected in zip(block, reference_block(rng, 8, kw["p"], **ref_kw), strict=True):
+            assert np.array_equal(got, expected)
+
+
+def test_block_is_cycle_major_and_in_range():
+    block = make(seed=9, p=0.4).generate_batch()
+    assert np.all(np.diff(block.cycles) >= 0)
+    assert np.all((block.cycles >= 0) & (block.cycles < BLOCK_CYCLES))
+    assert np.all((block.sources >= 0) & (block.sources < 8))
+    within = block.cycles * 8 + block.sources
+    assert np.all(np.diff(within) > 0)
 
 
 def test_generate_batch_bulk_keeps_packets_together():
-    gen = make(n_replicas=2, bulk_size=3, seed=1, p=0.9)
-    arrivals = gen.generate_batch()
-    assert arrivals.sources.size % 3 == 0
-    trip = arrivals.destinations.reshape(-1, 3)
+    block = make(bulk_size=3, seed=1, p=0.9).generate_batch()
+    assert block.sources.size % 3 == 0
+    trip = block.destinations.reshape(-1, 3)
     assert np.array_equal(trip[:, 0], trip[:, 1])
     assert np.array_equal(trip[:, 0], trip[:, 2])
 
 
 def test_services_are_int64_without_copy():
-    gen = make(seed=2, p=1.0)
-    arrivals = gen.generate()
-    assert arrivals.services.dtype == np.int64
+    assert make(seed=2, p=1.0).generate_batch().services.dtype == np.int64
+
+
+def test_generate_batch_r1_matches_generate():
+    """``generate`` is the block draw under its older name."""
+    a, b = make(seed=4), make(seed=4)
+    for got, expected in zip(a.generate(), b.generate_batch(), strict=True):
+        assert np.array_equal(got, expected)
 
 
 def test_load_statistics_per_replica():
-    """Every replica's injection rate is ~p (shared-stream replicas are
-    identically distributed)."""
-    R, width, p, cycles = 4, 16, 0.4, 2_000
-    gen = make(n_replicas=R, width=width, p=p, seed=21)
-    counts = np.zeros(R)
-    for _ in range(cycles):
-        arrivals = gen.generate_batch()
-        counts += np.bincount(arrivals.replicas, minlength=R)
-    rates = counts / (cycles * width)
-    assert np.all(np.abs(rates - p) < 0.02), rates
+    """One replica's stream injects at rate ``p`` and counts what it drew."""
+    width, p = 16, 0.4
+    gen = make(width=width, p=p, seed=21)
+    count = sum(gen.generate_batch().sources.size for _ in range(8))
+    assert gen.injected == count
+    assert abs(count / (8 * BLOCK_CYCLES * width) - p) < 0.02
 
 
-def test_rejects_bad_replica_count():
-    with pytest.raises(ModelError):
-        make(n_replicas=0)
+def test_offered_load():
+    assert make(p=0.3, bulk_size=2).offered_load == pytest.approx(0.6)
 
 
-# ----------------------------------------------------------------------
-# parameter stacking: per-replica p / q / bulk / service columns
-# ----------------------------------------------------------------------
-def test_equal_parameter_columns_match_scalar_generator():
-    """A stack whose per-replica parameters are all equal consumes the
-    RNG stream bit-for-bit like the scalar-parameter generator."""
-    scalar = make(n_replicas=3, seed=17, p=0.5, bulk_size=2)
-    stacked = make(
-        n_replicas=3, seed=17, p=[0.5, 0.5, 0.5], bulk_size=[2, 2, 2],
-        q=[0.0, 0.0, 0.0],
-        service=[DeterministicService(1)] * 3,
-    )
-    assert not stacked.heterogeneous
-    assert stacked.p == 0.5 and stacked.bulk_size == 2
-    for _ in range(100):
-        a = scalar.generate_batch()
-        b = stacked.generate_batch()
-        assert np.array_equal(a.replicas, b.replicas)
-        assert np.array_equal(a.sources, b.sources)
-        assert np.array_equal(a.destinations, b.destinations)
-        assert np.array_equal(a.services, b.services)
-
-
-def test_per_replica_loads_inject_at_their_own_rate():
-    loads = np.array([0.2, 0.5, 0.8])
-    width, cycles = 32, 2_000
-    gen = make(n_replicas=3, width=width, p=loads, seed=23)
-    assert gen.heterogeneous and gen.p is None
-    counts = np.zeros(3)
-    for _ in range(cycles):
-        counts += np.bincount(gen.generate_batch().replicas, minlength=3)
-    rates = counts / (cycles * width)
-    assert np.all(np.abs(rates - loads) < 0.02), rates
-
-
-def test_per_replica_bulk_and_service_models():
-    gen = make(
-        n_replicas=2, seed=5, p=0.9,
-        bulk_size=[1, 3],
-        service=[DeterministicService(1), DeterministicService(1)],
-    )
-    arrivals = gen.generate_batch()
-    # replica 0 packets are singletons; replica 1 arrives in triples
-    r1 = arrivals.replicas == 1
-    assert r1.sum() % 3 == 0
-    trip = arrivals.destinations[r1].reshape(-1, 3)
-    assert np.array_equal(trip[:, 0], trip[:, 1])
-
-    mixed = make(
-        n_replicas=2, seed=5, p=1.0,
-        service=[DeterministicService(1), DeterministicService(4)],
-    )
-    assert mixed.heterogeneous and mixed.service is None
-    out = mixed.generate_batch()
-    assert np.all(out.services[out.replicas == 0] == 1)
-    assert np.all(out.services[out.replicas == 1] == 4)
-
-
-def test_heterogeneous_generator_refuses_serial_path():
-    gen = make(n_replicas=2, p=[0.3, 0.6])
-    with pytest.raises(ModelError, match="generate_batch"):
-        gen.generate()
-
-
-def test_offered_load_averages_over_replicas():
-    gen = make(n_replicas=2, p=[0.2, 0.6], bulk_size=[1, 2])
-    assert gen.offered_load == pytest.approx((0.2 * 1 + 0.6 * 2) / 2)
-
-
-def test_rejects_bad_parameter_columns():
-    with pytest.raises(ModelError, match="length-3"):
-        make(n_replicas=3, p=[0.1, 0.2])
+def test_rejects_bad_parameters():
     with pytest.raises(ModelError, match="outside"):
-        make(n_replicas=2, p=[0.5, 1.5])
+        make(p=1.5)
+    with pytest.raises(ModelError, match="outside"):
+        make(q=-0.1)
     with pytest.raises(ModelError, match="bulk"):
-        make(n_replicas=2, bulk_size=[1, 0])
-    with pytest.raises(ModelError, match="one service model per replica"):
-        make(n_replicas=3, service=[DeterministicService(1)] * 2)
+        make(bulk_size=0)
+    with pytest.raises(ModelError, match="permutation"):
+        make(favorite=np.zeros(8, dtype=int))
