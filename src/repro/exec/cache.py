@@ -8,6 +8,13 @@ Layout (under the cache root, default ``.repro-cache/``)::
           3f9a...e2.json       # metadata + scalar payload
           3f9a...e2.npz        # array payload (stage moments, cohort)
 
+The ``.npz`` is written uncompressed (``np.savez``), and the tracked
+cohort in the narrowest unsigned dtype that holds it exactly (uint8 or
+uint16; float32 otherwise): waits are small integers, and zlib cost
+more time than the bytes it saved.  :meth:`ResultCache.get` widens every
+array to its payload dtype, so entries written compressed in float32
+are served too.
+
 Entries are keyed by :attr:`ExperimentSpec.digest
 <repro.exec.spec.ExperimentSpec.digest>`, so any change to the config,
 cycle budget, or warm-up policy is automatically a miss.  Bumping
@@ -73,13 +80,38 @@ _SCALARS = (
     "elapsed_seconds",
 )
 
-#: Array payload fields (stored in the NPZ sidecar) and their dtypes.
+#: Array payload fields (stored in the NPZ sidecar) and the dtypes
+#: :meth:`ResultCache.get` reads them back as.
 _ARRAYS = {
     "stage_means": np.float64,
     "stage_variances": np.float64,
     "stage_counts": np.int64,
     "tracked_rows": np.float32,
 }
+
+#: Dtypes a cohort is narrowed to on disk, narrowest first.
+_NARROW_DTYPES = (np.uint8, np.uint16)
+
+
+def _narrowest(rows: np.ndarray) -> np.ndarray:
+    """``rows`` (float32) in the narrowest unsigned dtype that gives every
+    value back bit for bit, or unchanged when none does.
+
+    A clocked network's waits are small non-negative integers, so a
+    cohort usually fits in one or two bytes a value; a payload holding
+    fractions, negatives, NaN or -0.0 (a custom task's) stays float32.
+    """
+    if rows.size == 0:
+        return rows.astype(_NARROW_DTYPES[0])
+    low, high = rows.min(), rows.max()
+    if low >= 0:
+        for dtype in _NARROW_DTYPES:
+            if high <= np.iinfo(dtype).max:
+                narrow = rows.astype(dtype)
+                back = narrow.astype(np.float32)
+                exact = np.array_equal(back.view(np.uint32), rows.view(np.uint32))
+                return narrow if exact else rows
+    return rows
 
 #: Optional scalar fields carried only by streaming-summary results
 #: (``track_limit=0``): the five :class:`TotalsSummary` scalars.  Old
@@ -305,7 +337,8 @@ class ResultCache:
             },
         }
         arrays = {k: np.asarray(payload[k], dtype=dtype) for k, dtype in _ARRAYS.items()}
-        self._atomic_write(npz_path, lambda fh: np.savez_compressed(fh, **arrays))
+        arrays["tracked_rows"] = _narrowest(arrays["tracked_rows"])
+        self._atomic_write(npz_path, lambda fh: np.savez(fh, **arrays))
         self._atomic_write(
             meta_path, lambda fh: fh.write(json.dumps(meta, indent=2).encode() + b"\n")
         )

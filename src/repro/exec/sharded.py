@@ -66,7 +66,9 @@ def estimate_replica_bytes(config: NetworkConfig, n_cycles: int) -> int:
     Counts the dominant allocations: an allowance for queued messages,
     one drawn block of :data:`~repro.simulation.traffic.BLOCK_CYCLES`
     cycles of arrivals (six int64 rows per expected message), and
-    either the tracker matrix (tracked mode) or the per-message
+    either the tracker matrix (tracked mode: the rows a stacked engine
+    allocates per replica, the most messages it can inject -- counted
+    over all ``n_cycles``, warm-up included) or the per-message
     total/done/replica scalars (streaming mode).  A deliberate
     over-estimate is harmless (smaller shards); an under-estimate risks
     the memory budget, so deeper queues and the copies a block draw
@@ -80,7 +82,8 @@ def estimate_replica_bytes(config: NetworkConfig, n_cycles: int) -> int:
     queue_bytes = ppr * _QUEUE_FIELDS * _QUEUE_CAPACITY * 8
     block_bytes = 6 * 8 * BLOCK_CYCLES * rate
     if config.track_limit > 0:
-        per_message = min(config.track_limit, expected_msgs) * topology.n_stages * 4
+        rows = min(config.track_limit, topology.width * config.bulk_size * n_cycles)
+        per_message = rows * topology.n_stages * 4
     else:
         per_message = expected_msgs * (8 + 1 + 8)  # total f64, done u8, replica i64
     return int(queue_bytes + 2.0 * (block_bytes + per_message))

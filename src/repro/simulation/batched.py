@@ -11,7 +11,7 @@ one kernel call) over all of them.
 
 Randomness
 ----------
-Every replica draws from its own streams, ``spawn_rngs(seed, 2)`` of its
+Every replica draws from its own stream, ``spawn_rngs(seed, 1)[0]`` of its
 own config -- exactly how a serial run is seeded -- in blocks of
 :data:`~repro.simulation.traffic.BLOCK_CYCLES` cycles
 (:mod:`repro.simulation.traffic`).  Replica dynamics are disjoint, so a
@@ -196,7 +196,7 @@ def run_replicas(
     configs = list(configs)
     warmup = stack_warmup(configs, n_cycles, warmup)
     kernel, backend_name = resolve_kernel(backend)
-    engine = build_engine(configs)
+    engine = build_engine(configs, measured_cycles=n_cycles - warmup)
     tracker = engine.tracker
     started = perf_counter()
     if kernel is None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 # repro: lint-ok RPR001 -- phase profiling only; timings never enter simulation state
 from time import perf_counter
-from typing import List, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
@@ -94,15 +94,17 @@ class ClockedEngine:
     buffer_capacity:
         ``None`` for the paper's infinite buffers; an integer makes
         every output queue a finite FIFO that *drops* overflow.
-    routing_rngs:
-        One generator per replica, handed to the topology's
-        ``entry_queue`` with that replica's arrivals (the built-in
-        topologies are deterministic in the destination and ignore it).
     track_limit:
         Maximum number of per-message rows kept per replica for
         correlation/total statistics (streaming stage statistics are
         unaffected); ``0`` keeps each measured message's total wait
         instead (:class:`~repro.simulation.stats.MessageTotals`).
+    measured_cycles:
+        The measured cycles (``n_cycles - warmup``) of the one run a
+        stacked engine is built for, or ``None``.  Given them, each
+        replica's tracker rows are capped at the most messages it can
+        inject in them (a bulk at every input every cycle), so a short
+        run does not hold ``track_limit`` rows per replica.
     """
 
     def __init__(
@@ -111,8 +113,8 @@ class ClockedEngine:
         traffic: Sequence[NetworkTrafficGenerator],
         transfer: Literal["cut_through", "store_forward"] = "cut_through",
         buffer_capacity: Optional[int] = None,
-        routing_rngs: Optional[Sequence[Optional[np.random.Generator]]] = None,
         track_limit: int = 200_000,
+        measured_cycles: Optional[int] = None,
     ) -> None:
         traffic = list(traffic)
         if not traffic:
@@ -122,13 +124,6 @@ class ClockedEngine:
                 raise SimulationError(
                     f"traffic width {source.width} != topology width {topology.width}"
                 )
-        routing: List[Optional[np.random.Generator]] = (
-            [None] * len(traffic) if routing_rngs is None else list(routing_rngs)
-        )
-        if len(routing) != len(traffic):
-            raise SimulationError(
-                f"{len(routing)} routing generators for {len(traffic)} replicas"
-            )
         if transfer not in ("cut_through", "store_forward"):
             raise SimulationError(f"unknown transfer mode {transfer!r}")
         if buffer_capacity is not None and buffer_capacity < 1:
@@ -137,7 +132,6 @@ class ClockedEngine:
         self.topology = topology
         self.traffic = traffic
         self.transfer = transfer
-        self.routing_rngs = routing
         #: attached observers, in attachment order (see :mod:`repro.obs.base`)
         self.observers: list = []
         #: phase timers (``predraw``/``pass``); ``None`` = off
@@ -146,14 +140,20 @@ class ClockedEngine:
         self.width = topology.width
         self.n_stages = topology.n_stages
         self.stats = StageAccumulator(self.n_replicas * self.n_stages)
-        # one replica's tracker grows with its run; a stack's is full-size
+        # one replica's tracker grows with its run; a stack's is sized up front
         self.tracker: "TrackedMessages | BatchedTrackedMessages | MessageTotals"
         if track_limit == 0:
             self.tracker = MessageTotals(self.n_replicas, self.n_stages)
         elif self.n_replicas == 1:
             self.tracker = TrackedMessages(track_limit, self.n_stages)
         else:
-            self.tracker = BatchedTrackedMessages(self.n_replicas, track_limit, self.n_stages)
+            rows = None
+            if measured_cycles is not None:
+                bulk = max(source.bulk_size for source in traffic)
+                rows = self.width * bulk * measured_cycles
+            self.tracker = BatchedTrackedMessages(
+                self.n_replicas, track_limit, self.n_stages, rows=rows
+            )
         #: cycle from which statistics are recorded and messages tracked
         self.measure_from = 0
         # set once a kernel was handed the run (predraw): the queues are then
@@ -318,11 +318,9 @@ class ClockedEngine:
         ppr = self.evaluator.ports_per_replica
         single = self.n_replicas == 1
         parts = []
-        for replica, (traffic, rng) in enumerate(
-            zip(self.traffic, self.routing_rngs, strict=True)
-        ):
+        for replica, traffic in enumerate(self.traffic):
             block = traffic.generate_batch()
-            port = self.topology.entry_queue(block.sources, block.destinations, rng)
+            port = self.topology.entry_queue(block.sources, block.destinations)
             # in the order of the rows they fill: port, cycle, dest, service
             # and, for the observers of one replica, the network inputs
             parts.append((

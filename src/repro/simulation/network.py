@@ -181,29 +181,30 @@ class NetworkConfig:
         return self.p * self.bulk_size * float(service.mean)
 
 
-def build_engine(configs: Sequence[NetworkConfig]) -> ClockedEngine:
+def build_engine(
+    configs: Sequence[NetworkConfig], measured_cycles: Optional[int] = None
+) -> ClockedEngine:
     """One engine with a replica per config, each seeded from its own.
 
-    Replica ``r`` draws its traffic and routing from
-    ``spawn_rngs(configs[r].seed, 2)`` -- how a serial run is seeded --
-    so its sample path is the same in any engine it shares.  The first
-    config fixes the network shape, buffers and track limit.
+    Replica ``r`` draws its traffic from ``spawn_rngs(configs[r].seed,
+    1)[0]`` -- how a serial run is seeded -- so its sample path is the
+    same in any engine it shares; routing follows the destination
+    digits and draws nothing.  The first config fixes the network shape,
+    buffers and track limit.  ``measured_cycles`` sizes a stack's
+    tracker for one run (see :class:`ClockedEngine`).
     """
     first = configs[0]
     topology = first.build_topology()
-    traffic: List[NetworkTrafficGenerator] = []
-    routing: List[np.random.Generator] = []
-    for config in configs:
-        traffic_rng, routing_rng = spawn_rngs(config.seed, 2)
-        traffic.append(config.build_traffic(traffic_rng, topology))
-        routing.append(routing_rng)
+    traffic: List[NetworkTrafficGenerator] = [
+        config.build_traffic(spawn_rngs(config.seed, 1)[0], topology) for config in configs
+    ]
     return ClockedEngine(
         topology,
         traffic,
         transfer=first.transfer,
         buffer_capacity=first.buffer_capacity,
-        routing_rngs=routing,
         track_limit=first.track_limit,
+        measured_cycles=measured_cycles,
     )
 
 

@@ -72,9 +72,10 @@ __all__ = ["Hops", "Recorder", "StagewisePass", "WINDOW_MESSAGES"]
 #: large enough that the per-window NumPy dispatch is amortised.
 WINDOW_MESSAGES = 12_000
 
-#: ``record(tracks, stages, waits)`` -- the per-message sink, e.g.
-#: :meth:`TrackedMessages.record`; called once per stage and window
-Recorder = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+#: ``record(tracks, stage, waits)`` -- the per-message sink, e.g.
+#: :meth:`TrackedMessages.record`; called once per stage and window with
+#: that stage's measured service starts
+Recorder = Callable[[np.ndarray, int, np.ndarray], None]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _NO_EVENTS = StageEvents(*(_EMPTY,) * 6)
@@ -472,13 +473,11 @@ class StagewisePass:
             start = start[keep]
             wait = wait[keep]
         waits = wait.astype(np.float64)
-        stages = np.full(start.size, stage, dtype=np.int64)
         if self.n_replicas == 1:
-            bins = stages
+            self.stats.add(stage, waits)
         else:
-            bins = hops.port // self.ports_per_replica * self.n_stages + stage
-        self.stats.add(bins, waits)
-        self.record(hops.track, stages, waits)
+            self.stats.add(hops.port // self.ports_per_replica * self.n_stages + stage, waits)
+        self.record(hops.track, stage, waits)
 
     def _forward(self, stage: int, hops: Hops, start: np.ndarray) -> Hops:
         """Route started messages to their stage ``stage + 1`` queues."""

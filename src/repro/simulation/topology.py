@@ -117,7 +117,7 @@ class MultistageTopology(abc.ABC):
 
     # -- routing -------------------------------------------------------
     @abc.abstractmethod
-    def routing_digits(self, dest: np.ndarray, stage: int, rng=None) -> np.ndarray:
+    def routing_digits(self, dest: np.ndarray, stage: int) -> np.ndarray:
         """Output-within-switch (``0..k-1``) at ``stage`` for ``dest``."""
 
     @property
@@ -150,21 +150,22 @@ class MultistageTopology(abc.ABC):
         return self.width // self.k
 
     # -- derived helpers used by the engine -----------------------------
-    def next_queue(self, out_lines: np.ndarray, dest: np.ndarray, next_stage: int,
-                   rng=None) -> np.ndarray:
+    def next_queue(
+        self, out_lines: np.ndarray, dest: np.ndarray, next_stage: int
+    ) -> np.ndarray:
         """Output-queue line at ``next_stage`` for messages leaving
         ``out_lines`` of the previous stage with destinations ``dest``."""
         perm = self.input_wiring(next_stage)
         in_lines = perm[out_lines]
-        digits = self.routing_digits(dest, next_stage, rng)
+        digits = self.routing_digits(dest, next_stage)
         return (in_lines // self.k) * self.k + digits
 
-    def entry_queue(self, sources: np.ndarray, dest: np.ndarray, rng=None) -> np.ndarray:
+    def entry_queue(self, sources: np.ndarray, dest: np.ndarray) -> np.ndarray:
         """First-stage output-queue line for fresh messages injected at
         network inputs ``sources``."""
         perm = self.input_wiring(0)
         in_lines = perm[sources]
-        digits = self.routing_digits(dest, 0, rng)
+        digits = self.routing_digits(dest, 0)
         return (in_lines // self.k) * self.k + digits
 
     # -- interoperability ------------------------------------------------
@@ -216,7 +217,7 @@ class _DigitRoutedTopology(MultistageTopology):
                 "RandomRoutingTopology for decoupled width"
             )
 
-    def routing_digits(self, dest: np.ndarray, stage: int, rng=None) -> np.ndarray:
+    def routing_digits(self, dest: np.ndarray, stage: int) -> np.ndarray:
         """Consume destination digits most significant first."""
         shift = self.k ** (self.n_stages - 1 - stage)
         return (np.asarray(dest) // shift) % self.k
@@ -342,7 +343,7 @@ class RandomRoutingTopology(MultistageTopology):
     def input_wiring(self, stage: int) -> np.ndarray:
         return self._shuffle
 
-    def routing_digits(self, dest: np.ndarray, stage: int, rng=None) -> np.ndarray:
+    def routing_digits(self, dest: np.ndarray, stage: int) -> np.ndarray:
         shift = self.k ** (self.n_stages - 1 - stage)
         return (np.asarray(dest) // shift) % self.k
 

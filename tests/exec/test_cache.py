@@ -121,6 +121,106 @@ class TestRobustness:
         assert cache.get(spec) is None
 
 
+def stored_rows(cache, spec):
+    """The cohort array exactly as the entry's ``.npz`` holds it."""
+    _, npz_path = cache._entry_paths(spec.digest)
+    with np.load(npz_path) as data:
+        return data["tracked_rows"]
+
+
+def with_rows(result, rows):
+    payload = result_to_payload(result)
+    payload["tracked_rows"] = np.asarray(rows, dtype=np.float32)
+    return payload
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float32), np.asarray(b, dtype=np.float32)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+class TestOnDiskEncoding:
+    """The cohort goes to disk in the narrowest exact unsigned dtype, and
+    every encoding reads back bit for bit."""
+
+    @pytest.mark.parametrize(
+        "maximum, dtype",
+        [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.float32)],
+    )
+    def test_cohort_maximum_picks_the_dtype(self, tmp_path, spec, result, maximum, dtype):
+        rows = result_to_payload(result)["tracked_rows"].copy()
+        rows[-1, 0] = maximum
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(spec, with_rows(result, rows))
+        assert stored_rows(cache, spec).dtype == dtype
+        hit = cache.get(spec)
+        assert same_bits(hit.tracked.waits, rows)
+        assert hit.tracked.complete_rows().max() == maximum
+
+    def test_simulated_cohort_is_one_byte_a_wait(self, tmp_path, spec, result):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(spec, result)
+        stored = stored_rows(cache, spec)
+        assert stored.dtype == np.uint8
+        assert np.array_equal(stored, result.tracked.complete_rows())
+        assert_results_identical(result, cache.get(spec))
+
+    def test_empty_cohort(self, tmp_path, spec, result):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(spec, with_rows(result, np.empty((0, 3))))
+        assert stored_rows(cache, spec).shape == (0, 3)
+        hit = cache.get(spec)
+        assert hit.tracked.complete_rows().shape == (0, 3)
+        assert np.array_equal(hit.stage_means, result.stage_means)
+
+    def test_streaming_summary_result(self, tmp_path):
+        from repro.simulation.streamed import run_streamed
+
+        spec = ExperimentSpec(
+            config=NetworkConfig(k=2, n_stages=3, p=0.5, seed=3, track_limit=0),
+            n_cycles=600,
+            warmup=100,
+        )
+        [result] = run_streamed([spec.config], spec.n_cycles, warmup=spec.warmup).results
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(spec, result)
+        hit = cache.get(spec)
+        assert_results_identical(result, hit)
+        assert hit.totals_summary == result.totals_summary
+        assert hit.tracked.complete_rows().shape == (0, 3)
+
+    @pytest.mark.parametrize("value", [2.5, -1.0, -0.0, np.nan, np.inf, 1e-3])
+    def test_non_integral_payload_stays_float32(self, tmp_path, spec, result, value):
+        rows = result_to_payload(result)["tracked_rows"].copy()
+        rows[0, 1] = value
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(spec, with_rows(result, rows))
+        stored = stored_rows(cache, spec)
+        assert stored.dtype == np.float32
+        assert same_bits(stored, rows)
+        assert cache.get(spec) is not None
+
+    def test_compressed_float32_entries_are_still_served(self, tmp_path, spec, result):
+        """An entry written by the earlier encoding (zlib, float32) under
+        the same schema version is a hit, identical to a fresh one."""
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(spec, result)
+        _, npz_path = cache._entry_paths(spec.digest)
+        payload = result_to_payload(result)
+        np.savez_compressed(
+            npz_path,
+            stage_means=np.asarray(payload["stage_means"], dtype=np.float64),
+            stage_variances=np.asarray(payload["stage_variances"], dtype=np.float64),
+            stage_counts=np.asarray(payload["stage_counts"], dtype=np.int64),
+            tracked_rows=np.asarray(payload["tracked_rows"], dtype=np.float32),
+        )
+        assert stored_rows(cache, spec).dtype == np.float32
+        assert cache_mod.CACHE_SCHEMA_VERSION == 2
+        hit = cache.get(spec)
+        assert_results_identical(result, hit)
+        assert np.array_equal(hit.tracked.totals(), result.tracked.totals())
+
+
 class TestStatsAndClear:
     def test_stats(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path / "cache")

@@ -14,7 +14,7 @@ from repro.exec import (
     run_many,
     stream_totals,
 )
-from repro.simulation.network import NetworkConfig
+from repro.simulation.network import NetworkConfig, build_engine
 
 N_CYCLES = 300
 WARMUP = 40
@@ -131,6 +131,19 @@ class TestShardPlanning:
         assert estimate_replica_bytes(light, 10_000) > estimate_replica_bytes(
             light, 1000
         )
+
+    @pytest.mark.parametrize("n_cycles", [1_500, 20_000])
+    def test_stacked_tracker_fits_the_estimate(self, n_cycles):
+        """The tracker matrix of a stacked shard stays inside the
+        planner's per-replica budget."""
+        configs = [
+            NetworkConfig(k=2, n_stages=6, p=0.3, topology="random", width=16, seed=s)
+            for s in range(4)
+        ]
+        warmup = max(500, n_cycles // 10)  # the stacked default
+        engine = build_engine(configs, measured_cycles=n_cycles - warmup)
+        budget = len(configs) * estimate_replica_bytes(configs[0], n_cycles)
+        assert engine.tracker.waits.nbytes <= budget
 
     def test_plan_respects_budget(self):
         config = NetworkConfig(k=2, n_stages=3, p=0.5)

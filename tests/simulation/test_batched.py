@@ -22,7 +22,7 @@ from repro.errors import SimulationError
 from repro.service.deterministic import DeterministicService
 from repro.simulation.batched import run_batched, run_stacked
 from repro.simulation.engine import ClockedEngine
-from repro.simulation.network import NetworkConfig, NetworkSimulator
+from repro.simulation.network import NetworkConfig, NetworkSimulator, build_engine
 from repro.simulation.replication import replicated_statistic
 from repro.simulation.stats import BatchedTrackedMessages, TrackedMessages
 
@@ -203,8 +203,8 @@ def test_rejects_finite_buffers_and_auto_warmup():
 
 
 def test_engine_validates_replica_mismatch():
-    """The engine stacks one replica per traffic source, and refuses a
-    routing generator list of another length, or no source at all."""
+    """The engine stacks one replica per traffic source, and refuses no
+    source at all."""
     config = NetworkConfig(k=2, n_stages=3, p=0.5)
     topology = config.build_topology()
     traffic = [config.build_traffic(np.random.default_rng(s), topology) for s in range(3)]
@@ -212,8 +212,6 @@ def test_engine_validates_replica_mismatch():
     assert engine.n_replicas == 3
     assert engine.stats.count.size == 3 * config.n_stages
     assert engine.evaluator.n_ports == 3 * config.n_stages * topology.width
-    with pytest.raises(SimulationError, match="routing generators"):
-        ClockedEngine(topology, traffic, routing_rngs=[None, None])
     with pytest.raises(SimulationError, match="none"):
         ClockedEngine(topology, [])
 
@@ -244,9 +242,37 @@ def test_batched_tracker_matches_serial_allocation():
 def test_batched_tracker_rows_partition_by_replica():
     tracker = BatchedTrackedMessages(n_replicas=2, limit=4, n_stages=1)
     ids = tracker.assign(np.array([0, 1, 0]), np.zeros(3, dtype=np.int64))
-    tracker.record(ids, np.zeros(3, dtype=np.int64), np.array([1.0, 3.0, 2.0]))
+    tracker.record(ids, 0, np.array([1.0, 3.0, 2.0]))
     assert tracker.replica_tracker(0).complete_rows().ravel().tolist() == [1.0, 2.0]
     assert tracker.replica_tracker(1).complete_rows().ravel().tolist() == [3.0]
+
+
+@pytest.mark.parametrize("p, bulk_size", [(0.3, 1), (1.0, 2)])
+def test_sized_tracker_keeps_every_message(p, bulk_size):
+    """A stack built for one run holds only the rows that run can fill --
+    every input injecting a bulk every measured cycle fills them exactly
+    -- and tracks what a full-size tracker does."""
+    configs = [
+        NetworkConfig(k=2, n_stages=3, p=p, bulk_size=bulk_size, seed=s) for s in (1, 2)
+    ]
+    sized = build_engine(configs, measured_cycles=300)
+    full = build_engine(configs)
+    rows = 8 * bulk_size * 300
+    assert sized.tracker.rows == rows
+    assert sized.tracker.waits.shape == (2 * rows, 3)
+    assert full.tracker.waits.shape == (2 * configs[0].track_limit, 3)
+    sized.run(400, warmup=100)
+    full.run(400, warmup=100)
+    for r in range(2):
+        assert np.array_equal(
+            sized.tracker.replica_tracker(r).complete_rows(),
+            full.tracker.replica_tracker(r).complete_rows(),
+        )
+    if p == 1.0:
+        assert (sized.tracker._taken == rows).all()
+    # a second run can inject more than the rows were sized for
+    with pytest.raises(SimulationError, match="sized for"):
+        sized.run(2_000, warmup=0)
 
 
 def test_elapsed_seconds_is_amortised():

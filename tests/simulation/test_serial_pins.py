@@ -143,7 +143,15 @@ AUTO_WARMUP_CASES = {
     "heavy-m2": (dict(k=2, n_stages=5, p=0.4, message_size=2, topology="random",
                       width=32, seed=21), 8000, 100),
     "banyan-bulk": (dict(k=2, n_stages=3, p=0.3, bulk_size=2, seed=22), 4000, 100),
+    # a transient long enough to clear the 100-cycle floor
+    "heavy-rho95": (dict(k=2, n_stages=3, p=0.95, topology="random", width=32, seed=23),
+                    8000, 525),
 }
+
+#: MSER-5 truncation of each case's pilot series, before the floor: the
+#: first three cases land on the floor, so only these tell a working
+#: detector from one that returns 0
+DETECTED = {"light": 10, "heavy-m2": 70, "banyan-bulk": 5, "heavy-rho95": 525}
 
 
 @pytest.mark.parametrize("case", sorted(AUTO_WARMUP_CASES))
@@ -151,6 +159,23 @@ def test_auto_warmup_truncation(case):
     config, n_cycles, expected = AUTO_WARMUP_CASES[case]
     result = NetworkSimulator(NetworkConfig(**config)).run(n_cycles, warmup="auto")
     assert result.warmup == expected
+
+
+@pytest.mark.parametrize("case", sorted(AUTO_WARMUP_CASES))
+def test_auto_warmup_detection_before_floor(case, monkeypatch):
+    import repro.simulation.warmup as warmup_mod
+
+    detected = []
+    real = warmup_mod.mser5_truncation
+
+    def spy(series, *args, **kwargs):
+        detected.append(real(series, *args, **kwargs))
+        return detected[-1]
+
+    monkeypatch.setattr(warmup_mod, "mser5_truncation", spy)
+    config, n_cycles, _ = AUTO_WARMUP_CASES[case]
+    NetworkSimulator(NetworkConfig(**config)).run(n_cycles, warmup="auto")
+    assert detected == [DETECTED[case]]
 
 
 #: finite-buffer configs -> NetworkResult fingerprint

@@ -74,6 +74,21 @@ class TestStageAccumulator:
         assert np.array_equal(one.means(), many.means())
         assert np.array_equal(one.variances(), many.variances())
 
+    def test_scalar_bin_matches_array_bins(self):
+        # The stage-wise pass records one stage per call under a scalar
+        # bin; its plain sums must equal the bincounts bit for bit.
+        rng = np.random.default_rng(3)
+        waits = rng.integers(0, 40, size=900).astype(float) + 500.0
+        scalar, array = StageAccumulator(3), StageAccumulator(3)
+        for i in range(0, 900, 100):
+            stage = i // 100 % 3
+            scalar.add(stage, waits[i : i + 100])
+            array.add(np.full(100, stage), waits[i : i + 100])
+        scalar.add(1, np.array([]))
+        for name in ("count", "shift", "total", "total_sq"):
+            assert np.array_equal(getattr(scalar, name), getattr(array, name)), name
+        assert scalar._n_unseen == array._n_unseen == 0
+
     def test_snapshot_returns_raw_moments(self):
         # Metrics samplers difference cumulative snapshots, so snapshot()
         # must keep exposing the un-shifted running sums.
@@ -135,8 +150,8 @@ class TestTrackedMessages:
     def test_complete_rows_filter(self):
         t = TrackedMessages(limit=4, n_stages=2)
         take(t, 4)
-        t.record(np.array([0, 1]), np.array([0, 0]), np.array([1.0, 2.0]))
-        t.record(np.array([0]), np.array([1]), np.array([3.0]))
+        t.record(np.array([0, 1]), 0, np.array([1.0, 2.0]))
+        t.record(np.array([0]), 1, np.array([3.0]))
         rows = t.complete_rows()
         assert rows.shape == (1, 2)
         assert rows[0].tolist() == [1.0, 3.0]
@@ -146,12 +161,12 @@ class TestTrackedMessages:
         t = TrackedMessages(limit=2, n_stages=3)
         take(t, 1)
         for s, w in enumerate([1.0, 0.0, 2.5]):
-            t.record(np.array([0]), np.array([s]), np.array([w]))
+            t.record(np.array([0]), s, np.array([w]))
         assert t.totals().tolist() == [3.5]
 
     def test_untracked_records_ignored(self):
         t = TrackedMessages(limit=2, n_stages=1)
-        t.record(np.array([-1]), np.array([0]), np.array([9.0]))
+        t.record(np.array([-1]), 0, np.array([9.0]))
         assert t.complete_rows().shape[0] == 0
 
     def test_correlations_need_samples(self):
@@ -164,7 +179,7 @@ class TestTrackedMessages:
         t = TrackedMessages(limit=5000, n_stages=2)
         ids = take(t, 5000)
         for s in range(2):
-            t.record(ids, np.full(5000, s), rng.normal(size=5000))
+            t.record(ids, s, rng.normal(size=5000))
         corr = t.stage_correlations()
         assert corr[0, 0] == pytest.approx(1.0)
         assert abs(corr[0, 1]) < 0.05
