@@ -9,9 +9,10 @@ backend:
   once no matter how many clients ask (:attr:`JobManager.executions`
   counts actual engine runs and is what the end-to-end tests assert
   on).  The shared :class:`~repro.exec.cache.ResultCache` extends the
-  dedup across manager instances in one process
-  (:meth:`~repro.exec.cache.ResultCache.get_or_begin`) and across
-  processes/restarts (on-disk entries answer instantly).
+  dedup across restarts and processes: a submission whose entry is on
+  disk is answered at once, and a queued job whose entry appeared
+  meanwhile is served by :func:`~repro.exec.runner.run_many`'s own
+  lookup.
 * **Backpressure** -- the pending queue is bounded; a submission that
   would overflow it raises :class:`~repro.errors.JobQueueFullError`
   without changing any state, which the HTTP layer maps onto 429.
@@ -161,7 +162,6 @@ class JobManager:
         use_cache: bool = True,
         db: Optional[Union[str, Path, "ExperimentDB"]] = None,
         task_fn: Optional[Callable[[ExperimentSpec], NetworkResult]] = None,
-        inflight_wait: float = 300.0,
     ) -> None:
         if executors < 1:
             raise ApiError(f"executors must be >= 1, got {executors}")
@@ -186,7 +186,6 @@ class JobManager:
         )
         self._db_local = threading.local()
         self._task_fn = task_fn
-        self._inflight_wait = inflight_wait
         #: engine runs actually performed (outcome status "completed")
         self.executions = 0
         self._jobs: Dict[str, Job] = {}
@@ -350,52 +349,23 @@ class JobManager:
             with self._cond:
                 self._append_event(job, dict(event))
 
-        token = None
-        result: Optional[NetworkResult] = None
-        if self._use_cache:
-            result, token = self._cache.get_or_begin(spec)
-            if result is None and token is not None and not token.leader:
-                # Another thread of this process is computing the same
-                # digest (e.g. a sibling manager sharing the cache):
-                # wait for it, then either take its answer or claim
-                # leadership ourselves.
-                token.event.wait(self._inflight_wait)
-                result, token = self._cache.get_or_begin(spec)
         try:
-            if result is not None:
-                outcome = TaskOutcome(
-                    index=0, spec=spec, status="cached", result=result, attempts=0
-                )
-                progress(
-                    {
-                        "event": "cached",
-                        "index": 0,
-                        "label": spec.label,
-                        "digest": digest[:12],
-                        "attempts": 0,
-                        "error": None,
-                    }
-                )
-            else:
-                batch = run_many(
-                    [spec],
-                    workers=self._workers,
-                    cache=self._cache if self._use_cache else None,
-                    retries=self._retries,
-                    timeout=self._timeout,
-                    progress=progress,
-                    task_fn=self._task_fn,
-                    backend=self._backend,
-                    shard_mem=self._shard_mem,
-                )
-                outcome = batch.outcomes[0]
+            batch = run_many(
+                [spec],
+                workers=self._workers,
+                cache=self._cache if self._use_cache else None,
+                retries=self._retries,
+                timeout=self._timeout,
+                progress=progress,
+                task_fn=self._task_fn,
+                backend=self._backend,
+                shard_mem=self._shard_mem,
+            )
+            outcome = batch.outcomes[0]
         except Exception as exc:
             outcome = TaskOutcome(
                 index=0, spec=spec, status="failed", error=repr(exc), attempts=1
             )
-        finally:
-            if token is not None and token.leader:
-                self._cache.finish(spec)
         with self._cond:
             self._record_outcome(job, outcome)
 

@@ -46,7 +46,55 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for testing and docs)."""
     from repro.simulation.backends import BACKEND_CHOICES
 
-    common = argparse.ArgumentParser(add_help=False)
+    # the execution options, each declared once: ``execution`` serves
+    # every simulating command and ``serve``, ``dispatch`` serves
+    # ``batch`` and ``serve``; _execution_context reads them all
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes per simulation batch or service job "
+        "(default 1: in-process)",
+    )
+    execution.add_argument(
+        "--cache",
+        metavar="DIR",
+        default=None,
+        help="content-addressed result cache directory (default: off; "
+        "'batch', 'cache' and 'serve' default to .repro-cache)",
+    )
+    execution.add_argument(
+        "--backend",
+        choices=BACKEND_CHOICES,
+        default="auto",
+        help="compute backend for stacked runs (--vectorize-replicas, "
+        "--shard-mem): 'numpy' (stage-wise pass), 'numba' (JIT cycle loop; "
+        "requires numba), or 'auto' (default: JIT when usable, the pass "
+        "otherwise) -- results are bit-identical either way (see "
+        "docs/backends.md)",
+    )
+    execution.add_argument(
+        "--shard-mem",
+        type=int,
+        default=None,
+        metavar="MIB",
+        dest="shard_mem",
+        help="per-shard memory budget in MiB of stacked runs; implies "
+        "stacked execution (--vectorize-replicas); results are "
+        "bit-identical under any budget (see docs/scaling.md)",
+    )
+    dispatch = argparse.ArgumentParser(add_help=False)
+    dispatch.add_argument(
+        "--retries", type=int, default=1,
+        help="extra attempts per failed task (default 1)",
+    )
+    dispatch.add_argument(
+        "--timeout", type=float, default=None,
+        help="per-task seconds before a dispatched pool job counts as failed",
+    )
+
+    common = argparse.ArgumentParser(add_help=False, parents=[execution])
     common.add_argument(
         "--cycles", type=int, default=None, help="simulation cycles per run"
     )
@@ -64,19 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cycles between metrics samples (with --metrics-out; default 16)",
     )
     common.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for simulation batches (default: serial)",
-    )
-    common.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="content-addressed result cache directory (default: off; "
-        "'batch' and 'cache' commands default to .repro-cache)",
-    )
-    common.add_argument(
         "--vectorize-replicas",
         action="store_true",
         help="run same-shape scenarios (which may differ in seed, load, "
@@ -84,26 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         "replications and whole sweeps into few runs; every result and "
         "cache entry equals the serial one; composes with --workers "
         "(metrics are off for stacked runs)",
-    )
-    common.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="compute backend for stacked runs (--vectorize-replicas, "
-        "--shard-mem): 'numpy' (stage-wise pass), 'numba' (JIT cycle loop; "
-        "requires numba), or 'auto' (default: JIT when usable, the pass "
-        "otherwise) -- results are bit-identical either way (see "
-        "docs/backends.md)",
-    )
-    common.add_argument(
-        "--shard-mem",
-        type=int,
-        default=None,
-        metavar="MIB",
-        dest="shard_mem",
-        help="per-shard memory budget in MiB of stacked runs; implies "
-        "--vectorize-replicas (results are bit-identical under any "
-        "budget; see docs/scaling.md)",
     )
     common.add_argument(
         "--target-ci",
@@ -160,21 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     b = sub.add_parser(
-        "batch", parents=[common],
+        "batch", parents=[common, dispatch],
         help="run a scenario batch through the parallel cached runner",
     )
     b.add_argument(
         "--scenarios",
         default="smoke",
         help="named scenario set (smoke) or path to a JSON spec file",
-    )
-    b.add_argument(
-        "--retries", type=int, default=1,
-        help="extra attempts per failed task (default 1)",
-    )
-    b.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-task seconds before a dispatched chunk counts as failed",
     )
     b.add_argument(
         "--no-cache", action="store_true", help="run without the result cache"
@@ -318,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
+        parents=[execution, dispatch],
         help="run the HTTP simulation service (docs/api-service.md)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -337,42 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="jobs that may run concurrently (default 2)",
     )
     serve.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes per job's run_many call (default 1: in-thread)",
-    )
-    serve.add_argument(
-        "--retries", type=int, default=1,
-        help="extra attempts per failed job (default 1)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="compute backend for stacked jobs (with --shard-mem; default auto)",
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-task seconds before a dispatched job counts as failed",
-    )
-    serve.add_argument(
-        "--shard-mem",
-        type=int,
-        default=None,
-        metavar="MIB",
-        dest="shard_mem",
-        help="run each job's spec as a stacked shard with this per-shard "
-        "memory budget in MiB; results are those of serial runs (see "
-        "docs/scaling.md)",
-    )
-    serve.add_argument(
         "--max-queue", type=int, default=64,
         help="pending-job bound; overflowing submissions get HTTP 429 (default 64)",
-    )
-    serve.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="result-cache directory (default .repro-cache)",
     )
     serve.add_argument(
         "--no-cache", action="store_true", help="serve without the result cache"
@@ -526,11 +500,10 @@ def _run_sweep(kind: str, cycles: Optional[int], seed: Optional[int]) -> str:
 
 
 def _run_batch(args) -> int:
-    from repro.exec import DEFAULT_CACHE_DIR, ResultCache, load_scenarios, run_many
+    from repro.exec import DEFAULT_CACHE_DIR, ResultCache, load_scenarios, run_batch
 
     specs = load_scenarios(args.scenarios, n_cycles=args.cycles)
     cache = None if args.no_cache else ResultCache(args.cache or DEFAULT_CACHE_DIR)
-    workers = args.workers or 1
     db = None
     if args.db is not None:
         from repro.expdb import ExperimentDB
@@ -543,21 +516,11 @@ def _run_batch(args) -> int:
             note += f"  ({event['error']})"
         print(note, file=sys.stderr)
 
-    shard_mib = getattr(args, "shard_mem", None)
-    batch = run_many(
-        specs,
-        workers=workers,
-        cache=cache,
-        retries=args.retries,
-        timeout=args.timeout,
-        progress=progress,
-        vectorize=getattr(args, "vectorize_replicas", False),
-        backend=getattr(args, "backend", "auto"),
-        shard_mem=shard_mib * 1024 * 1024 if shard_mib is not None else None,
-        db=db,
-    )
+    # workers, retries, timeout and the stacked options come from the
+    # execution context main installs
+    batch = run_batch(specs, cache=cache, progress=progress, db=db)
     lines = [
-        f"batch of {batch.n_tasks} scenarios (workers={workers}, "
+        f"batch of {batch.n_tasks} scenarios (workers={batch.workers}, "
         f"cache={'off' if cache is None else cache.root})",
         f"{'label':>18} {'status':>10} {'attempts':>8} {'digest':>14} {'w1 mean':>9}",
     ]
@@ -795,14 +758,14 @@ def _run_serve(args) -> int:
         from repro.expdb import ExperimentDB
 
         db = ExperimentDB(args.db)
-    shard_mib = args.shard_mem
+    ctx = _execution_context(args)
     manager = JobManager(
         executors=args.executors,
-        workers=args.workers,
-        retries=args.retries,
-        timeout=args.timeout,
-        backend=args.backend,
-        shard_mem=shard_mib * 1024 * 1024 if shard_mib is not None else None,
+        workers=ctx.workers,
+        retries=ctx.retries,
+        timeout=ctx.timeout,
+        backend=ctx.backend,
+        shard_mem=ctx.shard_mem,
         max_queue=args.max_queue,
         cache=None if args.no_cache else ResultCache(args.cache or DEFAULT_CACHE_DIR),
         use_cache=not args.no_cache,
@@ -912,6 +875,28 @@ def _run_metrics(args) -> str:
     return render_metrics_summary(result, sim.metrics)
 
 
+def _execution_context(args):
+    """The :class:`~repro.exec.ExecutionContext` the execution options ask for.
+
+    ``batch``, ``cache`` and ``serve`` open their own result cache, so
+    their context carries none.
+    """
+    from repro.exec import ExecutionContext, ResultCache
+
+    cache_dir = args.cache if args.command not in ("batch", "cache", "serve") else None
+    return ExecutionContext(
+        workers=args.workers,
+        cache=ResultCache(cache_dir) if cache_dir else None,
+        retries=getattr(args, "retries", 1),
+        timeout=getattr(args, "timeout", None),
+        vectorize=getattr(args, "vectorize_replicas", False),
+        backend=args.backend,
+        shard_mem=None if args.shard_mem is None else args.shard_mem * 1024 * 1024,
+        target_ci=getattr(args, "target_ci", None),
+        sanitize=getattr(args, "sanitize", False),
+    )
+
+
 def _dispatch(args) -> int:
     if args.command == "table":
         print(_run_table(args.id, args.cycles, args.seed))
@@ -974,21 +959,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.time()
 
     def dispatch_in_context() -> int:
-        from repro.exec import ExecutionContext, ResultCache, use_execution
+        from repro.exec import use_execution
 
-        # the batch/cache commands manage their own cache handle
-        cache_dir = args.cache if args.command not in ("batch", "cache") else None
-        shard_mib = getattr(args, "shard_mem", None)
-        context = ExecutionContext(
-            workers=args.workers or 1,
-            cache=ResultCache(cache_dir) if cache_dir else None,
-            vectorize=getattr(args, "vectorize_replicas", False),
-            backend=getattr(args, "backend", "auto"),
-            shard_mem=shard_mib * 1024 * 1024 if shard_mib is not None else None,
-            target_ci=getattr(args, "target_ci", None),
-            sanitize=getattr(args, "sanitize", False),
-        )
-        with use_execution(context):
+        with use_execution(_execution_context(args)):
             return _dispatch(args)
 
     metrics_out = getattr(args, "metrics_out", None)

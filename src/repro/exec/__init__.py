@@ -5,10 +5,10 @@ runs on:
 
 * **specs** (:mod:`repro.exec.spec`) -- declarative scenario
   descriptions with stable SHA-256 content digests;
-* **runner** (:mod:`repro.exec.runner`) -- :func:`run_many` over a
-  chunked process pool with deterministic per-position seed
-  derivation, bounded retries, per-task timeouts, and partial-result
-  reporting;
+* **runner** (:mod:`repro.exec.runner`) -- :func:`run_many`, one
+  dispatcher for in-process and pooled jobs with deterministic
+  per-position seed derivation, bounded retries, per-task timeouts,
+  and partial-result reporting;
 * **cache** (:mod:`repro.exec.cache`) -- digest-keyed on-disk results
   under ``.repro-cache/`` so repeated batches skip completed
   simulations;
@@ -43,7 +43,6 @@ from repro.exec.context import (
 )
 from repro.exec.runner import (
     BatchResult,
-    LocalPool,
     TaskOutcome,
     execute_spec,
     run_many,
@@ -89,7 +88,6 @@ __all__ = [
     "stream_totals",
     # runner
     "BatchResult",
-    "LocalPool",
     "TaskOutcome",
     "execute_spec",
     "run_many",

@@ -29,8 +29,12 @@ tracked cohort.  Rehydration (:func:`payload_to_result`) is therefore
 identical for "fresh from a worker" and "read from disk", which is what
 makes cached, serial, and parallel runs bit-for-bit interchangeable.
 
-Writes go through a temp file + :func:`os.replace`, so concurrent
-writers of the same digest race benignly (same content either way).
+The metadata document is compact JSON (entries written indented by
+older versions parse the same).  Writes go through a temp file +
+:func:`os.replace`, so concurrent writers of the same digest -- threads
+of one service or separate processes -- race benignly (same content
+either way), and a reader never sees a torn entry.  Nothing else
+coordinates them: at worst a digest is simulated twice.
 """
 
 from __future__ import annotations
@@ -39,11 +43,10 @@ import json
 import os
 import shutil
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -55,7 +58,6 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
     "CacheStats",
-    "InFlight",
     "ResultCache",
     "result_to_payload",
     "payload_to_result",
@@ -219,21 +221,6 @@ class CacheStats:
         )
 
 
-@dataclass(frozen=True)
-class InFlight:
-    """A claim on an in-progress computation (see ``get_or_begin``).
-
-    ``leader`` is ``True`` for exactly one concurrent claimant per
-    digest: that thread computes and must call
-    :meth:`ResultCache.finish` (in a ``finally``) after storing the
-    result.  Followers ``event.wait(timeout)`` and then re-``get``.
-    """
-
-    digest: str
-    event: threading.Event
-    leader: bool
-
-
 class ResultCache:
     """Digest-keyed result store under one root directory.
 
@@ -247,9 +234,6 @@ class ResultCache:
         #: process-local counters, reported by :meth:`stats`
         self.hits = 0
         self.misses = 0
-        #: in-process in-flight registry: digest -> completion event
-        self._inflight: Dict[str, threading.Event] = {}
-        self._inflight_lock = threading.Lock()
 
     def _entry_paths(self, digest: str) -> tuple:
         base = self.root / f"v{CACHE_SCHEMA_VERSION}" / digest[:2]
@@ -278,46 +262,6 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def get_or_begin(self, spec) -> Tuple[Optional[NetworkResult], Optional[InFlight]]:
-        """Cache lookup that deduplicates concurrent identical misses.
-
-        Returns ``(result, None)`` on a hit.  On a miss, exactly one
-        concurrent caller per digest receives a *leader* token
-        (``InFlight.leader`` true) and should compute, :meth:`put`, and
-        :meth:`finish` -- ``finish`` in a ``finally``, so a crashed
-        leader releases its claim.  Every other concurrent caller
-        receives a *follower* token: ``token.event.wait(timeout)`` then
-        re-:meth:`get` (a miss after the wait means the leader failed;
-        the follower should compute for itself).
-
-        The registry is in-process (``threading.Event`` keyed by
-        digest): it serves threaded callers such as the
-        :mod:`repro.api` job manager, not separate processes -- those
-        still race benignly through the atomic on-disk writes.
-        """
-        result = self.get(spec)
-        if result is not None:
-            return result, None
-        digest = spec.digest
-        with self._inflight_lock:
-            event = self._inflight.get(digest)
-            if event is not None:
-                return None, InFlight(digest=digest, event=event, leader=False)
-            event = threading.Event()
-            self._inflight[digest] = event
-            return None, InFlight(digest=digest, event=event, leader=True)
-
-    def finish(self, spec) -> None:
-        """Release a leader claim taken by :meth:`get_or_begin`.
-
-        Wakes every follower waiting on the digest.  Idempotent; a
-        digest with no claim is a no-op.
-        """
-        with self._inflight_lock:
-            event = self._inflight.pop(spec.digest, None)
-        if event is not None:
-            event.set()
-
     def put(self, spec, result: Union[NetworkResult, dict]) -> None:
         """Store a result (or its payload form) under ``spec``'s digest."""
         payload = result_to_payload(result) if isinstance(result, NetworkResult) else result
@@ -340,7 +284,8 @@ class ResultCache:
         arrays["tracked_rows"] = _narrowest(arrays["tracked_rows"])
         self._atomic_write(npz_path, lambda fh: np.savez(fh, **arrays))
         self._atomic_write(
-            meta_path, lambda fh: fh.write(json.dumps(meta, indent=2).encode() + b"\n")
+            meta_path,
+            lambda fh: fh.write(json.dumps(meta, separators=(",", ":")).encode() + b"\n"),
         )
 
     @staticmethod

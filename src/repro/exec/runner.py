@@ -1,4 +1,4 @@
-"""Parallel experiment runner: process pool, retries, partial results.
+"""Parallel experiment runner: one dispatcher, retries, partial results.
 
 :func:`run_many` takes a batch of :class:`~repro.exec.spec.ExperimentSpec`
 and produces a :class:`BatchResult` holding one :class:`TaskOutcome`
@@ -16,25 +16,38 @@ per spec, in spec order.  The contract:
 * **Robustness** -- a task that raises is retried up to ``retries``
   times; a task that exhausts its retries is reported as ``"failed"``
   (with the worker traceback) while every other task still completes.
-  A batch never aborts because one scenario is sick.
-* **Observability** -- each outcome fires the optional ``progress``
-  callback, and an active :func:`repro.obs.session` records an
-  ``exec-batch-NNNN.json`` manifest for the whole batch.
+  A worker process that dies fails the jobs its pool held, not the
+  batch: they are retried on a fresh pool.  A batch never aborts
+  because one scenario is sick.
+* **Observability** -- each outcome (and each retry) fires the
+  optional ``progress`` callback, and an active
+  :func:`repro.obs.session` records an ``exec-batch-NNNN.json``
+  manifest for the whole batch.
+
+Every batch is split into jobs (lists of specs) and run by one
+dispatcher, :func:`_dispatch_jobs`: in-process for one worker or one
+job, on a process pool otherwise.  A job's failed members are retried
+together as one job; members that succeeded never run again.
 
 Timeout semantics: ``timeout`` bounds how long the parent waits per
-dispatched chunk (``timeout * chunk_len`` seconds from dispatch).  An
-expired chunk is treated as one failure of each of its tasks and
-retried under the same bound.  CPython cannot preempt a worker mid-
-simulation, so a genuinely hung worker still occupies its process slot
-until pool shutdown -- the timeout bounds *batch bookkeeping*, not
-worker CPU time.
+pool job (``timeout * len(job)`` seconds from dispatch).  An expired
+job counts one failed attempt of each of its specs, which are retried
+together under the same bound.  In-process jobs run unbounded.
+CPython cannot preempt a worker mid-simulation, so a genuinely hung
+worker still occupies its process slot until pool shutdown -- the
+timeout bounds *batch bookkeeping*, not worker CPU time.
 """
 
 from __future__ import annotations
 
 import traceback
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
@@ -51,7 +64,7 @@ from repro.simulation.rng import DEFAULT_SEED
 if TYPE_CHECKING:  # pragma: no cover - typing only, expdb imports lazily
     from repro.expdb.db import ExperimentDB
 
-__all__ = ["TaskOutcome", "BatchResult", "LocalPool", "run_many", "execute_spec"]
+__all__ = ["TaskOutcome", "BatchResult", "run_many", "execute_spec"]
 
 
 def execute_spec(spec: ExperimentSpec) -> NetworkResult:
@@ -129,18 +142,21 @@ def _run_shard(specs: List[ExperimentSpec], backend: str = "auto") -> List[tuple
         return [("err", traceback.format_exc(limit=20))] * len(specs)
 
 
-def _run_stacked(
-    specs, pending, outcomes, *,
-    workers, retries, timeout, cache, progress, backend="auto", shard_mem=None,
-) -> None:
-    """Execute the pending specs as stacked shards.
+def _plan_jobs(specs, pending, *, workers, vectorize, shard_mem) -> List[List[int]]:
+    """Split the pending spec indices into dispatch jobs.
 
-    Pending specs are grouped by shape; each group is split into shards
-    of :func:`~repro.exec.sharded.plan_shard_size` specs under the byte
-    budget ``shard_mem`` (finite-buffer specs run one by one, serially).
-    Cached specs were skipped before: a spec's result depends neither
-    on its shard-mates nor on the shard size.
+    Per-spec work runs one spec per job in-process, so each progress
+    event fires when its spec finishes, and about four chunks per
+    worker on a pool, which keeps the pool fed without making one slow
+    chunk the long pole.  Stacked work groups the specs by shape and
+    splits each group into shards of
+    :func:`~repro.exec.sharded.plan_shard_size` specs under the byte
+    budget ``shard_mem`` (finite-buffer specs run one by one).  A
+    spec's result depends neither on its job-mates nor on the job size.
     """
+    if not vectorize:
+        size = 1 if workers == 1 else -(-len(pending) // (workers * 4))
+        return [pending[j : j + size] for j in range(0, len(pending), size)]
     from repro.exec.sharded import plan_shard_size
 
     jobs: List[List[int]] = []
@@ -152,11 +168,7 @@ def _run_stacked(
         else:
             size = plan_shard_size(first.config, first.n_cycles, shard_mem)
         jobs.extend(members[j : j + size] for j in range(0, len(members), size))
-    _dispatch_jobs(
-        specs, jobs, outcomes, workers=workers, retries=retries,
-        timeout=timeout, cache=cache, progress=progress,
-        execute=partial(_run_shard, backend=backend),
-    )
+    return jobs
 
 
 def _dispatch_jobs(
@@ -166,92 +178,97 @@ def _dispatch_jobs(
     """Run jobs (lists of spec indices) in-process or on a pool, with retries.
 
     ``execute(specs_list)`` returns one ``("ok"|"err", ...)`` per spec
-    and must be picklable for pooled dispatch.  A job's failed members
-    are retried together as one job, under the same timeout.
+    and must be picklable for pooled dispatch.  One worker or one job
+    runs in-process, each retry right after its failure; otherwise the
+    jobs and their retries share a pool, under ``timeout``.  A job's
+    failed members are retried together as one job.  A worker that
+    dies breaks its pool: every job the pool held counts one failed
+    attempt, and the retries go to a fresh pool.
     """
 
-    def finish(job, attempt, job_out) -> List[tuple]:
-        """Finish a job's members; return member-level errors."""
-        errors = []
+    def settle(job, attempt, job_out, retry) -> None:
+        """Finish a job's members; pass the ones to try again to ``retry``."""
+        again = []
         for i, (kind, value) in zip(job, job_out, strict=True):
             if kind == "ok":
                 _finish_ok(outcomes, specs, i, value, attempt, cache, progress)
-            else:
-                errors.append((i, value))
-        return errors
-
-    def handle_errors(attempt, errors, resubmit) -> None:
-        if attempt <= retries:
-            for i, error in errors:
+            elif attempt <= retries:
                 _emit(
                     progress,
                     TaskOutcome(
                         index=i, spec=specs[i], status="retry",
-                        error=error, attempts=attempt,
+                        error=value, attempts=attempt,
                     ),
                 )
-            resubmit([i for i, _ in errors], attempt + 1)
-        else:
-            for i, error in errors:
-                _finish_failed(outcomes, specs, i, error, attempt, progress)
+                again.append(i)
+            else:
+                _finish_failed(outcomes, specs, i, value, attempt, progress)
+        if again:
+            retry(again, attempt + 1)
 
     if workers == 1 or len(jobs) == 1:
-        pending = [(job, 1) for job in jobs]
-        while pending:
-            job, attempt = pending.pop(0)
-            errors = finish(job, attempt, execute([specs[i] for i in job]))
-            if errors:
-                handle_errors(
-                    attempt, errors, lambda again, n: pending.insert(0, (again, n))
-                )
+        stack = [(job, 1) for job in reversed(jobs)]
+        while stack:
+            job, attempt = stack.pop()
+            settle(
+                job, attempt, execute([specs[i] for i in job]),
+                lambda again, n: stack.append((again, n)),
+            )
         return
 
-    futures = {}  # future -> (job, attempt, dispatch time)
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(jobs)), initializer=_worker_init
-    ) as pool:
+    def pool_round(todo) -> List[tuple]:
+        """Run jobs and their retries on one pool; return the retries a
+        broken pool refused."""
+        refused: List[tuple] = []
+        futures = {}  # future -> (job, attempt, dispatch time)
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(todo)), initializer=_worker_init
+        ) as pool:
 
-        def submit(job, attempt: int) -> None:
-            fut = pool.submit(execute, [specs[i] for i in job])
-            futures[fut] = (job, attempt, perf_counter())
+            def submit(job, attempt: int) -> None:
+                try:
+                    fut = pool.submit(execute, [specs[i] for i in job])
+                except BrokenExecutor:
+                    refused.append((job, attempt))
+                else:
+                    futures[fut] = (job, attempt, perf_counter())
 
-        for job in jobs:
-            submit(job, 1)
-
-        while futures:
-            if timeout is None:
-                done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-            else:
-                now = perf_counter()
-                deadlines = {
-                    fut: t0 + timeout * len(job)
-                    for fut, (job, _, t0) in futures.items()
-                }
-                slack = max(0.0, min(deadlines.values()) - now)
+            for job, attempt in todo:
+                submit(job, attempt)
+            while futures:
+                slack = None
+                if timeout is not None:
+                    first = min(t0 + timeout * len(job) for job, _, t0 in futures.values())
+                    slack = max(0.0, first - perf_counter())
                 done, _ = wait(set(futures), timeout=slack, return_when=FIRST_COMPLETED)
-                if not done:
-                    now = perf_counter()
-                    expired = [f for f, d in deadlines.items() if now >= d]
-                    for fut in expired:
-                        job, attempt, _ = futures.pop(fut)
-                        fut.cancel()
+                for fut in done:
+                    job, attempt, _ = futures.pop(fut)
+                    try:
+                        job_out = fut.result()
+                    except Exception:
+                        # the job never ran to the end: its worker died
+                        # (BrokenProcessPool) or it could not be shipped
+                        job_out = [("err", traceback.format_exc(limit=10))] * len(job)
+                    settle(job, attempt, job_out, submit)
+                if timeout is None:
+                    continue
+                now = perf_counter()
+                for fut, (job, attempt, t0) in list(futures.items()):
+                    if now >= t0 + timeout * len(job):
+                        del futures[fut]
+                        fut.cancel()  # frees the slot if not yet started
                         note = (
                             f"timeout: no result within "
                             f"{timeout * len(job):.1f}s of dispatch"
                         )
-                        handle_errors(attempt, [(i, note) for i in job], submit)
-                    continue
-            for fut in done:
-                job, attempt, _ = futures.pop(fut)
-                try:
-                    job_out = fut.result()
-                except Exception:
-                    error = traceback.format_exc(limit=10)
-                    handle_errors(attempt, [(i, error) for i in job], submit)
-                    continue
-                errors = finish(job, attempt, job_out)
-                if errors:
-                    handle_errors(attempt, errors, submit)
+                        settle(job, attempt, [("err", note)] * len(job), submit)
+        return refused
+
+    # a pool whose worker died refuses new jobs: each round's refused
+    # retries run on a fresh pool
+    todo = [(job, 1) for job in jobs]
+    while todo:
+        todo = pool_round(todo)
 
 
 @dataclass
@@ -403,122 +420,6 @@ def _finish_failed(outcomes, specs, i, error, attempts, progress) -> None:
     _emit(progress, outcomes[i])
 
 
-def _run_serial(specs, pending, outcomes, retries, task_fn, cache, progress) -> None:
-    for i in pending:
-        attempts = 0
-        while True:
-            attempts += 1
-            (kind, value), = _run_chunk([specs[i]], task_fn)
-            if kind == "ok":
-                _finish_ok(outcomes, specs, i, value, attempts, cache, progress)
-                break
-            if attempts <= retries:
-                continue
-            _finish_failed(outcomes, specs, i, value, attempts, progress)
-            break
-
-
-class LocalPool:
-    """Chunked dispatch onto a :class:`ProcessPoolExecutor` with retries.
-
-    Tasks are submitted in chunks (amortising IPC and fork overhead);
-    failures within a chunk are retried *individually*, so one sick
-    scenario never drags its chunk-mates back through the pool.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        retries: int = 1,
-        timeout: Optional[float] = None,
-        chunksize: Optional[int] = None,
-    ) -> None:
-        self.workers = workers
-        self.retries = retries
-        self.timeout = timeout
-        self.chunksize = chunksize
-
-    def _chunks(self, pending: List[int]) -> List[List[int]]:
-        size = self.chunksize
-        if size is None:
-            # ~4 chunks per worker keeps the pool fed without making
-            # one slow chunk the long pole
-            size = max(1, -(-len(pending) // (self.workers * 4)))
-        return [pending[j : j + size] for j in range(0, len(pending), size)]
-
-    def run(self, specs, pending, outcomes, task_fn, cache, progress) -> None:
-        futures = {}  # future -> (index list, attempt number, dispatch time)
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(pending)), initializer=_worker_init
-        ) as pool:
-
-            def submit(idx_list: List[int], attempt: int) -> None:
-                fut = pool.submit(_run_chunk, [specs[i] for i in idx_list], task_fn)
-                futures[fut] = (idx_list, attempt, perf_counter())
-
-            def handle_error(i: int, attempt: int, error: str) -> None:
-                if attempt <= self.retries:
-                    _emit(
-                        progress,
-                        TaskOutcome(
-                            index=i, spec=specs[i], status="retry",
-                            error=error, attempts=attempt,
-                        ),
-                    )
-                    submit([i], attempt + 1)
-                else:
-                    _finish_failed(outcomes, specs, i, error, attempt, progress)
-
-            for chunk in self._chunks(pending):
-                submit(chunk, 1)
-
-            while futures:
-                if self.timeout is None:
-                    done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                else:
-                    now = perf_counter()
-                    deadlines = {
-                        fut: t0 + self.timeout * len(idx)
-                        for fut, (idx, _, t0) in futures.items()
-                    }
-                    slack = max(0.0, min(deadlines.values()) - now)
-                    done, _ = wait(
-                        set(futures), timeout=slack, return_when=FIRST_COMPLETED
-                    )
-                    if not done:
-                        now = perf_counter()
-                        expired = [f for f, d in deadlines.items() if now >= d]
-                        for fut in expired:
-                            idx_list, attempt, t0 = futures.pop(fut)
-                            fut.cancel()  # frees the slot if not yet started
-                            note = (
-                                f"timeout: no result within "
-                                f"{self.timeout * len(idx_list):.1f}s of dispatch"
-                            )
-                            for i in idx_list:
-                                handle_error(i, attempt, note)
-                        continue
-                for fut in done:
-                    idx_list, attempt, _ = futures.pop(fut)
-                    try:
-                        chunk_out = fut.result()
-                    except Exception:
-                        # the worker process died (or the chunk call
-                        # itself broke); every spec in it counts one
-                        # failed attempt
-                        error = traceback.format_exc(limit=10)
-                        for i in idx_list:
-                            handle_error(i, attempt, error)
-                        continue
-                    for i, (kind, value) in zip(idx_list, chunk_out, strict=True):
-                        if kind == "ok":
-                            _finish_ok(
-                                outcomes, specs, i, value, attempt, cache, progress
-                            )
-                        else:
-                            handle_error(i, attempt, value)
-
-
 def run_many(
     specs: Sequence[ExperimentSpec],
     *,
@@ -526,7 +427,6 @@ def run_many(
     cache: Optional[ResultCache] = None,
     retries: int = 1,
     timeout: Optional[float] = None,
-    chunksize: Optional[int] = None,
     base_seed: int = DEFAULT_SEED,
     progress: Optional[Callable[[dict], None]] = None,
     task_fn: Optional[Callable[[ExperimentSpec], NetworkResult]] = None,
@@ -540,18 +440,18 @@ def run_many(
     Parameters
     ----------
     workers:
-        Process count; ``1`` (default) runs in-process with no pool.
+        Process count; ``1`` (default) runs in-process with no pool, one
+        spec per job; ``N`` runs about four jobs per worker on a pool.
     cache:
         Optional :class:`ResultCache`; hits skip simulation, fresh
         completions are written back.
     retries:
         Extra attempts after a task's first failure (so a task runs at
-        most ``retries + 1`` times).
+        most ``retries + 1`` times); a job's failed members retry
+        together, each with a ``"retry"`` progress event.
     timeout:
-        Per-task seconds the parent waits for a dispatched chunk
+        Per-task seconds the parent waits for a dispatched job
         (pool mode only; see module docstring for the exact semantics).
-    chunksize:
-        Specs per pool submission; default targets ~4 chunks/worker.
     base_seed:
         Feeds :func:`~repro.exec.spec.resolve_seeds` for specs whose
         config has no seed.
@@ -573,7 +473,7 @@ def run_many(
         one a serial run gives it.  Finite-buffer specs run serially.
         ``track_limit=0`` specs return streaming totals summaries instead
         of per-message panels (see ``docs/scaling.md``).  Incompatible
-        with ``task_fn`` and ``chunksize``.
+        with ``task_fn``.
     shard_mem:
         Per-shard working-set budget in bytes of the stacked path
         (default :data:`~repro.exec.sharded.DEFAULT_SHARD_MEM`,
@@ -601,8 +501,6 @@ def run_many(
     vectorize = vectorize or shard_mem is not None
     if vectorize and task_fn is not None:
         raise ExecutionError("vectorize=True cannot run a custom task_fn")
-    if vectorize and chunksize is not None:
-        raise ExecutionError("vectorize=True shards specs itself; drop chunksize")
     if backend not in BACKEND_CHOICES:
         raise ExecutionError(
             f"backend must be one of {', '.join(map(repr, BACKEND_CHOICES))}; "
@@ -624,19 +522,18 @@ def run_many(
             pending.append(i)
 
     if pending:
-        if vectorize:
-            _run_stacked(
-                specs, pending, outcomes,
-                workers=workers, retries=retries, timeout=timeout,
-                cache=cache, progress=progress, backend=backend,
-                shard_mem=shard_mem,
-            )
-        elif workers == 1 or len(pending) == 1:
-            _run_serial(specs, pending, outcomes, retries, task_fn, cache, progress)
-        else:
-            LocalPool(workers, retries=retries, timeout=timeout, chunksize=chunksize).run(
-                specs, pending, outcomes, task_fn, cache, progress
-            )
+        execute = (
+            partial(_run_shard, backend=backend)
+            if vectorize
+            else partial(_run_chunk, task_fn=task_fn)
+        )
+        jobs = _plan_jobs(
+            specs, pending, workers=workers, vectorize=vectorize, shard_mem=shard_mem
+        )
+        _dispatch_jobs(
+            specs, jobs, outcomes, workers=workers, retries=retries,
+            timeout=timeout, cache=cache, progress=progress, execute=execute,
+        )
 
     batch = BatchResult(
         outcomes=list(outcomes), workers=workers,

@@ -117,16 +117,24 @@ class ExperimentSpec:
 
     @property
     def digest(self) -> str:
-        """Stable SHA-256 content digest (hex, 64 chars)."""
-        blob = _canonical_json(self.identity())
-        if " at 0x" in blob:
-            # the repr fallback of config_to_jsonable leaked a memory
-            # address (e.g. a service model without a stable __repr__)
-            raise ExecutionError(
-                "config contains an object without a value-based repr; "
-                "its digest would differ between processes"
-            )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """Stable SHA-256 content digest (hex, 64 chars).
+
+        Computed on first read and kept on the instance (the spec is
+        frozen; :func:`dataclasses.replace` builds a new one).
+        """
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            blob = _canonical_json(self.identity())
+            if " at 0x" in blob:
+                # the repr fallback of config_to_jsonable leaked a memory
+                # address (e.g. a service model without a stable __repr__)
+                raise ExecutionError(
+                    "config contains an object without a value-based repr; "
+                    "its digest would differ between processes"
+                )
+            digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def to_jsonable(self) -> dict:
         """JSON-ready record (identity fields + label + digest)."""

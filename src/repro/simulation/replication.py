@@ -95,13 +95,15 @@ def replicate(
     ``config``, which would silently correlate the runs), so the batch
     is deterministic and cacheable regardless of worker count.
 
-    The batch goes through :func:`repro.exec.run_many`; ``workers``
-    overrides the ambient :class:`~repro.exec.context.ExecutionContext`
-    (default: serial, no cache -- identical to the historical inline
-    loop).  ``vectorize=True`` runs the replications in stacked engines
+    The batch goes through :func:`repro.exec.context.run_batch` under
+    the ambient :class:`~repro.exec.context.ExecutionContext` (default:
+    serial, no cache -- identical to the historical inline loop);
+    ``workers`` and ``vectorize`` override it when given.
+    ``vectorize=True`` runs the replications in stacked engines
     (:mod:`repro.simulation.batched`) instead of ``R`` serial ones, with
     the same results; metrics/manifests are then off (stacked runs are
-    uninstrumented).  ``None`` defers to the ambient context.
+    uninstrumented).  ``vectorize=False`` runs serially even under an
+    ambient shard budget.
     """
     if n_replications < 2:
         raise SimulationError("need at least 2 replications for an interval")
@@ -109,13 +111,17 @@ def replicate(
         raise SimulationError(
             f"replicate() needs an integer warm-up (or None), got {warmup!r}"
         )
-    from repro.exec.context import current_execution
-    from repro.exec.runner import run_many
+    from repro.exec.context import current_execution, run_batch
     from repro.exec.spec import ExperimentSpec
 
-    ctx = current_execution()
-    effective_workers = ctx.workers if workers is None else workers
-    effective_vectorize = ctx.vectorize if vectorize is None else vectorize
+    overrides: dict = {}
+    if workers is not None:
+        overrides["workers"] = workers
+    if vectorize is not None:
+        overrides["vectorize"] = vectorize
+        if not vectorize:
+            overrides["shard_mem"] = None  # a shard budget implies stacking
+    ctx = replace(current_execution(), **overrides)
     specs = [
         ExperimentSpec(
             config=replace(config, seed=base_seed + i),
@@ -125,23 +131,11 @@ def replicate(
         )
         for i in range(n_replications)
     ]
-    batch = run_many(
-        specs,
-        workers=effective_workers,
-        cache=ctx.cache,
-        retries=ctx.retries,
-        timeout=ctx.timeout,
-        vectorize=effective_vectorize,
-    )
-    batch.raise_on_failure()
+    batch = run_batch(specs, **overrides).raise_on_failure()
     out = batch.results()
     session = current_session()
-    if (
-        session is not None
-        and effective_workers == 1
-        and batch.n_cached == 0
-        and not effective_vectorize
-    ):
+    inline = ctx.workers == 1 and not ctx.vectorize and ctx.shard_mem is None
+    if session is not None and inline and batch.n_cached == 0:
         # tie the per-run manifests together as one reproducible batch
         # (run manifests only exist when the runs happened inline in
         # this process; parallel/cached batches are indexed by the
@@ -207,13 +201,14 @@ def replicate_until(
     stop after the pilot while noisy ones approach their forecast in
     O(log) rounds rather than creeping one replication at a time.
 
-    Replications are executed through :func:`repro.exec.run_many` under
-    the ambient :class:`~repro.exec.context.ExecutionContext` (its
-    ``vectorize`` and ``shard_mem``; ``workers`` and ``shard_mem``
-    override it; ``shard_mem`` implies stacked shards).  Every replica's
-    result depends only on its own spec, so a grown round re-submits
-    the earlier rounds' specs and the cache (when ambient) serves them;
-    without a cache they are re-simulated, bit-identically.
+    Replications are executed through
+    :func:`repro.exec.context.run_batch` under the ambient
+    :class:`~repro.exec.context.ExecutionContext`; ``workers`` and
+    ``shard_mem`` override it (``shard_mem`` implies stacked shards).
+    Every replica's result depends only on its own spec, so a grown
+    round re-submits the earlier rounds' specs and the cache (when
+    ambient) serves them; without a cache they are re-simulated,
+    bit-identically.
 
     The early-stopping contract asserted by the tests: for a
     low-variance scenario, ``engine_cycles`` is strictly less than the
@@ -230,13 +225,14 @@ def replicate_until(
         raise SimulationError(f"r_max {r_max} < pilot size r0 {r0}")
     if not 0 < confidence < 1:
         raise SimulationError(f"confidence {confidence} outside (0, 1)")
-    from repro.exec.context import current_execution
-    from repro.exec.runner import run_many
+    from repro.exec.context import run_batch
     from repro.exec.spec import ExperimentSpec
 
-    ctx = current_execution()
-    effective_workers = ctx.workers if workers is None else workers
-    effective_shard_mem = ctx.shard_mem if shard_mem is None else shard_mem
+    overrides: dict = {}
+    if workers is not None:
+        overrides["workers"] = workers
+    if shard_mem is not None:
+        overrides["shard_mem"] = shard_mem
 
     def specs_for(count: int) -> list:
         return [
@@ -254,16 +250,7 @@ def replicate_until(
     simulated = 0
     while True:
         rounds += 1
-        batch = run_many(
-            specs_for(n),
-            workers=effective_workers,
-            cache=ctx.cache,
-            retries=ctx.retries,
-            timeout=ctx.timeout,
-            vectorize=ctx.vectorize,
-            shard_mem=effective_shard_mem,
-        )
-        batch.raise_on_failure()
+        batch = run_batch(specs_for(n), **overrides).raise_on_failure()
         simulated += batch.n_simulated
         agg = replicated_statistic(batch.results(), statistic, confidence)
         if agg.half_width <= target_half_width or n >= r_max:

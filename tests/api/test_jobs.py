@@ -166,6 +166,34 @@ class TestEvents:
         finally:
             manager.stop()
 
+    def test_retry_streams_at_one_worker(self, tmp_path):
+        calls = []
+
+        def fails_once(spec):
+            calls.append(spec.digest)
+            if len(calls) == 1:
+                raise RuntimeError("injected transient failure")
+            return execute_spec(spec)
+
+        manager = JobManager(
+            executors=1,
+            retries=1,
+            cache=ResultCache(tmp_path / "cache"),
+            task_fn=fails_once,
+        )
+        try:
+            spec = make_spec(label="flaky")
+            manager.submit(spec)
+            job = wait_done(manager, spec.digest)
+            events, done = manager.wait_events(spec.digest, 0, timeout=1.0)
+            assert done and job.status == "done" and job.attempts == 2
+            assert [e["event"] for e in events] == [
+                "queued", "running", "retry", "completed", "done",
+            ]
+            assert "injected transient failure" in events[2]["error"]
+        finally:
+            manager.stop()
+
     def test_wait_events_cursor_and_timeout(self, tmp_path):
         manager = JobManager(executors=1, cache=ResultCache(tmp_path / "cache"))
         try:

@@ -220,6 +220,22 @@ class TestOnDiskEncoding:
         assert_results_identical(result, hit)
         assert np.array_equal(hit.tracked.totals(), result.tracked.totals())
 
+    def test_metadata_is_compact_and_indented_entries_are_served(
+        self, tmp_path, spec, result
+    ):
+        """New metadata is one compact JSON line; an entry written
+        indented by the earlier encoding is still a hit."""
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(spec, result)
+        meta_path, _ = cache._entry_paths(spec.digest)
+        text = meta_path.read_text()
+        assert text.count("\n") == 1 and ", " not in text and ": " not in text
+        doc = json.loads(text)
+        assert doc["schema_version"] == cache_mod.CACHE_SCHEMA_VERSION == 2
+        assert doc["digest"] == doc["spec"]["digest"] == spec.digest
+        meta_path.write_text(json.dumps(doc, indent=2) + "\n")
+        assert_results_identical(result, cache.get(spec))
+
 
 class TestStatsAndClear:
     def test_stats(self, tmp_path, spec, result):
@@ -243,77 +259,3 @@ class TestStatsAndClear:
         assert cache.entries() == []
         assert cache.get(spec) is None
         assert cache.clear() == 0
-
-
-class TestGetOrBegin:
-    """In-process in-flight dedup (the repro.api leader/follower guard)."""
-
-    def test_hit_returns_result_and_no_token(self, tmp_path, spec, result):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put(spec, result)
-        got, token = cache.get_or_begin(spec)
-        assert token is None
-        assert_results_identical(got, result)
-
-    def test_miss_elects_exactly_one_leader(self, tmp_path, spec):
-        cache = ResultCache(tmp_path / "cache")
-        _, first = cache.get_or_begin(spec)
-        _, second = cache.get_or_begin(spec)
-        assert first.leader and not second.leader
-        assert first.digest == second.digest == spec.digest
-        assert first.event is second.event
-
-    def test_finish_is_idempotent_and_releases_claim(self, tmp_path, spec):
-        cache = ResultCache(tmp_path / "cache")
-        _, token = cache.get_or_begin(spec)
-        assert token.leader
-        cache.finish(spec)
-        assert token.event.is_set()
-        cache.finish(spec)  # no claim left: a no-op
-        _, again = cache.get_or_begin(spec)
-        assert again.leader  # the digest is claimable again
-
-    def test_two_waiters_one_compute(self, tmp_path, spec, result):
-        """Two follower threads block on the leader's event, then both
-        read the single computed entry -- the engine runs once."""
-        import threading
-
-        cache = ResultCache(tmp_path / "cache")
-        computes = []
-        outcomes = {}
-        ready = threading.Barrier(3)
-
-        def worker(name):
-            ready.wait()
-            got, token = cache.get_or_begin(spec)
-            if got is not None:
-                outcomes[name] = ("hit", got)
-                return
-            if token.leader:
-                try:
-                    computes.append(name)
-                    cache.put(spec, result)
-                finally:
-                    cache.finish(spec)
-                outcomes[name] = ("computed", result)
-            else:
-                assert token.event.wait(10.0)
-                got = cache.get(spec)
-                assert got is not None
-                outcomes[name] = ("waited", got)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(3)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert len(computes) == 1
-        assert len(outcomes) == 3
-        kinds = sorted(kind for kind, _ in outcomes.values())
-        # one thread computed; the others either waited on the event or
-        # raced in after the disk write and saw a plain hit
-        assert kinds.count("computed") == 1
-        for kind, got in outcomes.values():
-            assert_results_identical(got, result)

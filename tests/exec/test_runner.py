@@ -53,6 +53,38 @@ def _sleepy_task(spec):
     return execute_spec(spec)
 
 
+def _flaky_or_doomed_task(spec):
+    """'flaky' fails once (across all processes), 'doomed' every time."""
+    return _doomed_task(spec) if spec.label == "doomed" else _flaky_task(spec)
+
+
+#: the test process; a task may only kill a pool worker, never it
+_TEST_PID = os.getpid()
+
+
+def _exit_worker() -> None:
+    if os.getpid() == _TEST_PID:
+        raise RuntimeError("refusing to kill the test process")
+    os._exit(3)
+
+
+def _dies_once_task(spec):
+    """Kill the worker running the 'dying' spec, on its first attempt only."""
+    if spec.label == "dying":
+        flag = Path(os.environ[_FLAG_ENV]) / "died"
+        if not flag.exists():
+            flag.write_text("x")
+            _exit_worker()
+    return execute_spec(spec)
+
+
+def _always_dies_task(spec):
+    """Kill the worker running the 'dying' spec, on every attempt."""
+    if spec.label == "dying":
+        _exit_worker()
+    return execute_spec(spec)
+
+
 # ----------------------------------------------------------------------
 
 
@@ -73,6 +105,18 @@ def make_specs(n=6, n_cycles=600, seeded=True):
         )
         for i, p in enumerate(loads)
     ]
+
+
+def relabel(spec, label):
+    return ExperimentSpec(config=spec.config, n_cycles=spec.n_cycles, label=label)
+
+
+def events_by_spec(events):
+    """``index -> [(event, attempts), ...]`` in emission order."""
+    out = {}
+    for event in events:
+        out.setdefault(event["index"], []).append((event["event"], event["attempts"]))
+    return out
 
 
 def assert_batches_identical(a, b):
@@ -195,8 +239,7 @@ class TestFaultTolerance:
             config=specs[0].config, n_cycles=specs[0].n_cycles, label="sleepy"
         )
         batch = run_many(
-            specs, workers=2, retries=0, timeout=0.25,
-            chunksize=1, task_fn=_sleepy_task,
+            specs, workers=2, retries=0, timeout=0.25, task_fn=_sleepy_task,
         )
         assert batch.outcomes[0].status == "failed"
         assert "timeout" in batch.outcomes[0].error
@@ -216,6 +259,99 @@ class TestFaultTolerance:
             run_many(make_specs(n=1), workers=0)
         with pytest.raises(ExecutionError):
             run_many(make_specs(n=1), retries=-1)
+
+
+class TestOneDispatcher:
+    """Serial and pooled batches share one retry, failure and event path."""
+
+    @staticmethod
+    def run_sick_batch(flag_dir, monkeypatch, workers):
+        flag_dir.mkdir()
+        monkeypatch.setenv(_FLAG_ENV, str(flag_dir))
+        specs = make_specs(n=4)
+        specs[1] = relabel(specs[1], "flaky")
+        specs[2] = relabel(specs[2], "doomed")
+        events = []
+        batch = run_many(
+            specs, workers=workers, retries=1, progress=events.append,
+            task_fn=_flaky_or_doomed_task,
+        )
+        return batch, events_by_spec(events)
+
+    def test_workers_1_and_2_agree_on_retries_and_events(self, tmp_path, monkeypatch):
+        serial, serial_events = self.run_sick_batch(tmp_path / "w1", monkeypatch, 1)
+        pooled, pooled_events = self.run_sick_batch(tmp_path / "w2", monkeypatch, 2)
+        expected = [("completed", 1), ("completed", 2), ("failed", 2), ("completed", 1)]
+        assert [(o.status, o.attempts) for o in serial.outcomes] == expected
+        assert [(o.status, o.attempts) for o in pooled.outcomes] == expected
+        assert serial_events == pooled_events
+        assert serial_events == {
+            0: [("completed", 1)],
+            1: [("retry", 1), ("completed", 2)],
+            2: [("retry", 1), ("failed", 2)],
+            3: [("completed", 1)],
+        }
+        for batch in (serial, pooled):
+            assert "injected permanent failure" in batch.outcomes[2].error
+        for i in (0, 1, 3):
+            a, b = serial.outcomes[i].result, pooled.outcomes[i].result
+            assert np.array_equal(a.stage_means, b.stage_means)
+            assert np.array_equal(a.tracked.complete_rows(), b.tracked.complete_rows())
+
+
+class TestWorkerDeath:
+    """A worker that dies fails the jobs its pool held, never the batch."""
+
+    def test_dead_worker_is_retried_on_a_fresh_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(_FLAG_ENV, str(tmp_path))
+        specs = make_specs(n=4)
+        specs[1] = relabel(specs[1], "dying")
+        events = []
+        batch = run_many(
+            specs, workers=2, retries=1, progress=events.append,
+            task_fn=_dies_once_task,
+        )
+        assert (tmp_path / "died").exists()
+        assert [o.status for o in batch.outcomes] == ["completed"] * 4
+        assert batch.outcomes[1].attempts == 2
+        assert all(o.attempts in (1, 2) for o in batch.outcomes)
+        (retry,) = [e for e in events if e["event"] == "retry" and e["index"] == 1]
+        assert "BrokenProcessPool" in retry["error"]
+        assert_batches_identical(batch, run_many(specs, workers=1))
+
+    def test_always_dying_spec_fails_without_aborting(self):
+        specs = make_specs(n=4)
+        specs[1] = relabel(specs[1], "dying")
+        batch = run_many(specs, workers=2, retries=0, task_fn=_always_dies_task)
+        dying = batch.outcomes[1]
+        assert (dying.status, dying.attempts) == ("failed", 1)
+        assert "BrokenProcessPool" in dying.error
+        for o in batch.outcomes:
+            # specs in flight in the broken pool spent their one attempt
+            assert o.status == "completed" or "BrokenProcessPool" in o.error
+
+    def test_dead_shard_worker_is_retried_on_a_fresh_pool(self, tmp_path, monkeypatch):
+        from repro.simulation import streamed
+
+        real = streamed.run_streamed
+        flag = tmp_path / "died"
+
+        def dies_once(*args, **kwargs):
+            if not flag.exists():
+                flag.write_text("x")
+                _exit_worker()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(streamed, "run_streamed", dies_once)
+        specs = make_specs(n=4)
+        # a one-byte budget puts every spec in a shard of its own: four
+        # pool jobs
+        batch = run_many(specs, workers=2, retries=1, shard_mem=1)
+        assert flag.exists()
+        assert [o.status for o in batch.outcomes] == ["completed"] * 4
+        assert sum(o.attempts == 2 for o in batch.outcomes) >= 1
+        monkeypatch.setattr(streamed, "run_streamed", real)
+        assert_batches_identical(batch, run_many(specs, workers=1))
 
 
 class TestObservability:
@@ -254,8 +390,8 @@ class TestObservability:
         ]
         run_many(specs, workers=1, retries=1, progress=events.append,
                  task_fn=_flaky_task)
-        assert [e["event"] for e in events] == ["completed"]
-        assert events[0]["attempts"] == 2
+        assert [e["event"] for e in events] == ["retry", "completed"]
+        assert [e["attempts"] for e in events] == [1, 2]
 
     def test_broken_progress_sink_does_not_abort(self):
         def bad_sink(event):

@@ -117,8 +117,6 @@ class TestShardedRunMany:
         specs = make_specs(2)
         with pytest.raises(ExecutionError, match="task_fn"):
             run_many(specs, shard_mem=1 << 20, task_fn=lambda s: None)
-        with pytest.raises(ExecutionError, match="chunksize"):
-            run_many(specs, shard_mem=1 << 20, chunksize=2)
 
 
 class TestShardPlanning:

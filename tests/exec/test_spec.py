@@ -57,6 +57,51 @@ class TestDigest:
             ExperimentSpec(bad, 2_000).digest
 
 
+class TestDigestMemo:
+    """The digest is computed once per instance and never goes stale."""
+
+    def test_many_reads_hash_once(self, monkeypatch):
+        import repro.exec.spec as spec_mod
+
+        calls = []
+        real = spec_mod._canonical_json
+
+        def counting(doc):
+            calls.append(doc)
+            return real(doc)
+
+        monkeypatch.setattr(spec_mod, "_canonical_json", counting)
+        s = spec()
+        assert len({s.digest for _ in range(9)}) == 1
+        assert len(calls) == 1
+
+    def test_replaced_and_pickled_specs_keep_the_right_digest(self):
+        import pickle
+
+        s = spec()
+        memo = s.digest
+        assert dataclasses.replace(s, label="renamed").digest == memo
+        longer = dataclasses.replace(s, n_cycles=3_000)
+        assert longer.digest == ExperimentSpec(s.config, n_cycles=3_000).digest != memo
+        reseeded = dataclasses.replace(s, config=dataclasses.replace(s.config, seed=8))
+        assert reseeded.digest == spec(seed=8).digest != memo
+        clone = pickle.loads(pickle.dumps(s))
+        assert clone == s and clone.digest == memo
+        cold = pickle.loads(pickle.dumps(spec(p=0.3)))
+        assert cold.digest == spec(p=0.3).digest
+
+    def test_memo_stays_out_of_equality_and_repr(self):
+        read, unread = spec(), spec()
+        read.digest
+        assert read == unread and repr(read) == repr(unread)
+
+    def test_pinned_smoke_digests_still_load(self):
+        from repro.exec.scenarios import load_scenarios
+
+        for s in load_scenarios("smoke"):
+            assert s.digest == dataclasses.replace(s).digest
+
+
 class TestValidation:
     def test_bad_cycles(self):
         cfg = NetworkConfig(k=2, n_stages=3, p=0.5, topology="random", width=32)

@@ -159,8 +159,6 @@ class TestRunMany:
         specs = spec_batch(2)
         with pytest.raises(ExecutionError, match="task_fn"):
             run_many(specs, vectorize=True, task_fn=lambda s: None)
-        with pytest.raises(ExecutionError, match="chunksize"):
-            run_many(specs, vectorize=True, chunksize=2)
 
 
 class TestStatisticalEquivalence:

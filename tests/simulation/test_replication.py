@@ -214,3 +214,48 @@ class TestReplicateUntil:
             replicate_until(cfg, stage1_mean, 0.1, 100, r0=8, r_max=4)
         with pytest.raises(SimulationError, match="confidence"):
             replicate_until(cfg, stage1_mean, 0.1, 100, confidence=2.0)
+
+
+class TestAmbientContext:
+    """Both replication helpers honour every field of the ambient context."""
+
+    @pytest.fixture
+    def run_many_calls(self, monkeypatch):
+        import repro.exec.context as context_mod
+        import repro.exec.runner as runner_mod
+
+        calls = []
+        real = runner_mod.run_many
+
+        def spy(specs, **kwargs):
+            calls.append(kwargs)
+            return real(specs, **kwargs)
+
+        monkeypatch.setattr(context_mod, "run_many", spy)
+        monkeypatch.setattr(runner_mod, "run_many", spy)
+        return calls
+
+    def test_backend_and_shard_mem_reach_run_many(self, run_many_calls):
+        from repro.exec import use_execution
+
+        cfg = NetworkConfig(k=2, n_stages=3, p=0.5)
+        with use_execution(backend="numpy", shard_mem=1 << 20, retries=2):
+            replicate(cfg, n_replications=2, n_cycles=300, warmup=40)
+            replicate_until(
+                cfg, stage1_mean, 1e-9, 300, warmup=40, r0=2, r_max=2
+            )
+        assert len(run_many_calls) == 2
+        for kwargs in run_many_calls:
+            assert kwargs["backend"] == "numpy"
+            assert kwargs["shard_mem"] == 1 << 20
+            assert kwargs["retries"] == 2
+
+    def test_explicit_serial_beats_an_ambient_shard_budget(self, run_many_calls):
+        from repro.exec import use_execution
+
+        cfg = NetworkConfig(k=2, n_stages=3, p=0.5)
+        with use_execution(backend="numpy", shard_mem=1 << 20):
+            replicate(cfg, n_replications=2, n_cycles=300, warmup=40, vectorize=False)
+        (kwargs,) = run_many_calls
+        assert kwargs["vectorize"] is False and kwargs["shard_mem"] is None
+        assert kwargs["backend"] == "numpy"

@@ -168,6 +168,90 @@ class TestBatchCommand:
         assert "0 entries" in capsys.readouterr().out
 
 
+class TestExecutionOptions:
+    """The six execution options are declared once for batch and serve."""
+
+    FLAGS = [
+        "--workers", "3", "--backend", "numpy", "--shard-mem", "4",
+        "--retries", "2", "--timeout", "9.5",
+    ]
+    DESTS = {
+        "workers": 3, "backend": "numpy", "shard_mem": 4, "retries": 2,
+        "timeout": 9.5, "cache": "DIR",
+    }
+    #: what FLAGS ask of each run_many call (the budget in bytes)
+    SETTINGS = {
+        "workers": 3, "retries": 2, "timeout": 9.5, "backend": "numpy",
+        "shard_mem": 4 * 1024 * 1024,
+    }
+
+    @classmethod
+    def settings(cls, kwargs):
+        return {k: kwargs[k] for k in cls.SETTINGS}
+
+    def test_batch_and_serve_parse_the_same_dests(self):
+        parser = build_parser()
+        for command in ("batch", "serve"):
+            args = parser.parse_args([command, *self.FLAGS, "--cache", "DIR"])
+            assert {k: getattr(args, k) for k in self.DESTS} == self.DESTS
+            defaults = parser.parse_args([command])
+            assert (defaults.workers, defaults.retries, defaults.timeout) == (1, 1, None)
+            assert (defaults.backend, defaults.shard_mem, defaults.cache) == (
+                "auto", None, None,
+            )
+
+    @pytest.fixture
+    def managers(self, monkeypatch):
+        import types
+
+        import repro.api as api
+
+        built = []
+        monkeypatch.setattr(api, "JobManager", lambda **kwargs: built.append(kwargs))
+        monkeypatch.setattr(
+            api, "make_server", lambda *a, **k: types.SimpleNamespace(port=1)
+        )
+        monkeypatch.setattr(api, "serve_forever", lambda server: None)
+        return built
+
+    def test_serve_builds_the_same_job_manager(self, managers, tmp_path, capsys):
+        assert main(["serve", "--port", "0", "--cache", str(tmp_path)]) == 0
+        assert main(["serve", "--port", "0", "--no-cache", *self.FLAGS]) == 0
+        plain, flagged = managers
+        assert plain["cache"].root == tmp_path and plain["use_cache"]
+        for kwargs in managers:
+            assert (kwargs["executors"], kwargs["max_queue"]) == (2, 64)
+            assert kwargs["db"] is None
+        assert self.settings(plain) == {
+            "workers": 1, "retries": 1, "timeout": None, "backend": "auto",
+            "shard_mem": None,
+        }
+        assert self.settings(flagged) == self.SETTINGS
+        assert flagged["cache"] is None and not flagged["use_cache"]
+
+    def test_batch_runs_under_the_options(self, monkeypatch, tmp_path, capsys):
+        import repro.exec as exec_mod
+        import repro.exec.context as context_mod
+
+        calls = []
+        real = context_mod.run_many
+
+        def spy(specs, **kwargs):
+            calls.append(kwargs)
+            return real(specs, **kwargs)
+
+        monkeypatch.setattr(context_mod, "run_many", spy)
+        monkeypatch.setattr(exec_mod, "run_many", spy)
+        spec_file = tmp_path / "specs.json"
+        TestBatchCommand.write_spec_file(spec_file, n=2)
+        argv = ["batch", "--scenarios", str(spec_file), "--no-cache", *self.FLAGS]
+        assert main(argv) == 0
+        assert "workers=3" in capsys.readouterr().out
+        (kwargs,) = calls
+        assert self.settings(kwargs) == self.SETTINGS
+        assert kwargs["cache"] is None and kwargs["progress"] is not None
+
+
 class TestMetricsCommand:
     def test_metrics_run(self, capsys):
         assert main(["metrics", "--stages", "3", "--p", "0.4", "--cycles", "1500"]) == 0
