@@ -181,6 +181,11 @@ class ApiHandler(BaseHTTPRequestHandler):
     # write; with Nagle's algorithm the second waits for the client's
     # delayed ACK of the first (about 40 ms a request).
     disable_nagle_algorithm = True
+    # Seconds a kept-alive connection may sit idle before the handler
+    # closes it and frees its thread (a client reconnects on its next
+    # request).  It bounds each socket read and write, not a response:
+    # an SSE stream writes at least every SSE_KEEPALIVE_SECONDS.
+    timeout = 60.0
     server: ApiServer  # narrowed from BaseServer for the type checker
     #: whether the current request's body is still unread on the connection
     _body_unread = False
@@ -372,8 +377,9 @@ class ApiHandler(BaseHTTPRequestHandler):
                 self.wfile.write(data)
                 if done:
                     break
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True  # client closed the stream mid-way
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
+            # the client closed the stream mid-way, or stopped reading it
+            self.close_connection = True
 
 
 def make_server(

@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dispatch.add_argument(
         "--timeout", type=float, default=None,
-        help="per-task seconds before a dispatched pool job counts as failed",
+        help="per-task seconds a started pool job may run before it counts "
+        "as failed",
     )
 
     common = argparse.ArgumentParser(add_help=False, parents=[execution])
@@ -114,11 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--vectorize-replicas",
         action="store_true",
-        help="run same-shape scenarios (which may differ in seed, load, "
-        "bulk size, bias, and service model) in stacked engines, fusing "
-        "replications and whole sweeps into few runs; every result and "
-        "cache entry equals the serial one; composes with --workers "
-        "(metrics are off for stacked runs)",
+        help="run the seeds of each scenario in one stacked engine (a "
+        "stack never mixes scenarios); every result and cache entry "
+        "equals the serial one; composes with --workers (metrics are off "
+        "for stacked runs)",
     )
     common.add_argument(
         "--target-ci",

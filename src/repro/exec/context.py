@@ -43,9 +43,9 @@ class ExecutionContext:
     cache: Optional[ResultCache] = None
     retries: int = 1
     timeout: Optional[float] = None
-    #: run same-shape specs in stacked engines, in memory-bounded shards
-    #: (:mod:`repro.simulation.batched`); composes with ``workers`` and
-    #: never changes a result
+    #: run the seeds of each scenario in stacked engines, in memory-
+    #: bounded shards (:mod:`repro.simulation.batched`); composes with
+    #: ``workers`` and never changes a result
     vectorize: bool = False
     #: compute backend for stacked shards (``"numpy"``/``"numba"``/
     #: ``"auto"``); an execution detail -- results and cache keys are

@@ -16,8 +16,8 @@ per spec, in spec order.  The contract:
 * **Robustness** -- a task that raises is retried up to ``retries``
   times; a task that exhausts its retries is reported as ``"failed"``
   (with the worker traceback) while every other task still completes.
-  A worker process that dies fails the jobs its pool held, not the
-  batch: they are retried on a fresh pool.  A batch never aborts
+  A worker process that dies fails the jobs in flight on its pool, not
+  the batch: they are retried on a fresh pool.  A batch never aborts
   because one scenario is sick.
 * **Observability** -- each outcome (and each retry) fires the
   optional ``progress`` callback, and an active
@@ -29,19 +29,22 @@ dispatcher, :func:`_dispatch_jobs`: in-process for one worker or one
 job, on a process pool otherwise.  A job's failed members are retried
 together as one job; members that succeeded never run again.
 
-Timeout semantics: ``timeout`` bounds how long the parent waits per
-pool job (``timeout * len(job)`` seconds from dispatch).  An expired
-job counts one failed attempt of each of its specs, which are retried
-together under the same bound.  In-process jobs run unbounded.
-CPython cannot preempt a worker mid-simulation, so a genuinely hung
-worker still occupies its process slot until pool shutdown -- the
-timeout bounds *batch bookkeeping*, not worker CPU time.
+Timeout semantics: a pool keeps at most one job per worker in flight,
+so a job starts when it is submitted, and ``timeout`` bounds how long
+the parent waits for it (``timeout * len(job)`` seconds from its
+start).  An expired job counts one failed attempt of each of its specs,
+which are retried together under the same bound.  In-process jobs run
+unbounded.  CPython cannot preempt a worker mid-simulation, so an
+expired job keeps its worker -- and its place among the ``workers`` in
+flight -- until it finishes: the timeout bounds *batch bookkeeping*,
+not worker CPU time.
 """
 
 from __future__ import annotations
 
 import traceback
 import warnings
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -111,11 +114,11 @@ def _run_chunk(specs: List[ExperimentSpec], task_fn) -> List[tuple]:
 def _run_shard(specs: List[ExperimentSpec], backend: str = "auto") -> List[tuple]:
     """Worker-side stacked executor: one engine, one payload per spec.
 
-    The specs share everything that fixes the engine's array shapes
-    (:func:`~repro.exec.spec.group_by_shape`) and may differ in seed
-    and the stackable parameters.  Each result equals a serial run of
-    its spec, whatever the shard holds.  A finite-buffer spec runs on
-    the serial path instead (stacked engines refuse finite buffers).
+    The specs are seeds of one scenario
+    (:func:`~repro.exec.spec.group_by_shape`).  Each result equals a
+    serial run of its spec, whatever the shard holds.  A finite-buffer
+    spec runs on the serial path instead (stacked engines refuse finite
+    buffers).
     Shard failure is atomic: an exception reports every spec of the
     shard as one failed attempt.
     """
@@ -148,8 +151,8 @@ def _plan_jobs(specs, pending, *, workers, vectorize, shard_mem) -> List[List[in
     Per-spec work runs one spec per job in-process, so each progress
     event fires when its spec finishes, and about four chunks per
     worker on a pool, which keeps the pool fed without making one slow
-    chunk the long pole.  Stacked work groups the specs by shape and
-    splits each group into shards of
+    chunk the long pole.  Stacked work groups the specs by scenario
+    (seeds of one scenario stack) and splits each group into shards of
     :func:`~repro.exec.sharded.plan_shard_size` specs under the byte
     budget ``shard_mem`` (finite-buffer specs run one by one).  A
     spec's result depends neither on its job-mates nor on the job size.
@@ -180,10 +183,11 @@ def _dispatch_jobs(
     ``execute(specs_list)`` returns one ``("ok"|"err", ...)`` per spec
     and must be picklable for pooled dispatch.  One worker or one job
     runs in-process, each retry right after its failure; otherwise the
-    jobs and their retries share a pool, under ``timeout``.  A job's
-    failed members are retried together as one job.  A worker that
-    dies breaks its pool: every job the pool held counts one failed
-    attempt, and the retries go to a fresh pool.
+    jobs and their retries share a pool, one job per worker at a time,
+    under ``timeout``.  A job's failed members are retried together as
+    one job.  A worker that dies breaks its pool: every job in flight
+    counts one failed attempt, and the retries and the jobs not yet
+    started go to a fresh pool.
     """
 
     def settle(job, attempt, job_out, retry) -> None:
@@ -217,55 +221,63 @@ def _dispatch_jobs(
         return
 
     def pool_round(todo) -> List[tuple]:
-        """Run jobs and their retries on one pool; return the retries a
-        broken pool refused."""
-        refused: List[tuple] = []
-        futures = {}  # future -> (job, attempt, dispatch time)
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(todo)), initializer=_worker_init
-        ) as pool:
+        """Run jobs and their retries on one pool, one job per worker at a
+        time; return the jobs still unstarted when the pool broke."""
+        queue = deque(todo)
+        running = {}  # future -> (job, attempt, start time)
+        abandoned: set = set()  # timed out, but still holding a worker
+        slots = min(workers, len(todo))
+        broken = False
 
-            def submit(job, attempt: int) -> None:
-                try:
-                    fut = pool.submit(execute, [specs[i] for i in job])
-                except BrokenExecutor:
-                    refused.append((job, attempt))
-                else:
-                    futures[fut] = (job, attempt, perf_counter())
+        def requeue(job, attempt: int) -> None:
+            queue.append((job, attempt))
 
-            for job, attempt in todo:
-                submit(job, attempt)
-            while futures:
+        with ProcessPoolExecutor(max_workers=slots, initializer=_worker_init) as pool:
+            while True:
+                while not broken and queue and len(running) + len(abandoned) < slots:
+                    job, attempt = queue[0]
+                    try:
+                        fut = pool.submit(execute, [specs[i] for i in job])
+                    except BrokenExecutor:
+                        broken = True
+                    else:
+                        queue.popleft()
+                        running[fut] = (job, attempt, perf_counter())
+                if not running and not abandoned:
+                    break
                 slack = None
-                if timeout is not None:
-                    first = min(t0 + timeout * len(job) for job, _, t0 in futures.values())
+                if timeout is not None and running:
+                    first = min(t0 + timeout * len(job) for job, _, t0 in running.values())
                     slack = max(0.0, first - perf_counter())
-                done, _ = wait(set(futures), timeout=slack, return_when=FIRST_COMPLETED)
+                done, _ = wait(
+                    set(running) | abandoned, timeout=slack, return_when=FIRST_COMPLETED
+                )
                 for fut in done:
-                    job, attempt, _ = futures.pop(fut)
+                    if fut in abandoned:
+                        abandoned.discard(fut)  # its worker is free again
+                        continue
+                    job, attempt, _ = running.pop(fut)
                     try:
                         job_out = fut.result()
                     except Exception:
                         # the job never ran to the end: its worker died
                         # (BrokenProcessPool) or it could not be shipped
                         job_out = [("err", traceback.format_exc(limit=10))] * len(job)
-                    settle(job, attempt, job_out, submit)
+                    settle(job, attempt, job_out, requeue)
                 if timeout is None:
                     continue
                 now = perf_counter()
-                for fut, (job, attempt, t0) in list(futures.items()):
+                for fut, (job, attempt, t0) in list(running.items()):
                     if now >= t0 + timeout * len(job):
-                        del futures[fut]
-                        fut.cancel()  # frees the slot if not yet started
-                        note = (
-                            f"timeout: no result within "
-                            f"{timeout * len(job):.1f}s of dispatch"
-                        )
-                        settle(job, attempt, [("err", note)] * len(job), submit)
-        return refused
+                        del running[fut]
+                        if not fut.cancel():
+                            abandoned.add(fut)
+                        note = f"timeout: no result within {timeout * len(job):g}s of its start"
+                        settle(job, attempt, [("err", note)] * len(job), requeue)
+        return list(queue)
 
-    # a pool whose worker died refuses new jobs: each round's refused
-    # retries run on a fresh pool
+    # a pool whose worker died refuses new jobs: each round's unstarted
+    # jobs run on a fresh pool
     todo = [(job, 1) for job in jobs]
     while todo:
         todo = pool_round(todo)
@@ -450,8 +462,8 @@ def run_many(
         most ``retries + 1`` times); a job's failed members retry
         together, each with a ``"retry"`` progress event.
     timeout:
-        Per-task seconds the parent waits for a dispatched job
-        (pool mode only; see module docstring for the exact semantics).
+        Per-task seconds the parent waits for a started job (pool mode
+        only; see module docstring for the exact semantics).
     base_seed:
         Feeds :func:`~repro.exec.spec.resolve_seeds` for specs whose
         config has no seed.
@@ -461,16 +473,15 @@ def run_many(
         Override for the per-spec work -- used by fault-injection
         tests and custom workloads; must be picklable for ``workers > 1``.
     vectorize:
-        Run same-shape specs in stacked engines
+        Run the seeds of each scenario in stacked engines
         (:mod:`repro.simulation.batched`), in shards of
         :func:`~repro.exec.sharded.plan_shard_size` specs -- composing
         with ``workers`` (shards are pool jobs) and the cache (cached
-        specs are skipped).  Shard members may differ in seed, load
-        ``p``, bulk size, favourite bias ``q`` and service model, as long
-        as the shape-fixing fields (topology, ``k``, stages, width,
-        transfer, buffers, track limit, cycle budget, warm-up) agree.
-        Every spec's result, and so its digest and cache entry, is the
-        one a serial run gives it.  Finite-buffer specs run serially.
+        specs are skipped).  Specs share a stack iff they differ in
+        nothing but the config seed
+        (:func:`~repro.exec.spec.group_by_shape`).  Every spec's result,
+        and so its digest and cache entry, is the one a serial run gives
+        it.  Finite-buffer specs run serially.
         ``track_limit=0`` specs return streaming totals summaries instead
         of per-message panels (see ``docs/scaling.md``).  Incompatible
         with ``task_fn``.

@@ -31,14 +31,13 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ModelError
 from repro.obs.manifest import config_to_jsonable
 from repro.simulation.network import NetworkConfig
 from repro.simulation.rng import DEFAULT_SEED
 
 __all__ = [
     "SPEC_SCHEMA_VERSION",
-    "STACKABLE_CONFIG_FIELDS",
     "ExperimentSpec",
     "group_by_shape",
     "resolve_seeds",
@@ -54,6 +53,11 @@ SPEC_SCHEMA_VERSION = 1
 def _canonical_json(doc) -> str:
     """Deterministic JSON: sorted keys, no whitespace, no NaN."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool (``True`` is no cycle count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -78,9 +82,9 @@ class ExperimentSpec:
         Presentation-only name for progress output and manifests;
         **not** part of the digest.
 
-    How a spec runs -- serially, stacked with other specs, in a shard
-    of any size, on any backend -- never enters its digest: every path
-    gives it the same result.
+    How a spec runs -- serially, stacked with other seeds of its
+    scenario, in a shard of any size, on any backend -- never enters its
+    digest: every path gives it the same result.
     """
 
     config: NetworkConfig
@@ -93,10 +97,10 @@ class ExperimentSpec:
             raise ExecutionError(
                 f"spec config must be a NetworkConfig, got {type(self.config).__name__}"
             )
-        if not isinstance(self.n_cycles, int) or self.n_cycles < 1:
+        if not _is_int(self.n_cycles) or self.n_cycles < 1:
             raise ExecutionError(f"n_cycles must be a positive int, got {self.n_cycles!r}")
         if self.warmup is not None:
-            if not isinstance(self.warmup, int) or self.warmup < 0:
+            if not _is_int(self.warmup) or self.warmup < 0:
                 raise ExecutionError(
                     f"warmup must be None or a non-negative int, got {self.warmup!r}"
                 )
@@ -124,7 +128,10 @@ class ExperimentSpec:
         """
         digest = self.__dict__.get("_digest")
         if digest is None:
-            blob = _canonical_json(self.identity())
+            try:
+                blob = _canonical_json(self.identity())
+            except ValueError as exc:
+                raise ExecutionError(f"spec has no canonical JSON digest: {exc}") from exc
             if " at 0x" in blob:
                 # the repr fallback of config_to_jsonable leaked a memory
                 # address (e.g. a service model without a stable __repr__)
@@ -167,41 +174,21 @@ def resolve_seeds(
     return resolved
 
 
-#: NetworkConfig fields the stacked engine lets vary *within* one batch
-#: (see ``repro.simulation.batched.STACK_SHAPE_FIELDS`` for the fields
-#: that must agree).  The seed is handled separately.
-STACKABLE_CONFIG_FIELDS = (
-    "p",
-    "message_size",
-    "sizes",
-    "probabilities",
-    "service",
-    "bulk_size",
-    "q",
-)
-
-
 def group_by_shape(specs: Iterable[ExperimentSpec]) -> List[List[int]]:
     """Partition a batch into groups one stacked engine can run.
 
-    Two specs share a group iff they agree on everything that fixes the
-    engine's array shapes: topology, ``k``, stages, width, transfer
-    mode, buffers, track limit, cycle budget and warm-up.  The seed and
-    the :data:`STACKABLE_CONFIG_FIELDS` may differ within a group.
-    Returns the groups as index lists, in first-appearance order.
-    Grouping is an execution detail: it never touches a spec or its
-    digest.
+    A stack holds seeds of one scenario, so two specs share a group iff
+    their identity documents (:meth:`ExperimentSpec.identity`) are equal
+    once the config seed is removed.  Returns the groups as index lists,
+    in first-appearance order.  Grouping is an execution detail: it
+    never touches a spec or its digest.
     """
-    by_shape: dict = {}
+    by_scenario: dict = {}
     for i, spec in enumerate(specs):
         ident = spec.identity()
-        config_doc = dict(ident["config"])
-        config_doc.pop("seed", None)
-        for name in STACKABLE_CONFIG_FIELDS:
-            config_doc.pop(name, None)
-        ident["config"] = config_doc
-        by_shape.setdefault(_canonical_json(ident), []).append(i)
-    return list(by_shape.values())
+        ident["config"].pop("seed", None)
+        by_scenario.setdefault(_canonical_json(ident), []).append(i)
+    return list(by_scenario.values())
 
 
 #: NetworkConfig fields a JSON spec file may set (plain values only;
@@ -215,10 +202,13 @@ def spec_from_jsonable(doc: dict) -> ExperimentSpec:
     """Rebuild a spec from :meth:`ExperimentSpec.to_jsonable` output.
 
     Accepts the same shape in hand-written spec files (``digest`` and
-    ``spec_version`` keys are ignored when present).
+    ``spec_version`` keys are ignored when present).  Every malformed
+    document -- a non-object ``config``, non-integer cycle counts, a
+    config the model refuses, values with no JSON digest -- raises
+    :class:`~repro.errors.ExecutionError`.
     """
-    if not isinstance(doc, dict) or "config" not in doc:
-        raise ExecutionError("spec document must be a dict with a 'config' key")
+    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+        raise ExecutionError("spec document must be a dict with a 'config' object")
     raw = dict(doc["config"])
     if raw.get("service") not in (None, "None"):
         raise ExecutionError(
@@ -231,18 +221,21 @@ def spec_from_jsonable(doc: dict) -> ExperimentSpec:
         raise ExecutionError(f"unknown config fields in spec file: {sorted(unknown)}")
     for key in ("sizes", "probabilities"):
         if raw.get(key) is not None:
+            if not isinstance(raw[key], list):
+                raise ExecutionError(f"config {key} must be a list, got {raw[key]!r}")
             raw[key] = tuple(raw[key])
     try:
         config = NetworkConfig(**raw)
-    except TypeError as exc:
+    except (TypeError, ValueError, ModelError) as exc:
         raise ExecutionError(f"bad config in spec file: {exc}") from exc
-    warmup = doc.get("warmup")
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         config=config,
-        n_cycles=int(doc.get("n_cycles", 0) or 0),
-        warmup=int(warmup) if warmup is not None else None,
+        n_cycles=doc.get("n_cycles"),
+        warmup=doc.get("warmup"),
         label=str(doc.get("label", "")),
     )
+    _ = spec.digest  # a document with no canonical digest fails here, not in a caller
+    return spec
 
 
 def specs_from_file(path) -> List[ExperimentSpec]:

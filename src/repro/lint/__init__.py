@@ -2,8 +2,8 @@
 
 The reproduction rests on contracts no runtime test can watch all the
 time: bit-exact determinism (seeded replay, parallel == serial, R=1
-batched == serial) and cache-digest hygiene (the stacking field lists
-must exactly partition ``NetworkConfig``).  This package machine-checks
+batched == serial) and cache-digest completeness (what the kernels
+read must enter a spec's digest).  This package machine-checks
 those contracts -- plus a few failure-hygiene rules -- on every commit,
 from the AST, with no third-party dependencies:
 
@@ -12,14 +12,11 @@ code      name                 invariant
 ========  ===================  =====================================
 RPR001    determinism          no global RNG anywhere; no wall-clock
                                imports in the pure kernels
-RPR002    digest-hygiene       STACKABLE_CONFIG_FIELDS +
-                               STACK_SHAPE_FIELDS + seed partition
-                               NetworkConfig exactly
 RPR003    silent-failure       broad excepts must re-raise or report
 RPR004    library-purity       print/sys.exit only in cli.py
 RPR005    mutable-default      no mutable default arguments
-RPR006    digest-completeness  every config field the kernel call
-                               graph reads is in the digest partition
+RPR006    digest-completeness  every ExperimentSpec field the kernel
+                               call graph reads enters identity()
                                (interprocedural dataflow over the
                                project index)
 RPR007    rng-streams          kernel generators derive from
@@ -30,9 +27,10 @@ RPR008    numeric-safety       no naive float accumulation, aliased
                                comparisons in the kernels
 ========  ===================  =====================================
 
-RPR001-005 are per-file AST passes; RPR006/RPR007 are *project* rules
-running over a whole-project index (:mod:`repro.lint.project`: symbol
-table + name-resolved call graph + reachability closure).
+RPR001, RPR003-005 and RPR008 are per-file AST passes; RPR006/RPR007
+are *project* rules running over a whole-project index
+(:mod:`repro.lint.project`: symbol table + name-resolved call graph +
+reachability closure).
 
 Run it as ``python -m repro lint [paths]`` (see
 ``docs/static-analysis.md``), or programmatically::

@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.lint.rules.base import FileContext, FileRule, ProjectRule, Rule
 from repro.lint.rules.defaults import MutableDefaultRule
 from repro.lint.rules.determinism import DeterminismRule
-from repro.lint.rules.digest import DigestPartitionRule
 from repro.lint.rules.digest_flow import DigestFlowRule
 from repro.lint.rules.numeric import NumericSafetyRule
 from repro.lint.rules.purity import PurityRule
@@ -26,7 +25,6 @@ __all__ = [
     "all_rules",
     "DeterminismRule",
     "DigestFlowRule",
-    "DigestPartitionRule",
     "MutableDefaultRule",
     "NumericSafetyRule",
     "PurityRule",
@@ -36,7 +34,6 @@ __all__ = [
 
 _RULE_CLASSES: tuple[type[Rule], ...] = (
     DeterminismRule,
-    DigestPartitionRule,
     SilentExceptRule,
     PurityRule,
     MutableDefaultRule,

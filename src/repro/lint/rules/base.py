@@ -6,7 +6,7 @@ methods:
 
 * :class:`FileRule` -- checks one file's AST at a time (most rules);
 * :class:`ProjectRule` -- sees every in-scope file together, for
-  cross-module invariants such as the RPR002 digest-partition check.
+  cross-module invariants such as the RPR006 digest-completeness check.
 
 Rules yield :class:`~repro.lint.findings.Finding` records; the engine
 owns suppression handling, scoping, and ordering.

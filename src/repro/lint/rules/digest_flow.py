@@ -1,35 +1,27 @@
-"""RPR006: digest completeness -- every config field the kernels read
-must be in the digest partition.
+"""RPR006: digest completeness -- every ``ExperimentSpec`` field the
+kernels read must enter the spec's ``identity()`` digest document.
 
-RPR002 (:mod:`repro.lint.rules.digest`) checks that the *declared*
-``NetworkConfig`` fields are partitioned by name into the stacking
-field lists.  That guards against a field being added and forgotten --
-but not against the converse drift: a kernel that starts reading a
-config attribute which was never declared (or was removed from the
-partition while a read survived).  Such a read changes simulation
-output without changing the cache digest, which is exactly the
-cache-poisoning failure the experiment DB exists to prevent.
+The result cache (:mod:`repro.exec.cache`) is keyed by a SHA-256 over a
+spec's identity document.  That document carries the whole config
+(``config_to_jsonable`` walks every declared ``NetworkConfig`` field),
+so no config field can fall out of the digest -- but a spec field can.
+A kernel that reads a spec field which never enters ``identity()``
+changes simulation output without changing the cache digest, which is
+exactly the cache-poisoning failure the experiment DB exists to
+prevent.
 
-This rule closes the loop with dataflow: using the project call graph
-(:class:`~repro.lint.project.ProjectIndex`) it computes every function
-reachable from the three kernel entry points --
-``ClockedEngine.run`` (serial), ``run_stacked`` (batched/stacked) and
-``stream_totals`` (sharded streaming) -- collects every attribute read
-off a config-typed receiver in that closure, and fails if a read field
-is absent from ``STACKABLE_CONFIG_FIELDS`` + ``STACK_SHAPE_FIELDS`` +
-``seed``.
+Using the project call graph (:class:`~repro.lint.project.ProjectIndex`)
+the rule computes every function reachable from the three kernel entry
+points -- ``ClockedEngine.run`` (serial), ``run_stacked`` (stacked) and
+``stream_totals`` (sharded streaming) -- and, inside the kernel
+directories, fails on every ``spec.<field>`` read of a declared
+``ExperimentSpec`` field that ``identity()`` never reads off ``self``.
+Display and reporting layers legitimately read non-identity metadata
+(``spec.label``), so reads outside the kernel directories are fine.
 
-Receiver identification is name-based and deliberately narrow: only
-attribute chains rooted in the conventional config receiver names
-(``config``, ``cfg``, ``spec.config`` and the batched-engine loop
-variables ``c``/``first``/``other``) count as config reads.  Narrow is
-safe here because RPR002 already guarantees declared fields are
-partitioned; this rule's job is to catch reads of *undeclared or
-unpartitioned* names flowing through the kernels.
-
-The check runs only when both the entry points and the partition
-anchors are present in the linted set; partial trees are silently
-fine (same contract as RPR002).
+The check runs only when the entry points and the ``ExperimentSpec``
+class with its ``identity()`` method are in the linted set; partial
+trees are silently fine.
 """
 
 from __future__ import annotations
@@ -40,12 +32,7 @@ from typing import Iterator, Optional, Sequence, Set, Tuple
 from repro.lint.config import KERNEL_DIRS, PathScope
 from repro.lint.findings import Finding
 from repro.lint.rules.base import FileContext, ProjectRule, dotted_name
-from repro.lint.rules.digest import (
-    SEED_FIELD,
-    _find_class_fields,
-    _find_tuple_assignment,
-)
-from repro.lint.project import FunctionInfo, ProjectIndex, build_index
+from repro.lint.project import ProjectIndex, build_index
 
 __all__ = ["DigestFlowRule"]
 
@@ -53,43 +40,44 @@ __all__ = ["DigestFlowRule"]
 #: defines "read by the simulation".
 ENTRY_POINTS = ("ClockedEngine.run", "run_stacked", "stream_totals")
 
-#: Attribute-chain roots treated as a ``NetworkConfig`` receiver.
-#: ``config``/``cfg`` are the conventional parameter names;
-#: ``c``/``first``/``other`` are the batched-engine per-config loop
-#: variables; dotted roots cover ``self.config.p`` / ``spec.config.p``.
-_CONFIG_ROOTS = frozenset({"config", "cfg", "c", "first", "other"})
 
-#: Attributes that live on the *spec/engine wrapper*, not the config --
-#: reading ``config.identity`` style method references is not a field
-#: read.
-_NON_FIELD_ATTRS = frozenset({"replace", "validate"})
-
-
-def _config_reads(info: FunctionInfo) -> Iterator[Tuple[ast.Attribute, str]]:
-    """``(node, field)`` for every config-attribute read in a function.
-
-    A read is an ``ast.Attribute`` whose value chain ends in one of the
-    conventional config receiver names: ``config.p``, ``cfg.sizes``,
-    ``self.config.k``, ``spec.config.seed``, ``first.q``...
-    """
-    for node in ast.walk(info.node):
-        if not isinstance(node, ast.Attribute):
-            continue
-        base = dotted_name(node.value)
-        if base is None:
-            continue
-        root = base.rsplit(".", 1)[-1]
-        if root in _CONFIG_ROOTS and node.attr not in _NON_FIELD_ATTRS:
-            yield node, node.attr
+def _spec_anchor(
+    files: Sequence[FileContext],
+) -> Optional[Tuple[Set[str], Set[str]]]:
+    """The declared ``ExperimentSpec`` fields and the ``self.<attr>``
+    reads of its ``identity()`` method, if both are in the linted set."""
+    for ctx in files:
+        for node in ast.walk(ctx.tree):
+            if not (isinstance(node, ast.ClassDef) and node.name == "ExperimentSpec"):
+                continue
+            fields = {
+                stmt.target.id
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            }
+            for item in node.body:
+                if (
+                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name == "identity"
+                ):
+                    return fields, {
+                        sub.attr
+                        for sub in ast.walk(item)
+                        if isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"
+                    }
+            return None  # no identity() anchor
+    return None
 
 
 class DigestFlowRule(ProjectRule):
     code = "RPR006"
     name = "digest-completeness"
     why = (
-        "every NetworkConfig field the kernel call graph reads must be "
-        "in the digest partition, or reads change results without "
-        "changing cache keys"
+        "every ExperimentSpec field the kernel call graph reads must "
+        "enter identity(), or reads change results without changing "
+        "cache keys"
     )
     default_scope = PathScope()
 
@@ -98,110 +86,18 @@ class DigestFlowRule(ProjectRule):
         files: Sequence[FileContext],
         index: "Optional[ProjectIndex]" = None,
     ) -> Iterator[Finding]:
+        anchor = _spec_anchor(files)
+        if anchor is None:
+            return  # partial tree: no spec class or no identity() anchor
+        spec_fields, identity_attrs = anchor
         if index is None:
             index = build_index(files)
-
-        # Resolve the digest partition anchors (same AST-only strategy
-        # as RPR002; silent on partial trees).
-        config_fields: Optional[list[str]] = None
-        stackable: Optional[list[str]] = None
-        shape: Optional[list[str]] = None
-        for ctx in files:
-            if config_fields is None:
-                found = _find_class_fields(ctx.tree, "NetworkConfig")
-                if found is not None:
-                    config_fields = found[1]
-            if stackable is None:
-                found_t = _find_tuple_assignment(ctx.tree, "STACKABLE_CONFIG_FIELDS")
-                if found_t is not None:
-                    stackable = found_t[1]
-            if shape is None:
-                found_t = _find_tuple_assignment(ctx.tree, "STACK_SHAPE_FIELDS")
-                if found_t is not None:
-                    shape = found_t[1]
-        if config_fields is None or stackable is None or shape is None:
-            return  # partial tree (or non-literal lists: RPR002's finding)
-
         roots = [info for entry in ENTRY_POINTS for info in index.find(entry)]
         if not roots:
             return  # no kernel entry points in scope
 
-        digested: Set[str] = set(stackable) | set(shape) | {SEED_FIELD}
-        declared: Set[str] = set(config_fields)
-
         # One finding per (field, function) pair, deduplicated, in a
         # deterministic order independent of traversal.
-        seen: Set[Tuple[str, str, str]] = set()
-        findings: list[Tuple[str, FileContext, ast.Attribute, str]] = []
-        for info in index.reachable(roots):
-            for node, attr in _config_reads(info):
-                if attr in digested:
-                    continue
-                # Undeclared attrs on a config-named receiver are only
-                # reads of NetworkConfig if the class declares them;
-                # anything else (e.g. a local named `c` holding a
-                # non-config object) would drown the rule in noise.
-                if attr not in declared:
-                    continue
-                key = (attr, info.ctx.display_path, info.qualname)
-                if key in seen:
-                    continue
-                seen.add(key)
-                findings.append((attr, info.ctx, node, info.qualname))
-
-        for attr, ctx, node, qualname in sorted(
-            findings, key=lambda f: (f[0], f[1].display_path, f[3])
-        ):
-            yield ctx.finding(
-                node,
-                self.code,
-                f"config field {attr!r} is read by {qualname} (reachable "
-                "from a kernel entry point) but missing from the digest "
-                "partition (STACKABLE_CONFIG_FIELDS / STACK_SHAPE_FIELDS "
-                "/ seed): results would vary without varying the cache key",
-            )
-
-        yield from self._check_spec_reads(files, index, roots)
-
-    def _check_spec_reads(
-        self,
-        files: Sequence[FileContext],
-        index: ProjectIndex,
-        roots: Sequence[FunctionInfo],
-    ) -> Iterator[Finding]:
-        """ExperimentSpec leg: ``spec.<field>`` reads *inside the kernel
-        directories* must be fields the ``identity()`` digest document
-        mentions.
-
-        Scoped to kernel files because the display/reporting layers
-        legitimately read non-identity metadata (``spec.label``); a
-        kernel reading a spec field that never enters the digest is the
-        cache-poisoning hazard this rule exists for.
-        """
-        spec_fields: Optional[Set[str]] = None
-        identity_attrs: Optional[Set[str]] = None
-        for ctx in files:
-            found = _find_class_fields(ctx.tree, "ExperimentSpec")
-            if found is None:
-                continue
-            class_node, fields = found
-            spec_fields = set(fields)
-            for item in class_node.body:
-                if (
-                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item.name == "identity"
-                ):
-                    identity_attrs = {
-                        sub.attr
-                        for sub in ast.walk(item)
-                        if isinstance(sub, ast.Attribute)
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id == "self"
-                    }
-            break
-        if spec_fields is None or identity_attrs is None:
-            return  # partial tree: no spec class or no identity() anchor
-
         seen: Set[Tuple[str, str, str]] = set()
         findings: list[Tuple[str, FileContext, ast.Attribute, str]] = []
         for info in index.reachable(roots):

@@ -23,8 +23,8 @@ Modules
     The clocked engine, ``R >= 1`` replicas evaluated window by window
     by :mod:`repro.simulation.stagewise`.
 :mod:`repro.simulation.batched`
-    Stacked runs: ``R`` independent scenarios in one engine, amortising
-    per-call overhead; each replica's result equals its serial run.
+    Stacked runs: ``R`` seeds of one scenario in one engine; each
+    replica's result equals its serial run.
 :mod:`repro.simulation.network`
     The user-facing facade: :class:`~repro.simulation.network.NetworkSimulator`
     built from a :class:`~repro.simulation.network.NetworkConfig`,

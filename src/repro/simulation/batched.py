@@ -1,13 +1,12 @@
-"""Stacked runs: R independent scenarios in one engine.
+"""Stacked runs: R seeds of one scenario in one engine.
 
-The paper's tables average many independent replications, and for its
-small networks (``k = 2``, width 8--128) per-call NumPy overhead
-dominates, so running replicas one after another multiplies that
-overhead by ``R``.  :func:`run_stacked` instead runs ``R`` scenarios in
-one :class:`~repro.simulation.engine.ClockedEngine` of ``R`` replicas:
-flat arrays of ``R * n_stages * width`` ports (global port = ``replica *
-n_stages * width + stage * width + line``) and one stage-wise pass (or
-one kernel call) over all of them.
+The paper's tables average independent replications of one scenario.
+:func:`run_stacked` runs ``R`` of them -- one config under ``R`` seeds --
+in one :class:`~repro.simulation.engine.ClockedEngine` of ``R``
+replicas: flat arrays of ``R * n_stages * width`` ports (global port =
+``replica * n_stages * width + stage * width + line``) and one stage-wise
+pass (or one kernel call) over all of them.  A stack never mixes
+scenarios: configs that differ in any field but the seed are refused.
 
 Randomness
 ----------
@@ -45,7 +44,8 @@ execution detail -- never part of a spec digest or cache key.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import attrgetter
 
 # repro: lint-ok RPR001 -- elapsed_seconds bookkeeping; never enters results
 from time import perf_counter
@@ -71,17 +71,9 @@ __all__ = ["run_batched", "run_replicas", "run_stacked"]
 DEFAULT_SKETCH_MARKERS = 129
 DEFAULT_TAIL_K = 1024
 
-#: config fields that fix the stacked engine's array shapes -- scenarios
-#: in one batch must agree on all of these (everything else may vary)
-STACK_SHAPE_FIELDS = (
-    "k",
-    "n_stages",
-    "topology",
-    "width",
-    "transfer",
-    "buffer_capacity",
-    "track_limit",
-)
+#: every config field but the seed: the configs of one stack agree on all
+_SCENARIO_FIELDS = tuple(f.name for f in fields(NetworkConfig) if f.name != "seed")
+_scenario = attrgetter(*_SCENARIO_FIELDS)
 
 
 def stack_warmup(
@@ -89,20 +81,22 @@ def stack_warmup(
 ) -> int:
     """Check that ``configs`` stack, and resolve the batch's warm-up.
 
-    Stacked and streamed runs alike need at least one config, identical
-    :data:`STACK_SHAPE_FIELDS`, infinite buffers and an explicit
-    warm-up; ``None`` means ``max(500, n_cycles // 10)`` cycles.
+    Stacked and streamed runs alike need at least one config, configs
+    that differ in nothing but the seed, infinite buffers and an
+    explicit warm-up; ``None`` means ``max(500, n_cycles // 10)`` cycles.
     """
     if not configs:
         raise SimulationError("need at least one scenario config")
     first = configs[0]
+    scenario = _scenario(first)
     for other in configs[1:]:
-        for name in STACK_SHAPE_FIELDS:
-            if getattr(other, name) != getattr(first, name):
-                raise SimulationError(
-                    "stacking needs identical array shapes: "
-                    f"{name}={getattr(other, name)!r} != {getattr(first, name)!r}"
-                )
+        if _scenario(other) != scenario:
+            diff = ", ".join(
+                f"{name}={getattr(other, name)!r} != {getattr(first, name)!r}"
+                for name in _SCENARIO_FIELDS
+                if getattr(other, name) != getattr(first, name)
+            )
+            raise SimulationError(f"a stack holds seeds of one scenario: {diff}")
     if first.buffer_capacity is not None:
         raise SimulationError(
             "stacked replicas support infinite buffers only; run finite-"
@@ -233,20 +227,13 @@ def run_stacked(
     warmup: Optional[int] = None,
     backend: Backend = "auto",
 ) -> List[NetworkResult]:
-    """Run ``len(configs)`` *scenarios* in one stacked engine.
+    """Run ``len(configs)`` replicas in one stacked engine.
 
-    Each replica simulates its own :class:`NetworkConfig`, which may
-    differ in arrival rate ``p``, bulk size, favourite bias ``q``,
-    service model (``message_size`` / ``sizes`` / explicit ``service``),
-    and seed -- anything that does not change the engine's array
-    shapes.  The shape-fixing fields (:data:`STACK_SHAPE_FIELDS`: ``k``,
-    ``n_stages``, ``topology``, ``width``, ``transfer``,
-    ``buffer_capacity``, ``track_limit``) must agree across the batch.
-
-    Returns one :class:`NetworkResult` per config, in order, each
-    carrying its own config and equal to a serial run of it -- the same
-    schema serial runs produce, so downstream analysis and the result
-    cache need no batch awareness.
+    The configs are seeds of one scenario: they may differ in ``seed``
+    and nothing else.  Returns one :class:`NetworkResult` per config, in
+    order, each carrying its own config and equal to a serial run of it
+    -- the same schema serial runs produce, so downstream analysis and
+    the result cache need no batch awareness.
 
     ``backend`` selects the evaluator (see the module notes); every
     backend produces bit-identical results, and the one that actually
@@ -272,8 +259,7 @@ def run_batched(
 ) -> List[NetworkResult]:
     """Run ``len(seeds)`` replicas of ``config`` in one stacked engine.
 
-    The homogeneous special case of :func:`run_stacked`: every replica
-    simulates the same scenario under its own seed.  Returns one
+    :func:`run_stacked` over ``config`` under each seed.  Returns one
     :class:`NetworkResult` per seed, in order, each carrying ``config``
     with its own seed.  ``backend`` is forwarded to :func:`run_stacked`.
     """

@@ -14,7 +14,7 @@ into the next window and the next :meth:`~ClockedEngine.run`.
 One engine evaluates ``R >= 1`` disjoint copies of the network -- one
 replica per traffic generator -- in one set of arrays: a serial run is
 ``R = 1``, and the stacked runs of :mod:`repro.simulation.batched` are
-``R`` scenarios at once.  Each replica draws its arrivals from its own
+``R`` seeds of one scenario at once.  Each replica draws its arrivals from its own
 traffic stream in blocks of
 :data:`~repro.simulation.traffic.BLOCK_CYCLES` cycles on a grid that
 starts at cycle 0 (:mod:`repro.simulation.traffic`).  The engine draws a

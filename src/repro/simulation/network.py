@@ -189,9 +189,11 @@ def build_engine(
     Replica ``r`` draws its traffic from ``spawn_rngs(configs[r].seed,
     1)[0]`` -- how a serial run is seeded -- so its sample path is the
     same in any engine it shares; routing follows the destination
-    digits and draws nothing.  The first config fixes the network shape,
-    buffers and track limit.  ``measured_cycles`` sizes a stack's
-    tracker for one run (see :class:`ClockedEngine`).
+    digits and draws nothing.  The configs are seeds of one scenario
+    (:func:`~repro.simulation.batched.stack_warmup` checks a stack's), so
+    the first fixes the network shape, buffers and track limit.
+    ``measured_cycles`` sizes a stack's tracker for one run (see
+    :class:`ClockedEngine`).
     """
     first = configs[0]
     topology = first.build_topology()

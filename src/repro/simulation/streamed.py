@@ -58,15 +58,15 @@ def run_streamed(
     n_markers: int = DEFAULT_SKETCH_MARKERS,
     tail_k: int = DEFAULT_TAIL_K,
 ) -> StreamedBatch:
-    """Run ``len(configs)`` scenarios as independent replicas.
+    """Run ``len(configs)`` seeds of one scenario as independent replicas.
 
     Results are bit-identical whether the configs run in one call or
     split across any number of calls, and equal to
     :func:`~repro.simulation.batched.run_stacked` and to serial runs of
     the same configs (test-asserted).
 
-    Shape-fixing fields (:data:`~repro.simulation.batched.STACK_SHAPE_FIELDS`)
-    must agree across the batch; finite buffers are refused.
+    The configs may differ in ``seed`` and nothing else; finite buffers
+    are refused.
 
     With ``track_limit == 0`` (streaming summary mode) the returned
     :class:`StreamedBatch` carries a merged

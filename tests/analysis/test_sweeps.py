@@ -64,9 +64,9 @@ class TestExecutionRouting:
             assert a.first_stage_ci == b.first_stage_ci
 
     def test_load_sweep_fuses_under_vectorized_context(self, tmp_path):
-        """With vectorize on, a whole load sweep is one stacked engine
-        run; the fused results still bracket the predictions and are the
-        serial ones, under the serial cache keys."""
+        """With vectorize on, each load point runs as its own stack; the
+        results still bracket the predictions and are the serial ones,
+        under the serial cache keys."""
         from repro.exec import ExecutionContext, ResultCache, use_execution
 
         cache = ResultCache(tmp_path / "cache")

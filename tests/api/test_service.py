@@ -245,6 +245,79 @@ class TestKeepAlive:
         assert elapsed < 50 * 0.040 / 2
 
 
+def read_response(sock) -> http.client.HTTPResponse:
+    """One HTTP response off a raw socket, body read."""
+    reply = http.client.HTTPResponse(sock)
+    reply.begin()
+    reply.read()
+    return reply
+
+
+class TestIdleTimeout:
+    """A kept-alive connection that sits idle is closed by the server."""
+
+    IDLE = 0.3
+
+    @pytest.fixture(autouse=True)
+    def short_idle_timeout(self, monkeypatch):
+        assert ApiHandler.timeout is not None  # the shipped handler has one
+        monkeypatch.setattr(ApiHandler, "timeout", self.IDLE)
+
+    def connect(self, client):
+        url = urlsplit(client.base_url)
+        return socket.create_connection((url.hostname, url.port), timeout=10)
+
+    def test_idle_connection_is_closed(self, service):
+        client, _, _ = service
+        with self.connect(client) as sock:
+            start = time.perf_counter()
+            assert sock.recv(1) == b""  # the server hung up
+            assert self.IDLE * 0.5 < time.perf_counter() - start < 5.0
+
+    def test_requests_inside_the_timeout_are_served(self, service):
+        client, _, _ = service
+        with self.connect(client) as sock:
+            for _ in range(3):  # three idle gaps add up to more than one timeout
+                time.sleep(self.IDLE / 2)
+                sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+                assert read_response(sock).status == 200
+            assert sock.recv(1) == b""
+
+    def test_event_stream_outlasting_the_timeout_ends_with_its_terminal_event(
+        self, tmp_path
+    ):
+        gate = threading.Event()
+
+        def gated(spec):
+            gate.wait(10.0)
+            return execute_spec(spec)
+
+        manager = JobManager(executors=1, cache=ResultCache(tmp_path / "cache"), task_fn=gated)
+        server = make_server(port=0, manager=manager, quiet=True)
+        start_in_thread(server)
+        client = ApiClient(f"http://127.0.0.1:{server.port}", timeout=10.0)
+        opener = threading.Timer(4 * self.IDLE, gate.set)
+        try:
+            digest = client.submit(make_spec_doc(seed=28)[1])["runs"][0]["digest"]
+            with self.connect(client) as sock:
+                opener.start()
+                sock.sendall(
+                    f"GET /v1/runs/{digest}/events HTTP/1.1\r\nHost: test\r\n\r\n".encode()
+                )
+                reply = http.client.HTTPResponse(sock)
+                reply.begin()
+                body = reply.read().decode("utf-8")  # to the zero-length chunk
+            assert gate.is_set()
+            events = list(parse_sse(body.splitlines(keepends=True)))
+            assert events[-1]["event"] == "done"
+        finally:
+            opener.cancel()
+            gate.set()
+            client.close()
+            server.shutdown()
+            server.server_close()
+
+
 class TestRoutes:
     def test_healthz_and_stats(self, service):
         client, _, _ = service
@@ -312,6 +385,23 @@ class TestErrors:
         ):
             with pytest.raises(ApiError, match="HTTP 400"):
                 client.submit(payload)
+
+    def test_malformed_spec_documents_are_400(self, service):
+        client, _, _ = service
+        doc = make_spec_doc()[1]["spec"]
+        size_mix = {"message_size": 2, "sizes": [1, 2], "probabilities": [0.5, 0.5]}
+        for spec in (
+            {**doc, "n_cycles": "abc"},
+            {**doc, "n_cycles": 1.5},
+            {**doc, "warmup": "x"},
+            {**doc, "config": {**doc["config"], "sizes": 5}},
+            {**doc, "config": [1, 2]},
+            {**doc, "config": {**doc["config"], **size_mix}},
+            {**doc, "config": {**doc["config"], "p": float("nan")}},
+        ):
+            with pytest.raises(ApiError, match="HTTP 400"):
+                client.submit({"spec": spec})
+        assert client.healthz()["status"] == "ok"
 
     def test_invalid_json_body_is_400(self, service):
         client, _, _ = service

@@ -53,6 +53,12 @@ def _sleepy_task(spec):
     return execute_spec(spec)
 
 
+def _slow_task(spec):
+    """Take about 0.3 s; the 'sleepy' spec takes well past 0.5 s."""
+    time.sleep(1.5 if spec.label == "sleepy" else 0.3)
+    return execute_spec(spec)
+
+
 def _flaky_or_doomed_task(spec):
     """'flaky' fails once (across all processes), 'doomed' every time."""
     return _doomed_task(spec) if spec.label == "doomed" else _flaky_task(spec)
@@ -244,6 +250,22 @@ class TestFaultTolerance:
         assert batch.outcomes[0].status == "failed"
         assert "timeout" in batch.outcomes[0].error
         assert batch.outcomes[1].status == "completed"
+
+    def test_deadline_starts_with_the_job(self):
+        """Eight 0.3-s jobs on two workers take about 1.2 s in all, but
+        each job's 0.5-s deadline runs from its own start: none expires."""
+        specs = make_specs(n=8, n_cycles=1_000)
+        batch = run_many(specs, workers=2, retries=0, timeout=0.5, task_fn=_slow_task)
+        assert [o.status for o in batch.outcomes] == ["completed"] * 8
+
+    def test_job_past_its_deadline_still_fails(self):
+        specs = make_specs(n=8, n_cycles=1_000)
+        specs[3] = relabel(specs[3], "sleepy")
+        batch = run_many(specs, workers=2, retries=0, timeout=0.5, task_fn=_slow_task)
+        assert batch.outcomes[3].status == "failed"
+        assert "timeout" in batch.outcomes[3].error
+        others = [o.status for i, o in enumerate(batch.outcomes) if i != 3]
+        assert others == ["completed"] * 7
 
     def test_failed_tasks_are_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -4,6 +4,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.exec.spec import (
@@ -181,3 +183,73 @@ class TestJsonRoundTrip:
         path.write_text("{}")
         with pytest.raises(ExecutionError):
             specs_from_file(path)
+
+
+#: spec documents the service and scenario files must refuse with an
+#: ExecutionError: (what is wrong, the change to a valid document)
+MALFORMED = {
+    "n_cycles string": {"n_cycles": "abc"},
+    "n_cycles float": {"n_cycles": 1.5},
+    "n_cycles bool": {"n_cycles": True},
+    "n_cycles missing": {"n_cycles": None},
+    "warmup string": {"warmup": "x"},
+    "warmup float": {"warmup": 10.0},
+    "config list": {"config": [1, 2]},
+    "sizes int": {"config": {"sizes": 5, "probabilities": [1.0]}},
+    "probabilities string": {"config": {"sizes": [1, 2], "probabilities": "ab"}},
+    "message_size and sizes": {
+        "config": {"message_size": 2, "sizes": [1, 2], "probabilities": [0.5, 0.5]}
+    },
+    "nan load": {"config": {"p": float("nan")}},
+}
+
+
+def malformed_document(change: dict) -> dict:
+    doc = spec().to_jsonable()
+    for key, value in change.items():
+        if key == "config" and isinstance(value, dict):
+            doc["config"].update(value)
+        elif value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+#: any value ``json.loads`` can produce, NaN and the infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(NetworkConfig))
+
+
+@st.composite
+def spec_documents(draw) -> dict:
+    """A valid spec document with a few keys overwritten by JSON values."""
+    doc = spec().to_jsonable()
+    for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=3, unique=True)):
+        doc["config"][key] = draw(JSON_VALUES)
+    top = ["config", "n_cycles", "warmup", "label"]
+    for key in draw(st.lists(st.sampled_from(top), max_size=2, unique=True)):
+        doc[key] = draw(JSON_VALUES)
+    return doc
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("change", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_refused_with_an_execution_error(self, change):
+        with pytest.raises(ExecutionError):
+            spec_from_jsonable(malformed_document(change))
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=spec_documents() | JSON_VALUES)
+    def test_any_json_document_gives_a_spec_or_an_execution_error(self, doc):
+        try:
+            rebuilt = spec_from_jsonable(doc)
+        except ExecutionError:
+            return
+        assert isinstance(rebuilt, ExperimentSpec)
+        assert len(rebuilt.digest) == 64

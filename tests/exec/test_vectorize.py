@@ -2,9 +2,8 @@
 
 Contract under test:
 
-* grouping is by shape (identical specs up to the config seed and the
-  stackable traffic parameters), with finite-buffer specs left on the
-  serial path;
+* grouping is by scenario (identical specs up to the config seed), with
+  finite-buffer specs left on the serial path;
 * every spec keeps its serial digest and result, so cache entries cross
   the serial and vectorized paths in both directions;
 * ``vectorize=True`` composes with workers and the cache: pool runs are
@@ -44,12 +43,15 @@ def spec_batch(n=4, n_cycles=1_200, **kwargs):
 
 
 class TestGrouping:
-    def test_load_sweep_specs_stack_heterogeneously(self):
+    def test_load_sweep_specs_group_per_load(self):
+        """Each load point of a loads x seeds sweep is its own group,
+        in order of first appearance, whatever the spec order."""
         specs = [
             ExperimentSpec(config=base_config(p=p, seed=7 + i), n_cycles=1_200)
-            for i, p in enumerate([0.2, 0.5, 0.8])
+            for i in range(2)
+            for p in [0.2, 0.5, 0.8]
         ]
-        assert group_by_shape(specs) == [[0, 1, 2]]
+        assert group_by_shape(specs) == [[0, 3], [1, 4], [2, 5]]
 
     def test_finite_buffer_groups_stay_serial(self, monkeypatch):
         """Finite-buffer specs never reach a stacked engine."""
@@ -163,8 +165,9 @@ class TestRunMany:
 
 class TestStatisticalEquivalence:
     def test_stacked_heterogeneous_sweep_agrees_with_serial_runs(self):
-        """A vectorized loads x seeds sweep (one stacked group) and the
-        same specs run serially are the same sample paths, bit for bit."""
+        """A vectorized loads x seeds sweep (one stacked group per load)
+        and the same specs run serially are the same sample paths, bit
+        for bit."""
         loads = [0.3, 0.6]
         seeds = range(300, 308)
         specs = [
@@ -176,8 +179,11 @@ class TestStatisticalEquivalence:
             for p in loads
             for s in seeds
         ]
-        # sanity: the whole sweep really is one stacked group
-        assert group_by_shape(specs) == [list(range(len(specs)))]
+        # sanity: each load's seeds are one stacked group
+        n_seeds = len(seeds)
+        assert group_by_shape(specs) == [
+            list(range(j * n_seeds, (j + 1) * n_seeds)) for j in range(len(loads))
+        ]
 
         vec = run_many(specs, vectorize=True).raise_on_failure()
         ser = run_many(specs).raise_on_failure()

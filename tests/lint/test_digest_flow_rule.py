@@ -1,49 +1,19 @@
-"""RPR006: kernel-reachable config reads must be in the digest partition.
+"""RPR006: kernel-reachable ``ExperimentSpec`` reads must enter ``identity()``.
 
-Mirrors :mod:`tests.lint.test_digest_rule` in structure, but mutates the
-*dataflow* side of the invariant: RPR002 proves declared fields are
-classified; these fixtures prove a *kernel read* of an unclassified
-field is caught even when the declaration drifts out of the lists.
-The rule runs in isolation (``rules=[DigestFlowRule()]``) so the
-partition mutations do not also trip RPR002.
+The fixtures model the real anchor layout (``ExperimentSpec`` with its
+``identity()`` method in ``exec/``, a kernel entry point under
+``simulation/``); the rule runs in isolation
+(``rules=[DigestFlowRule()]``).
 """
 
-from repro.lint.rules.digest_flow import DigestFlowRule
+import ast
+from pathlib import Path
+
+import repro
+from repro.lint import build_index, iter_python_files
+from repro.lint.rules.base import FileContext
+from repro.lint.rules.digest_flow import ENTRY_POINTS, DigestFlowRule, _spec_anchor
 from tests.lint.helpers import codes
-
-NETWORK = """\
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    k: int = 2
-    n_stages: int = 3
-    p: float = 0.5
-    bulk_size: int = 1
-    seed: int = 19880101
-"""
-
-SPEC_LISTS = 'STACKABLE_CONFIG_FIELDS = ("p", "bulk_size")\n'
-
-BATCHED_LISTS = 'STACK_SHAPE_FIELDS = ("k", "n_stages")\n'
-
-ENGINE = """\
-class ClockedEngine:
-    def __init__(self, config):
-        self.config = config
-
-    def run(self, n_cycles):
-        for _ in range(n_cycles):
-            self.step()
-
-    def step(self):
-        inject(self.config)
-
-
-def inject(config):
-    return config.p * config.bulk_size
-"""
 
 EXPERIMENT_SPEC = """\
 from dataclasses import dataclass
@@ -65,79 +35,12 @@ class ExperimentSpec:
 """
 
 
-def tree(engine=ENGINE, spec_lists=SPEC_LISTS, **extra):
-    files = {
-        "simulation/network.py": NETWORK,
-        "exec/spec.py": spec_lists,
-        "simulation/batched.py": BATCHED_LISTS,
-        "simulation/engine.py": engine,
-    }
-    files.update(extra)
-    return files
+def tree(**files):
+    return {"exec/experiment.py": EXPERIMENT_SPEC, **files}
 
 
 def lint(lint_tree, files):
     return lint_tree(files, rules=[DigestFlowRule()])
-
-
-class TestConfigLeg:
-    def test_partitioned_reads_are_quiet(self, lint_tree):
-        result = lint(lint_tree, tree())
-        assert result.ok, result.findings
-
-    def test_kernel_read_of_unpartitioned_field_fires(self, lint_tree):
-        """THE invariant: drop a kernel-read field from the lists and
-        the read -- two call-graph hops below the entry point -- is
-        caught."""
-        result = lint(
-            lint_tree, tree(spec_lists='STACKABLE_CONFIG_FIELDS = ("p",)\n')
-        )
-        assert codes(result) == ["RPR006"]
-        finding = result.findings[0]
-        assert "bulk_size" in finding.message
-        assert "inject" in finding.message
-        assert "digest partition" in finding.message
-
-    def test_unreachable_read_is_quiet(self, lint_tree):
-        """A read in dead code never runs, so it cannot poison caches."""
-        dead = ENGINE.replace(
-            "def inject(config):\n    return config.p * config.bulk_size",
-            "def inject(config):\n    return config.p\n\n\n"
-            "def orphan(config):\n    return config.bulk_size",
-        )
-        result = lint(
-            lint_tree,
-            tree(engine=dead, spec_lists='STACKABLE_CONFIG_FIELDS = ("p",)\n'),
-        )
-        assert result.ok, result.findings
-
-    def test_undeclared_attribute_is_quiet(self, lint_tree):
-        """Only declared NetworkConfig fields count as config reads --
-        a stray local named ``config`` holding another object must not
-        drown the rule in noise."""
-        noisy = ENGINE.replace(
-            "return config.p * config.bulk_size",
-            "return config.p * config.not_a_field",
-        )
-        result = lint(lint_tree, tree(engine=noisy))
-        assert result.ok, result.findings
-
-    def test_seed_read_is_quiet(self, lint_tree):
-        """``seed`` partitions the config by fiat (RPR002's contract)."""
-        seeded = ENGINE.replace(
-            "return config.p * config.bulk_size",
-            "return config.p + config.seed",
-        )
-        result = lint(lint_tree, tree(engine=seeded))
-        assert result.ok, result.findings
-
-    def test_partial_tree_is_quiet(self, lint_tree):
-        """No partition anchors in scope -> nothing to check against."""
-        result = lint(
-            lint_tree,
-            {"simulation/engine.py": ENGINE, "simulation/network.py": NETWORK},
-        )
-        assert result.ok, result.findings
 
 
 class TestSpecLeg:
@@ -150,13 +53,7 @@ class TestSpecLeg:
             "def helper(spec):\n"
             "    return spec.label\n"
         )
-        result = lint(
-            lint_tree,
-            tree(**{
-                "exec/experiment.py": EXPERIMENT_SPEC,
-                "simulation/streamed.py": kernel,
-            }),
-        )
+        result = lint(lint_tree, tree(**{"simulation/streamed.py": kernel}))
         assert codes(result) == ["RPR006"]
         finding = result.findings[0]
         assert "label" in finding.message
@@ -169,21 +66,35 @@ class TestSpecLeg:
         display = "def render(spec):\n    return spec.label\n"
         result = lint(
             lint_tree,
-            tree(**{
-                "exec/experiment.py": EXPERIMENT_SPEC,
-                "simulation/streamed.py": kernel,
-                "api/report.py": display,
-            }),
+            tree(**{"simulation/streamed.py": kernel, "api/report.py": display}),
         )
         assert result.ok, result.findings
 
     def test_identity_field_read_is_quiet(self, lint_tree):
         kernel = "def stream_totals(spec):\n    return spec.n_cycles\n"
-        result = lint(
-            lint_tree,
-            tree(**{
-                "exec/experiment.py": EXPERIMENT_SPEC,
-                "simulation/streamed.py": kernel,
-            }),
-        )
+        result = lint(lint_tree, tree(**{"simulation/streamed.py": kernel}))
         assert result.ok, result.findings
+
+    def test_partial_tree_is_quiet(self, lint_tree):
+        """No ExperimentSpec anchor in scope -> nothing to check against."""
+        kernel = "def stream_totals(spec):\n    return spec.label\n"
+        result = lint(lint_tree, {"simulation/streamed.py": kernel})
+        assert result.ok, result.findings
+
+    def test_shipped_sources_hold_every_anchor(self):
+        """On the package itself the rule finds ExperimentSpec.identity()
+        and all three entry points, so it checks rather than returns."""
+        files = []
+        for path in iter_python_files([Path(repro.__file__).parent]):
+            source = path.read_text()
+            files.append(
+                FileContext(
+                    path=path, display_path=str(path), tree=ast.parse(source), source=source
+                )
+            )
+        spec_fields, identity_attrs = _spec_anchor(files)
+        assert {"config", "n_cycles", "warmup", "label"} <= spec_fields
+        assert {"config", "n_cycles", "warmup"} <= identity_attrs
+        assert "label" not in identity_attrs
+        index = build_index(files)
+        assert all(index.find(entry) for entry in ENTRY_POINTS)

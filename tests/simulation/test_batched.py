@@ -111,11 +111,11 @@ def test_r32_interval_covers_theorem_1(p, n_cycles, warmup):
 
 
 # ----------------------------------------------------------------------
-# scenario stacking (run_stacked): heterogeneous parameter batches
+# run_stacked: seeds of one scenario per stack
 # ----------------------------------------------------------------------
 def test_stacked_identical_rows_bit_identical_to_run_batched():
-    """Anchor 1: a 'heterogeneous' batch whose rows happen to be
-    identical must reproduce the homogeneous batched engine exactly."""
+    """Anchor 1: a config list of one scenario under several seeds
+    reproduces run_batched exactly."""
     from dataclasses import replace
 
     config = NetworkConfig(
@@ -140,21 +140,16 @@ def test_stacked_single_scenario_bit_identical_to_serial():
 
 
 def test_stacked_load_sweep_intervals_cover_theorem_1():
-    """Anchor 3: one stacked grid over loads x seeds; each load's
-    cross-replication t-interval must cover Theorem 1's exact E[w]."""
+    """Anchor 3: a grid over loads x seeds, one stack per load; each
+    load's cross-replication t-interval must cover Theorem 1's exact
+    E[w]."""
     from dataclasses import replace
 
     base = NetworkConfig(k=2, n_stages=4, p=0.5, topology="random", width=16)
     loads = [0.3, 0.6]
     seeds = range(700, 716)
-    configs = [
-        replace(base, p=p, seed=s) for p in loads for s in seeds
-    ]
-    results = run_stacked(configs, 8_000)
-    n_seeds = len(list(seeds))
-    for j, p in enumerate(loads):
-        per_load = results[j * n_seeds : (j + 1) * n_seeds]
-        assert all(r.config.p == p for r in per_load)
+    for p in loads:
+        per_load = run_stacked([replace(base, p=p, seed=s) for s in seeds], 8_000)
         exact = float(
             FirstStageQueue(
                 UniformTraffic(2, p), DeterministicService(1)
@@ -167,12 +162,11 @@ def test_stacked_load_sweep_intervals_cover_theorem_1():
 
 
 def test_stacked_results_track_their_own_scenario():
-    """Per-replica statistics respond to that replica's parameters."""
+    """A stack's statistics respond to its scenario's parameters."""
     from dataclasses import replace
 
     base = NetworkConfig(k=2, n_stages=3, p=0.2, topology="random", width=16)
-    configs = [replace(base, p=p, seed=9) for p in (0.2, 0.9)]
-    light, heavy = run_stacked(configs, 4_000)
+    [light], [heavy] = (run_stacked([replace(base, p=p, seed=9)], 4_000) for p in (0.2, 0.9))
     assert heavy.injected > 2 * light.injected
     assert heavy.stage_means[0] > light.stage_means[0]
 
@@ -185,6 +179,8 @@ def test_stacked_rejects_shape_mismatches():
         run_stacked([base, replace(base, n_stages=4)], 1_000)
     with pytest.raises(SimulationError, match="width"):
         run_stacked([base, replace(base, width=8)], 1_000)
+    with pytest.raises(SimulationError, match="one scenario: p="):
+        run_stacked([base, replace(base, p=0.6)], 1_000)
     with pytest.raises(SimulationError, match="at least one"):
         run_stacked([], 1_000)
 

@@ -5,9 +5,9 @@ Every replica draws from its own config's streams in blocks of
 :class:`NetworkResult` is a function of its config, cycle budget and
 warm-up alone.  Each case here runs one target spec through every route
 the program offers -- a serial simulator, stacked batches with other
-companions in another order, streamed shards of several sizes, and
-``run_many`` serially, vectorized and sharded -- and demands the same
-result bit for bit.  Split runs must continue the sample path across
+seeds of its scenario in another order, streamed shards of several
+sizes, and ``run_many`` serially, vectorized and sharded -- and demands
+the same result bit for bit.  Split runs must continue the sample path across
 block and run boundaries.
 """
 
@@ -30,7 +30,6 @@ WARMUP = 100
 CUT_THROUGH = NetworkConfig(k=2, n_stages=3, p=0.5, topology="omega")
 STORE_FORWARD = replace(CUT_THROUGH, transfer="store_forward")
 
-#: target -> two same-shape companions
 CASES = {
     "uniform": replace(CUT_THROUGH, p=0.5, seed=11),
     "bulk": replace(CUT_THROUGH, p=0.25, bulk_size=2, seed=12),
@@ -42,12 +41,8 @@ CASES = {
 
 
 def companions(target: NetworkConfig) -> list:
-    base = STORE_FORWARD if target.transfer == "store_forward" else CUT_THROUGH
-    return [
-        replace(base, p=0.7, seed=101),
-        replace(base, p=0.2, bulk_size=3, seed=102),
-        replace(base, p=0.35, seed=103),
-    ]
+    """Three stack-mates: seeds of the target's own scenario."""
+    return [replace(target, seed=seed) for seed in (101, 102, 103)]
 
 
 def fields(result) -> dict:
@@ -104,9 +99,7 @@ def test_split_run_continues_the_sample_path(first, n_replicas, window, monkeypa
     """``first + rest`` cycles in two runs are the 400 cycles of one run,
     whether the run boundary falls inside a block or on its edge."""
     monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", window)
-    configs = [
-        replace(CASES["favourite"], seed=40 + r, p=0.3 + 0.2 * r) for r in range(n_replicas)
-    ]
+    configs = [replace(CASES["favourite"], seed=40 + r) for r in range(n_replicas)]
     split, whole = build_engine(configs), build_engine(configs)
     split.run(first, warmup=0)
     split.run(400 - first, warmup=0)

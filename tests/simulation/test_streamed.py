@@ -203,8 +203,18 @@ class TestRefusals:
             NetworkConfig(k=2, n_stages=2, p=0.4, seed=1),
             NetworkConfig(k=2, n_stages=3, p=0.4, seed=2),
         ]
-        with pytest.raises(SimulationError, match="identical array shapes"):
+        with pytest.raises(SimulationError, match="one scenario"):
             run_streamed(cfgs, 100)
+
+    def test_heterogeneous_loads_refused(self):
+        """A stack holds seeds of one scenario: a load sweep streams as
+        one stack per load, never as one mixed stack."""
+        cfgs = [
+            NetworkConfig(k=2, n_stages=3, p=p, seed=s)
+            for s, p in enumerate([0.2, 0.5, 0.8], start=40)
+        ]
+        with pytest.raises(SimulationError, match="one scenario: p="):
+            run_streamed(cfgs, N_CYCLES, warmup=WARMUP)
 
     def test_unknown_backend_refused(self):
         with pytest.raises(SimulationError, match="unknown compute backend"):
@@ -217,13 +227,3 @@ class TestDefaults:
         assert batch.results[0].warmup == 600
         batch = run_streamed(configs(1), 1000)
         assert batch.results[0].warmup == 500
-
-    def test_heterogeneous_loads_stack(self):
-        cfgs = [
-            NetworkConfig(k=2, n_stages=3, p=p, seed=s)
-            for s, p in enumerate([0.2, 0.5, 0.8], start=40)
-        ]
-        mono = run_streamed(cfgs, N_CYCLES, warmup=WARMUP).results
-        for cfg, res in zip(cfgs, mono, strict=True):
-            solo = run_streamed([cfg], N_CYCLES, warmup=WARMUP).results[0]
-            assert_results_identical(res, solo)
