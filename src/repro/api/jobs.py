@@ -1,7 +1,7 @@
 """Digest-keyed job manager behind the simulation service.
 
-The manager multiplexes every HTTP client onto one shared execution
-backend:
+The manager multiplexes every HTTP client onto one shared set of
+executors:
 
 * **Dedup** -- jobs are keyed by :attr:`ExperimentSpec.digest
   <repro.exec.spec.ExperimentSpec.digest>`.  Concurrent submissions of
@@ -155,7 +155,6 @@ class JobManager:
         workers: int = 1,
         retries: int = 1,
         timeout: Optional[float] = None,
-        backend: str = "auto",
         shard_mem: Optional[int] = None,
         max_queue: int = 64,
         cache: Optional[ResultCache] = None,
@@ -172,11 +171,8 @@ class JobManager:
         self._workers = workers
         self._retries = retries
         self._timeout = timeout
-        #: compute backend forwarded to each job's run_many call (an
-        #: execution detail: digests and cached payloads never see it)
-        self._backend = backend
-        #: per-shard byte budget, forwarded the same way: a budget runs
-        #: each job's spec as a stacked shard (see docs/scaling.md)
+        #: per-shard byte budget forwarded to each job's run_many call: a
+        #: budget runs each job's spec as a stacked shard (docs/scaling.md)
         self._shard_mem = shard_mem
         self._max_queue = max_queue
         # SQLite connections are thread-bound, so the manager keeps the
@@ -292,7 +288,6 @@ class JobManager:
                 "max_queue": self._max_queue,
                 "executors": len(self._threads),
                 "workers": self._workers,
-                "backend": self._backend,
                 "shard_mem": self._shard_mem,
                 "uptime_seconds": time.time() - self._started_unix,
                 "ledger": self._db_path is not None,
@@ -358,7 +353,6 @@ class JobManager:
                 timeout=self._timeout,
                 progress=progress,
                 task_fn=self._task_fn,
-                backend=self._backend,
                 shard_mem=self._shard_mem,
             )
             outcome = batch.outcomes[0]

@@ -44,8 +44,6 @@ _TOTALS_TABLES = ("VII", "VIII", "IX", "X", "XI", "XII")
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for testing and docs)."""
-    from repro.simulation.backends import BACKEND_CHOICES
-
     # the execution options, each declared once: ``execution`` serves
     # every simulating command and ``serve``, ``dispatch`` serves
     # ``batch`` and ``serve``; _execution_context reads them all
@@ -63,16 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="content-addressed result cache directory (default: off; "
         "'batch', 'cache' and 'serve' default to .repro-cache)",
-    )
-    execution.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="compute backend for stacked runs (--vectorize-replicas, "
-        "--shard-mem): 'numpy' (stage-wise pass), 'numba' (JIT cycle loop; "
-        "requires numba), or 'auto' (default: JIT when usable, the pass "
-        "otherwise) -- results are bit-identical either way (see "
-        "docs/backends.md)",
     )
     execution.add_argument(
         "--shard-mem",
@@ -764,7 +752,6 @@ def _run_serve(args) -> int:
         workers=ctx.workers,
         retries=ctx.retries,
         timeout=ctx.timeout,
-        backend=ctx.backend,
         shard_mem=ctx.shard_mem,
         max_queue=args.max_queue,
         cache=None if args.no_cache else ResultCache(args.cache or DEFAULT_CACHE_DIR),
@@ -890,7 +877,6 @@ def _execution_context(args):
         retries=getattr(args, "retries", 1),
         timeout=getattr(args, "timeout", None),
         vectorize=getattr(args, "vectorize_replicas", False),
-        backend=args.backend,
         shard_mem=None if args.shard_mem is None else args.shard_mem * 1024 * 1024,
         target_ci=getattr(args, "target_ci", None),
         sanitize=getattr(args, "sanitize", False),

@@ -97,8 +97,8 @@ class SanitizerError(SimulationError):
     statistics, negative queue depths, broken message conservation, or
     inconsistent merged-shard moments.  The ``cycle``/``stage``/
     ``replica`` attributes locate the first violation (``None`` where a
-    coordinate does not apply, e.g. post-run kernel checks carry no
-    per-cycle resolution).
+    coordinate does not apply, e.g. the stage of a conservation
+    check).
     """
 
     def __init__(

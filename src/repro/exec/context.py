@@ -47,10 +47,6 @@ class ExecutionContext:
     #: bounded shards (:mod:`repro.simulation.batched`); composes with
     #: ``workers`` and never changes a result
     vectorize: bool = False
-    #: compute backend for stacked shards (``"numpy"``/``"numba"``/
-    #: ``"auto"``); an execution detail -- results and cache keys are
-    #: backend-independent (see :mod:`repro.simulation.backends`)
-    backend: str = "auto"
     #: per-shard byte budget of the stacked path (``None`` = the 256 MiB
     #: default; setting it implies ``vectorize``); never enters digests
     #: or results
@@ -117,7 +113,6 @@ def run_batch(specs: Sequence[ExperimentSpec], **overrides) -> BatchResult:
         "retries": ctx.retries,
         "timeout": ctx.timeout,
         "vectorize": ctx.vectorize,
-        "backend": ctx.backend,
         "shard_mem": ctx.shard_mem,
     }
     kwargs.update(overrides)

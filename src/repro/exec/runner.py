@@ -60,7 +60,6 @@ from repro.errors import ExecutionError
 from repro.exec.cache import ResultCache, payload_to_result, result_to_payload
 from repro.exec.spec import ExperimentSpec, group_by_shape, resolve_seeds
 from repro.obs.session import current_session
-from repro.simulation.backends import BACKEND_CHOICES
 from repro.simulation.network import NetworkResult, NetworkSimulator
 from repro.simulation.rng import DEFAULT_SEED
 
@@ -111,7 +110,7 @@ def _run_chunk(specs: List[ExperimentSpec], task_fn) -> List[tuple]:
     return out
 
 
-def _run_shard(specs: List[ExperimentSpec], backend: str = "auto") -> List[tuple]:
+def _run_shard(specs: List[ExperimentSpec]) -> List[tuple]:
     """Worker-side stacked executor: one engine, one payload per spec.
 
     The specs are seeds of one scenario
@@ -132,7 +131,6 @@ def _run_shard(specs: List[ExperimentSpec], backend: str = "auto") -> List[tuple
             [s.config for s in specs],
             specs[0].n_cycles,
             warmup=specs[0].warmup,
-            backend=backend,
         )
         elapsed = perf_counter() - started
         out = []
@@ -444,7 +442,6 @@ def run_many(
     task_fn: Optional[Callable[[ExperimentSpec], NetworkResult]] = None,
     vectorize: bool = False,
     shard_mem: Optional[int] = None,
-    backend: str = "auto",
     db: Optional["ExperimentDB"] = None,
 ) -> BatchResult:
     """Execute a batch of specs; see the module docstring for the contract.
@@ -490,13 +487,6 @@ def run_many(
         (default :data:`~repro.exec.sharded.DEFAULT_SHARD_MEM`,
         256 MiB); giving one implies ``vectorize=True``.  Purely an
         execution knob: it never enters digests or results.
-    backend:
-        Compute backend for stacked shards -- ``"numpy"``, ``"numba"``,
-        or ``"auto"`` (default; JIT when numba is usable, reference
-        otherwise).  Purely an execution detail: results, digests, and
-        cache keys are backend-independent (the JIT loop is
-        bit-identical to the reference), and serial paths always use the
-        reference implementation.  See :mod:`repro.simulation.backends`.
     db:
         Optional :class:`~repro.expdb.db.ExperimentDB`; every outcome
         (completed, cached, and failed) is recorded in the ledger after
@@ -512,11 +502,6 @@ def run_many(
     vectorize = vectorize or shard_mem is not None
     if vectorize and task_fn is not None:
         raise ExecutionError("vectorize=True cannot run a custom task_fn")
-    if backend not in BACKEND_CHOICES:
-        raise ExecutionError(
-            f"backend must be one of {', '.join(map(repr, BACKEND_CHOICES))}; "
-            f"got {backend!r}"
-        )
     started = perf_counter()
     specs = resolve_seeds(specs, base_seed=base_seed)
     outcomes: List[Optional[TaskOutcome]] = [None] * len(specs)
@@ -533,11 +518,7 @@ def run_many(
             pending.append(i)
 
     if pending:
-        execute = (
-            partial(_run_shard, backend=backend)
-            if vectorize
-            else partial(_run_chunk, task_fn=task_fn)
-        )
+        execute = _run_shard if vectorize else partial(_run_chunk, task_fn=task_fn)
         jobs = _plan_jobs(
             specs, pending, workers=workers, vectorize=vectorize, shard_mem=shard_mem
         )

@@ -117,7 +117,6 @@ def _run_totals_shard(
     seeds: List[int],
     n_cycles: int,
     warmup: Optional[int],
-    backend: str,
     n_markers: int,
     tail_k: int,
 ) -> tuple:
@@ -127,7 +126,6 @@ def _run_totals_shard(
         configs,
         n_cycles,
         warmup=warmup,
-        backend=backend,
         n_markers=n_markers,
         tail_k=tail_k,
     )
@@ -145,7 +143,6 @@ def stream_totals(
     base_seed: int = 1000,
     shard_mem: Optional[int] = None,
     workers: int = 1,
-    backend: str = "auto",
     n_markers: int = DEFAULT_SKETCH_MARKERS,
     tail_k: int = DEFAULT_TAIL_K,
     progress: Optional[Callable[[dict], None]] = None,
@@ -184,7 +181,7 @@ def stream_totals(
     if workers == 1 or len(shards) == 1:
         for j, shard_seeds in enumerate(shards):
             parts[j] = _run_totals_shard(
-                cfg, shard_seeds, n_cycles, warmup, backend, n_markers, tail_k
+                cfg, shard_seeds, n_cycles, warmup, n_markers, tail_k
             )
             if progress is not None:
                 progress({"event": "shard", "index": j, "n_shards": len(shards),
@@ -194,8 +191,7 @@ def stream_totals(
             futures = {
                 pool.submit(
                     _run_totals_shard,
-                    cfg, shard_seeds, n_cycles, warmup, backend,
-                    n_markers, tail_k,
+                    cfg, shard_seeds, n_cycles, warmup, n_markers, tail_k,
                 ): j
                 for j, shard_seeds in enumerate(shards)
             }

@@ -31,9 +31,9 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.errors import ExecutionError, ModelError
+from repro.errors import ExecutionError, ReproError
 from repro.obs.manifest import config_to_jsonable
-from repro.simulation.network import NetworkConfig
+from repro.simulation.network import NetworkConfig, default_warmup
 from repro.simulation.rng import DEFAULT_SEED
 
 __all__ = [
@@ -75,7 +75,8 @@ class ExperimentSpec:
         Simulated cycles (``>= 1``).
     warmup:
         Discarded warm-up cycles; ``None`` uses the simulator default
-        ``max(500, n_cycles // 10)``.  The MSER-5 ``"auto"`` mode is
+        (:func:`~repro.simulation.network.default_warmup`), which a run
+        of at most 500 cycles cannot take.  The MSER-5 ``"auto"`` mode is
         not spec-able -- it doubles the work with a pilot twin, which
         defeats the point of a shared cache.
     label:
@@ -83,8 +84,9 @@ class ExperimentSpec:
         **not** part of the digest.
 
     How a spec runs -- serially, stacked with other seeds of its
-    scenario, in a shard of any size, on any backend -- never enters its
-    digest: every path gives it the same result.
+    scenario, or in a shard of any size -- never enters its digest:
+    every path gives it the same result.  A spec that cannot run is
+    refused when it is made, not when a batch first simulates it.
     """
 
     config: NetworkConfig
@@ -108,6 +110,13 @@ class ExperimentSpec:
                 raise ExecutionError(
                     f"warmup {self.warmup} >= n_cycles {self.n_cycles}"
                 )
+        elif default_warmup(self.n_cycles) >= self.n_cycles:
+            raise ExecutionError(
+                f"n_cycles {self.n_cycles} is within the default warm-up of "
+                f"{default_warmup(self.n_cycles)} cycles; give a warmup"
+            )
+        if self.config.topology == "random" and self.config.width is None:
+            raise ExecutionError('topology="random" requires an explicit width')
 
     # ------------------------------------------------------------------
     def identity(self) -> dict:
@@ -226,7 +235,7 @@ def spec_from_jsonable(doc: dict) -> ExperimentSpec:
             raw[key] = tuple(raw[key])
     try:
         config = NetworkConfig(**raw)
-    except (TypeError, ValueError, ModelError) as exc:
+    except (TypeError, ValueError, ReproError) as exc:
         raise ExecutionError(f"bad config in spec file: {exc}") from exc
     spec = ExperimentSpec(
         config=config,

@@ -34,16 +34,14 @@ __all__ = [
 
 #: Minimum acceptable speedup per benchmark series -- the same floors
 #: the perf benchmarks assert (``test_perf_replicas``: >= 5x,
-#: ``test_perf_exec``: >= 2x, ``test_perf_backend``: numba JIT >= 3x
-#: over the NumPy backend, ``test_perf_scale``: sharded multi-worker
+#: ``test_perf_exec``: >= 2x, ``test_perf_scale``: sharded multi-worker
 #: >= 2x over a single-shard serial run).  A series whose *latest*
 #: point sits below its floor is a perf regression; a series with no
-#: floor (such as ``sweep`` points from before its benchmark was
-#: retired) is reported without a verdict.
+#: floor (the older points of a retired benchmark) is reported without
+#: a verdict.
 PERF_SPEEDUP_FLOORS: Dict[str, float] = {
     "replicas": 5.0,
     "exec": 2.0,
-    "backend": 3.0,
     "scale": 2.0,
 }
 

@@ -20,8 +20,8 @@ RPR006    digest-completeness  every ExperimentSpec field the kernel
                                (interprocedural dataflow over the
                                project index)
 RPR007    rng-streams          kernel generators derive from
-                               simulation/rng.py, feed one entry point
-                               each, and backends match draw sites
+                               simulation/rng.py and feed one entry
+                               point each
 RPR008    numeric-safety       no naive float accumulation, aliased
                                in-place array ops, or NaN-promoting
                                comparisons in the kernels

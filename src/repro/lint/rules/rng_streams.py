@@ -1,8 +1,8 @@
 """RPR007: RNG stream discipline across the kernel layer.
 
-Bit-exact replay -- the property every backend-equivalence and
-stacking test asserts empirically -- rests on two conventions the type
-system cannot see:
+Bit-exact replay -- the property every stacking, sharding and
+differential test asserts empirically -- rests on two conventions the
+type system cannot see:
 
 1. **Single construction point.**  Every ``numpy`` generator used by a
    kernel derives from a ``SeedSequence`` built in

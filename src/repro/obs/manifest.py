@@ -45,10 +45,10 @@ __all__ = [
 
 #: v2 added the environment-provenance block (``platform``,
 #: ``python_version``, ``numpy_version``) so a ledger row can answer
-#: "which interpreter/BLAS produced this number".  v3 added ``backend``
-#: (which :mod:`compute backend <repro.simulation.backends>` executed
-#: the cycle loop) -- provenance only; results are backend-identical.
-#: Older documents are still accepted by :func:`validate_manifest`.
+#: "which interpreter/BLAS produced this number".  v3 added ``backend``,
+#: the evaluator of the run; every run is now evaluated by the
+#: stage-wise NumPy pass, so it always reads ``"numpy"``.  Older
+#: documents are still accepted by :func:`validate_manifest`.
 MANIFEST_SCHEMA_VERSION = 3
 METRICS_SCHEMA_VERSION = 1
 
@@ -173,7 +173,7 @@ def build_manifest(
         "platform": platform_mod.platform(),
         "python_version": platform_mod.python_version(),
         "numpy_version": _numpy_version(),
-        "backend": getattr(result, "backend", "numpy"),
+        "backend": "numpy",
         "config": config_to_jsonable(result.config),
         "n_cycles": int(result.n_cycles),
         "warmup": int(result.warmup),

@@ -22,7 +22,26 @@ from repro.series.pgf import PGF
 from repro.series.polynomial import as_exact
 from repro.service.base import ServiceProcess
 
-__all__ = ["MultiSizeService"]
+__all__ = ["MultiSizeService", "check_size_mix"]
+
+
+def check_size_mix(sizes: Tuple[int, ...], probabilities: Tuple) -> None:
+    """The checks of a size mixture (raises :class:`~repro.errors.ModelError`):
+    distinct sizes ``>= 1``, one non-negative probability each, summing
+    to one exactly."""
+    if len(sizes) != len(probabilities):
+        raise ModelError("need one probability per size")
+    if not sizes:
+        raise ModelError("need at least one size")
+    if any(m < 1 for m in sizes):
+        raise ModelError(f"sizes must be >= 1, got {sizes}")
+    if len(set(sizes)) != len(sizes):
+        raise ModelError(f"sizes must be distinct, got {sizes}")
+    if any(g < 0 for g in probabilities):
+        raise ModelError("probabilities must be non-negative")
+    total = sum(as_exact(g) for g in probabilities)
+    if total != 1:
+        raise ModelError(f"probabilities sum to {total}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -43,18 +62,7 @@ class MultiSizeService(ServiceProcess):
     def __init__(self, sizes: Sequence[int], probabilities: Sequence) -> None:
         sizes = tuple(int(m) for m in sizes)
         probs = tuple(as_exact(g) for g in probabilities)
-        if len(sizes) != len(probs):
-            raise ModelError("need one probability per size")
-        if not sizes:
-            raise ModelError("need at least one size")
-        if any(m < 1 for m in sizes):
-            raise ModelError(f"sizes must be >= 1, got {sizes}")
-        if len(set(sizes)) != len(sizes):
-            raise ModelError(f"sizes must be distinct, got {sizes}")
-        if any(g < 0 for g in probs):
-            raise ModelError("probabilities must be non-negative")
-        if sum(probs) != 1:
-            raise ModelError(f"probabilities sum to {sum(probs)}, expected 1")
+        check_size_mix(sizes, probs)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "probabilities", probs)
         from repro.simulation.sampling import AliasSampler

@@ -5,8 +5,9 @@ The paper's tables average independent replications of one scenario.
 in one :class:`~repro.simulation.engine.ClockedEngine` of ``R``
 replicas: flat arrays of ``R * n_stages * width`` ports (global port =
 ``replica * n_stages * width + stage * width + line``) and one stage-wise
-pass (or one kernel call) over all of them.  A stack never mixes
-scenarios: configs that differ in any field but the seed are refused.
+pass (:mod:`repro.simulation.stagewise`) over all of them, window by
+window.  A stack never mixes scenarios: configs that differ in any field
+but the seed are refused.
 
 Randomness
 ----------
@@ -30,16 +31,6 @@ Limitations
   network's ports.  Run serially when you need instrumentation.
 * ``warmup="auto"`` (MSER-5) is refused: the detector is a per-run
   pilot; pass an explicit warm-up instead.
-
-Backends
---------
-``backend`` picks the evaluator
-(:func:`~repro.simulation.backends.jit.resolve_kernel`): the stage-wise
-NumPy pass (:mod:`repro.simulation.stagewise`) window by window, or the
-compiled cycle loop over the whole run's drawn arrivals.  The default
-``"auto"`` takes the compiled loop when numba is importable.  Either way
-the results are bit-identical (test-asserted), so backend choice is an
-execution detail -- never part of a spec digest or cache key.
 """
 
 from __future__ import annotations
@@ -54,8 +45,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simulation.backends.jit import Backend, resolve_kernel, run_kernel
-from repro.simulation.network import NetworkConfig, NetworkResult, build_engine
+from repro.simulation.network import (
+    NetworkConfig,
+    NetworkResult,
+    build_engine,
+    default_warmup,
+)
 from repro.simulation.stagewise import StagewisePass
 from repro.simulation.stats import (
     BatchedTrackedMessages,
@@ -83,7 +78,8 @@ def stack_warmup(
 
     Stacked and streamed runs alike need at least one config, configs
     that differ in nothing but the seed, infinite buffers and an
-    explicit warm-up; ``None`` means ``max(500, n_cycles // 10)`` cycles.
+    explicit warm-up; ``None`` means
+    :func:`~repro.simulation.network.default_warmup`.
     """
     if not configs:
         raise SimulationError("need at least one scenario config")
@@ -108,7 +104,7 @@ def stack_warmup(
             "for stacked replicas"
         )
     if warmup is None:
-        warmup = max(500, n_cycles // 10)
+        warmup = default_warmup(n_cycles)
     warmup = int(warmup)
     if not 0 <= warmup < n_cycles:
         raise SimulationError(f"warmup {warmup} outside [0, {n_cycles})")
@@ -122,16 +118,14 @@ def replica_results(
     evaluator: StagewisePass,
     tracker: Union[TrackedMessages, BatchedTrackedMessages, MessageTotals],
     elapsed: float,
-    backend: str,
     totals: Optional[StreamingTotals] = None,
 ) -> List[NetworkResult]:
     """One :class:`NetworkResult` per config from a finished run of its
     replicas.
 
-    ``evaluator`` holds the run's statistics and per-replica counters
-    (whichever backend evaluated it); ``tracker`` its tracked waits --
-    or, in streaming summary mode, its message totals, summarised in
-    ``totals``.  ``elapsed_seconds`` is the run's wall clock divided by
+    ``evaluator`` holds the run's statistics and per-replica counters;
+    ``tracker`` its tracked waits -- or, in streaming summary mode, its
+    message totals, summarised in ``totals``.  ``elapsed_seconds`` is the run's wall clock divided by
     ``R`` (the amortised per-replica cost).
     """
     n_replicas = len(configs)
@@ -162,7 +156,6 @@ def replica_results(
                 dropped=int(evaluator.dropped[i]),
                 max_occupancy=int(max_occupancy[i]),
                 elapsed_seconds=elapsed / n_replicas,
-                backend=backend,
                 totals_summary=(
                     totals.replica_summary(i) if totals is not None else None
                 ),
@@ -175,7 +168,6 @@ def run_replicas(
     configs: Sequence[NetworkConfig],
     n_cycles: int,
     warmup: Union[int, str, None] = None,
-    backend: Backend = "auto",
     *,
     n_markers: int = DEFAULT_SKETCH_MARKERS,
     tail_k: int = DEFAULT_TAIL_K,
@@ -189,22 +181,10 @@ def run_replicas(
     """
     configs = list(configs)
     warmup = stack_warmup(configs, n_cycles, warmup)
-    kernel, backend_name = resolve_kernel(backend)
     engine = build_engine(configs, measured_cycles=n_cycles - warmup)
     tracker = engine.tracker
     started = perf_counter()
-    if kernel is None:
-        engine.run(n_cycles, warmup=warmup)
-    else:
-        arrivals = engine.predraw(n_cycles, warmup)
-        if isinstance(tracker, MessageTotals):
-            no_rows = np.zeros((1, engine.n_stages), dtype=np.float32)
-            run_kernel(
-                kernel, engine.evaluator, n_cycles, warmup, arrivals, no_rows,
-                tracker.total, tracker.done,
-            )
-        else:
-            run_kernel(kernel, engine.evaluator, n_cycles, warmup, arrivals, tracker.waits)
+    engine.run(n_cycles, warmup=warmup)
     totals = None
     if isinstance(tracker, MessageTotals):
         totals = tracker.summary(n_markers, tail_k)
@@ -215,7 +195,6 @@ def run_replicas(
         engine.evaluator,
         tracker,
         perf_counter() - started,
-        backend_name,
         totals,
     )
     return results, totals
@@ -225,7 +204,6 @@ def run_stacked(
     configs: Sequence[NetworkConfig],
     n_cycles: int,
     warmup: Optional[int] = None,
-    backend: Backend = "auto",
 ) -> List[NetworkResult]:
     """Run ``len(configs)`` replicas in one stacked engine.
 
@@ -234,11 +212,6 @@ def run_stacked(
     order, each carrying its own config and equal to a serial run of it
     -- the same schema serial runs produce, so downstream analysis and
     the result cache need no batch awareness.
-
-    ``backend`` selects the evaluator (see the module notes); every
-    backend produces bit-identical results, and the one that actually
-    ran is recorded on each
-    :attr:`NetworkResult.backend <repro.simulation.network.NetworkResult.backend>`.
     """
     configs = list(configs)
     if configs and configs[0].track_limit == 0:
@@ -247,7 +220,7 @@ def run_stacked(
             "the streamed engine -- use repro.simulation.streamed."
             "run_streamed; see docs/scaling.md"
         )
-    return run_replicas(configs, n_cycles, warmup, backend)[0]
+    return run_replicas(configs, n_cycles, warmup)[0]
 
 
 def run_batched(
@@ -255,17 +228,13 @@ def run_batched(
     seeds: Sequence[Optional[int]],
     n_cycles: int,
     warmup: Optional[int] = None,
-    backend: Backend = "auto",
 ) -> List[NetworkResult]:
     """Run ``len(seeds)`` replicas of ``config`` in one stacked engine.
 
     :func:`run_stacked` over ``config`` under each seed.  Returns one
     :class:`NetworkResult` per seed, in order, each carrying ``config``
-    with its own seed.  ``backend`` is forwarded to :func:`run_stacked`.
+    with its own seed.
     """
     return run_stacked(
-        [replace(config, seed=seed) for seed in seeds],
-        n_cycles,
-        warmup=warmup,
-        backend=backend,
+        [replace(config, seed=seed) for seed in seeds], n_cycles, warmup=warmup
     )

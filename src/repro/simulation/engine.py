@@ -156,9 +156,6 @@ class ClockedEngine:
             )
         #: cycle from which statistics are recorded and messages tracked
         self.measure_from = 0
-        # set once a kernel was handed the run (predraw): the queues are then
-        # the kernel's, and the engine cannot run on
-        self._predrawn = False
         #: the stage-wise pass that evaluates every window of every run
         self.evaluator = StagewisePass(
             perm_stack,
@@ -223,7 +220,10 @@ class ClockedEngine:
         queue depths, message conservation).  Phase timers accumulate
         each window's ``predraw`` and ``pass`` wall time.
         """
-        self._start(n_cycles, warmup)
+        if n_cycles < 1:
+            raise SimulationError(f"n_cycles must be >= 1, got {n_cycles}")
+        if not 0 <= warmup < n_cycles:
+            raise SimulationError(f"warmup {warmup} outside [0, {n_cycles})")
         self.measure_from = self.now + warmup
         end = self.now + n_cycles
         evaluator, timers = self.evaluator, self.timers
@@ -234,43 +234,8 @@ class ClockedEngine:
             t1 = perf_counter()
             evaluator.advance(window_end, arrivals, self.measure_from, sources)
             if timers is not None:
-                timers.add("predraw", t1 - t0, backend="numpy")
-                timers.add("pass", perf_counter() - t1, backend="numpy")
-
-    def predraw(self, n_cycles: int, warmup: int) -> Hops:
-        """The arrivals of a fresh engine's first ``n_cycles``, for a
-        kernel that evaluates the whole run in one call
-        (:func:`~repro.simulation.backends.jit.run_kernel`).
-
-        They are drawn window by window exactly as :meth:`run` draws
-        them, tracker slots included, so either evaluator replays the
-        same sample path.  The pass does not advance: the kernel takes
-        its place and keeps the queues, so the engine cannot run on.
-        """
-        self._start(n_cycles, warmup)
-        if self.now:
-            raise SimulationError(
-                "a kernel evaluates a run from cycle 0; build a fresh engine"
-            )
-        self._predrawn = True
-        self.measure_from = warmup
-        windows = []
-        t = 0
-        while t < n_cycles:
-            t, window, _ = self._predraw_window(t, n_cycles)
-            windows.append(window)
-        return Hops.concat(windows)
-
-    def _start(self, n_cycles: int, warmup: int) -> None:
-        if n_cycles < 1:
-            raise SimulationError(f"n_cycles must be >= 1, got {n_cycles}")
-        if not 0 <= warmup < n_cycles:
-            raise SimulationError(f"warmup {warmup} outside [0, {n_cycles})")
-        if self._predrawn:
-            raise SimulationError(
-                "a kernel evaluated this engine's run and kept its queues; "
-                "build a fresh engine to simulate further"
-            )
+                timers.add("predraw", t1 - t0)
+                timers.add("pass", perf_counter() - t1)
 
     def _predraw_window(self, t0: int, end: int) -> tuple:
         """The arrivals of the window of cycles opening at ``t0``.

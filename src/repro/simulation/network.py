@@ -22,15 +22,17 @@ ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
+from numbers import Integral, Real
 from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ModelError, SimulationError
+from repro.errors import ModelError, SimulationError, TopologyError
 from repro.obs.session import current_session
 from repro.service.base import ServiceProcess
 from repro.service.deterministic import DeterministicService
-from repro.service.multisize import MultiSizeService
+from repro.service.multisize import MultiSizeService, check_size_mix
 from repro.simulation.engine import ClockedEngine
 from repro.simulation.rng import spawn_rngs
 from repro.simulation.stats import TotalsSummary, TrackedMessages
@@ -40,16 +42,53 @@ from repro.simulation.topology import (
     MultistageTopology,
     OmegaTopology,
     RandomRoutingTopology,
+    check_shape,
 )
-from repro.simulation.traffic import NetworkTrafficGenerator
+from repro.simulation.traffic import NetworkTrafficGenerator, check_load
 
-__all__ = ["NetworkConfig", "NetworkResult", "NetworkSimulator", "build_engine"]
+__all__ = [
+    "NetworkConfig",
+    "NetworkResult",
+    "NetworkSimulator",
+    "build_engine",
+    "default_warmup",
+]
 
 _TOPOLOGIES = {
     "omega": OmegaTopology,
     "butterfly": ButterflyTopology,
     "baseline": BaselineTopology,
 }
+_TRANSFERS = ("cut_through", "store_forward")
+
+
+def default_warmup(n_cycles: int) -> int:
+    """The warm-up of a run that names none: a tenth of it, at least 500
+    cycles (so a run of ``n_cycles <= 500`` must name its own)."""
+    return max(500, n_cycles // 10)
+
+
+# The checks below run on every config made, dataclasses.replace included
+# (10^4 times per streamed batch of 10^4 seeds): plain ints and floats
+# take the exact-type test and skip the slower ABC isinstance checks.
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (``True`` is no switch degree)."""
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    if not _is_int(value) or value < minimum:
+        raise ModelError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    number = type(value) is float or _is_int(value) or (
+        isinstance(value, Real) and not isinstance(value, bool)
+    )
+    if not number or not isfinite(value):
+        raise ModelError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,9 +152,41 @@ class NetworkConfig:
     track_limit: int = 200_000
 
     def __post_init__(self) -> None:
+        # types and ranges first, without building anything: a config that
+        # cannot run is refused here, not when a job first simulates it
+        _check_int("k", self.k, 2)
+        _check_int("n_stages", self.n_stages, 1)
+        _check_real("p", self.p)
+        _check_real("q", self.q)
+        _check_int("bulk_size", self.bulk_size, 1)
+        check_load(self.p, self.q, self.bulk_size)
+        _check_int("message_size", self.message_size, 1)
+        _check_int("track_limit", self.track_limit, 0)
+        if self.buffer_capacity is not None:
+            _check_int("buffer_capacity", self.buffer_capacity, 1)
+        if self.seed is not None:
+            _check_int("seed", self.seed, 0)
+        if self.transfer not in _TRANSFERS:
+            raise ModelError(f"unknown transfer mode {self.transfer!r}")
+        random = self.topology == "random"
+        if not random and self.topology not in _TOPOLOGIES:
+            raise ModelError(f"unknown topology {self.topology!r}")
+        if self.width is not None:
+            _check_int("width", self.width, 1)
+        try:
+            check_shape(self.k, self.n_stages, self.width, "virtual" if random else "digits")
+        except TopologyError as exc:
+            raise ModelError(str(exc)) from None
         if self.sizes is not None:
+            if self.probabilities is None:
+                raise ModelError("sizes need probabilities")
             object.__setattr__(self, "sizes", tuple(self.sizes))
             object.__setattr__(self, "probabilities", tuple(self.probabilities))
+            for size in self.sizes:
+                _check_int("sizes entry", size, 1)
+            for prob in self.probabilities:
+                _check_real("probabilities entry", prob)
+            check_size_mix(self.sizes, self.probabilities)
             if self.message_size != 1:
                 raise ModelError("give message_size or sizes, not both")
         if self.service is not None and (self.message_size != 1 or self.sizes is not None):
@@ -125,13 +196,8 @@ class NetworkConfig:
                 "bulk arrivals (unit-service packets) and multi-packet messages "
                 "are different models; pick one"
             )
-        if self.q > 0 and self.topology == "random":
+        if self.q > 0 and random:
             raise ModelError("favourite-output traffic needs destination routing")
-        if self.track_limit < 0:
-            raise ModelError(
-                "track_limit must be >= 0 (0 = streaming summary mode, "
-                "supported by streamed runs only)"
-            )
 
     # ------------------------------------------------------------------
     def service_model(self) -> ServiceProcess:
@@ -227,11 +293,6 @@ class NetworkResult:
     max_occupancy: int = 0
     #: wall-clock seconds spent inside :meth:`NetworkSimulator.run`
     elapsed_seconds: float = 0.0
-    #: compute backend that executed the cycle loop (serial runs and
-    #: cache rehydrations report the reference ``"numpy"``; see
-    #: :mod:`repro.simulation.backends`) -- an execution detail, never
-    #: part of a spec digest or cache key
-    backend: str = "numpy"
     #: engine phase timings (``PhaseTimers.as_dict``) when profiling was on
     timings: Optional[dict] = None
     #: manifest written for this run (observation session only)
@@ -333,7 +394,7 @@ class NetworkSimulator:
     def run(self, n_cycles: int, warmup: Optional[object] = None) -> NetworkResult:
         """Simulate and summarise.
 
-        ``warmup`` defaults to ``max(500, n_cycles // 10)`` cycles whose
+        ``warmup`` defaults to :func:`default_warmup` cycles whose
         observations are discarded; messages injected during warm-up are
         also excluded from the per-message (totals/correlations) panel.
         Pass ``warmup="auto"`` to detect the truncation point with
@@ -342,7 +403,7 @@ class NetworkSimulator:
         if warmup == "auto":
             warmup = self._auto_warmup(n_cycles)
         if warmup is None:
-            warmup = max(500, n_cycles // 10)
+            warmup = default_warmup(n_cycles)
         if warmup >= n_cycles:
             raise SimulationError(f"warmup {warmup} >= n_cycles {n_cycles}")
         # repro: lint-ok RPR001 -- elapsed_seconds bookkeeping; never enters results

@@ -4,8 +4,7 @@
 with ``sanitize=True``, which exports the variable for its scope) arms
 cheap hooks at every window end of the stage-wise pass
 (:mod:`repro.simulation.stagewise`) that evaluates serial, stacked and
-streamed runs, after the compiled JIT loop, and on the shard-merge
-path:
+streamed runs, and on the shard-merge path:
 
 * **finite statistics** -- no NaN/inf ever enters the waiting-time
   moment accumulators (a poisoned wait would otherwise surface only as

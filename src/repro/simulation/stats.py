@@ -86,8 +86,7 @@ class StageAccumulator:
         n = self.n_stages
         if self._n_unseen:
             # A bin's shift is the first value it ever sees (np.unique
-            # returns first-occurrence indices), matching the order the
-            # sequential JIT kernel assigns shifts in.
+            # returns first-occurrence indices), as in the one-bin case.
             bins, first = np.unique(stages, return_index=True)
             fresh = self.count[bins] == 0
             if fresh.any():
@@ -97,15 +96,6 @@ class StageAccumulator:
         self.count += np.bincount(stages, minlength=n)
         self.total += np.bincount(stages, weights=centered, minlength=n)
         self.total_sq += np.bincount(stages, weights=centered * centered, minlength=n)
-
-    def refresh_unseen(self) -> None:
-        """Re-derive the unseen-bin counter after direct array mutation.
-
-        The JIT backend writes ``count``/``shift``/``total``/``total_sq``
-        from inside the compiled kernel; call this afterwards so later
-        :meth:`add` calls keep assigning shifts correctly.
-        """
-        self._n_unseen = int((self.count == 0).sum())
 
     def snapshot(self) -> tuple:
         """``(count, total, total_sq)`` copies of the *raw* running sums.
@@ -332,8 +322,7 @@ class MessageTotals:
     order); :meth:`record` sums its waits over the stages and flags it
     once its last-stage service starts.  :meth:`summary` reduces the
     completed ones to a :class:`StreamingTotals`.  The arrays grow by
-    half again as needed; :attr:`total` and :attr:`done` are what a
-    kernel writes.
+    half again as needed.
     """
 
     def __init__(self, n_replicas: int, n_stages: int) -> None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.simulation.backends.jit import Backend
 from repro.simulation.batched import (
     DEFAULT_SKETCH_MARKERS,
     DEFAULT_TAIL_K,
@@ -53,7 +52,6 @@ def run_streamed(
     configs: Sequence[NetworkConfig],
     n_cycles: int,
     warmup: Optional[int] = None,
-    backend: Backend = "auto",
     *,
     n_markers: int = DEFAULT_SKETCH_MARKERS,
     tail_k: int = DEFAULT_TAIL_K,
@@ -75,6 +73,6 @@ def run_streamed(
     of a per-message matrix.
     """
     results, totals = run_replicas(
-        configs, n_cycles, warmup, backend, n_markers=n_markers, tail_k=tail_k
+        configs, n_cycles, warmup, n_markers=n_markers, tail_k=tail_k
     )
     return StreamedBatch(results=results, totals=totals)

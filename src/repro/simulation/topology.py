@@ -50,6 +50,7 @@ __all__ = [
     "ButterflyTopology",
     "BaselineTopology",
     "RandomRoutingTopology",
+    "check_shape",
     "is_power_of",
     "int_log",
     "perfect_shuffle",
@@ -78,6 +79,42 @@ def int_log(value: int, base: int) -> int:
     return j
 
 
+def check_shape(
+    k: int, n_stages: int, width: Optional[int], routing: str = "any"
+) -> None:
+    """The shape checks of the topologies, made without building one.
+
+    Every topology has ``k >= 2``, ``n_stages >= 1`` and a ``width`` that
+    is a multiple of ``k``.  ``routing="digits"`` (the banyans) needs
+    ``width == k**n_stages``; ``routing="virtual"``
+    (:class:`RandomRoutingTopology`) a power of ``k`` and a virtual
+    destination space that fits int64.  ``width=None`` skips the width
+    checks.  Raises :class:`~repro.errors.TopologyError`.
+    """
+    if k < 2:
+        raise TopologyError(f"switch degree must be >= 2, got {k}")
+    if n_stages < 1:
+        raise TopologyError(f"need >= 1 stage, got {n_stages}")
+    if width is None:
+        return
+    if width % k != 0:
+        raise TopologyError(f"width {width} not a multiple of switch degree {k}")
+    if routing == "digits":
+        # k**n_stages is never formed: n_stages may be absurd
+        if not (is_power_of(width, k) and int_log(width, k) == n_stages):
+            raise TopologyError(
+                f"a banyan requires width == k**n_stages ({k}**{n_stages}), got "
+                f"{width}; use RandomRoutingTopology for decoupled width"
+            )
+    elif routing == "virtual":
+        int_log(width, k)  # shuffle requires a k-power width
+        if n_stages >= 40 and k >= 3 or n_stages >= 62:
+            raise TopologyError(
+                f"k**n_stages overflows the int64 virtual destination space "
+                f"(k={k}, n_stages={n_stages})"
+            )
+
+
 def perfect_shuffle(width: int, k: int) -> np.ndarray:
     """The k-ary perfect shuffle permutation on ``width = k**n`` lines.
 
@@ -98,13 +135,8 @@ class MultistageTopology(abc.ABC):
     ``w*k .. w*k + k - 1`` on both sides.
     """
 
-    def __init__(self, k: int, n_stages: int, width: int) -> None:
-        if k < 2:
-            raise TopologyError(f"switch degree must be >= 2, got {k}")
-        if n_stages < 1:
-            raise TopologyError(f"need >= 1 stage, got {n_stages}")
-        if width % k != 0:
-            raise TopologyError(f"width {width} not a multiple of switch degree {k}")
+    def __init__(self, k: int, n_stages: int, width: int, routing: str = "any") -> None:
+        check_shape(k, n_stages, width, routing)
         self.k = k
         self.n_stages = n_stages
         self.width = width
@@ -209,13 +241,7 @@ class _DigitRoutedTopology(MultistageTopology):
     def __init__(self, k: int, n_stages: int, width: Optional[int] = None) -> None:
         if width is None:
             width = k ** n_stages
-        super().__init__(k, n_stages, width)
-        if width != k ** n_stages:
-            raise TopologyError(
-                f"{type(self).__name__} requires width == k**n_stages "
-                f"({k}**{n_stages} = {k ** n_stages}), got {width}; use "
-                "RandomRoutingTopology for decoupled width"
-            )
+        super().__init__(k, n_stages, width, routing="digits")
 
     def routing_digits(self, dest: np.ndarray, stage: int) -> np.ndarray:
         """Consume destination digits most significant first."""
@@ -323,14 +349,8 @@ class RandomRoutingTopology(MultistageTopology):
     """
 
     def __init__(self, k: int, n_stages: int, width: int) -> None:
-        super().__init__(k, n_stages, width)
-        int_log(width, k)  # shuffle requires a k-power width
+        super().__init__(k, n_stages, width, routing="virtual")
         self._shuffle = perfect_shuffle(width, k)
-        if n_stages >= 40 and k >= 3 or n_stages >= 62:
-            raise TopologyError(
-                f"k**n_stages overflows the int64 virtual destination space "
-                f"(k={k}, n_stages={n_stages})"
-            )
 
     @property
     def supports_destinations(self) -> bool:

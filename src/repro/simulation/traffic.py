@@ -34,11 +34,23 @@ import numpy as np
 from repro.errors import ModelError
 from repro.service.base import ServiceProcess
 
-__all__ = ["BLOCK_CYCLES", "BlockArrivals", "NetworkTrafficGenerator"]
+__all__ = ["BLOCK_CYCLES", "BlockArrivals", "NetworkTrafficGenerator", "check_load"]
 
 #: Cycles per draw block: every replica's arrivals are drawn on this
 #: fixed grid, starting at cycle 0.
 BLOCK_CYCLES = 256
+
+
+def check_load(p: float, q: float, bulk_size: int) -> None:
+    """The offered-load checks of a traffic stream (raises
+    :class:`~repro.errors.ModelError`): ``p`` and ``q`` in ``[0, 1]`` and
+    bulks of at least one packet."""
+    if not 0 <= p <= 1:
+        raise ModelError(f"input load p={p} outside [0, 1]")
+    if not 0 <= q <= 1:
+        raise ModelError(f"favourite bias q={q} outside [0, 1]")
+    if bulk_size < 1:
+        raise ModelError(f"bulk size must be >= 1, got {bulk_size}")
 
 
 class BlockArrivals(NamedTuple):
@@ -89,12 +101,7 @@ class NetworkTrafficGenerator:
     ) -> None:
         if width < 1:
             raise ModelError(f"width must be >= 1, got {width}")
-        if not 0 <= p <= 1:
-            raise ModelError(f"input load p={p} outside [0, 1]")
-        if not 0 <= q <= 1:
-            raise ModelError(f"favourite bias q={q} outside [0, 1]")
-        if bulk_size < 1:
-            raise ModelError(f"bulk size must be >= 1, got {bulk_size}")
+        check_load(p, q, bulk_size)
         self.width = width
         self.p = float(p)
         self.q = float(q)

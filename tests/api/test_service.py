@@ -29,6 +29,8 @@ from repro.exec.runner import execute_spec
 from repro.exec.spec import ExperimentSpec
 from repro.simulation.network import NetworkConfig
 
+from tests.exec.test_spec import UNRUNNABLE_CONFIGS
+
 
 def make_spec_doc(p=0.5, seed=21, n_cycles=600, label="e2e"):
     spec = ExperimentSpec(
@@ -398,10 +400,15 @@ class TestErrors:
             {**doc, "config": [1, 2]},
             {**doc, "config": {**doc["config"], **size_mix}},
             {**doc, "config": {**doc["config"], "p": float("nan")}},
+            *({**doc, "config": {**doc["config"], **change}}
+              for change in UNRUNNABLE_CONFIGS.values()),
+            {**doc, "n_cycles": 300},
+            {**doc, "n_cycles": 500},
         ):
             with pytest.raises(ApiError, match="HTTP 400"):
                 client.submit({"spec": spec})
         assert client.healthz()["status"] == "ok"
+        assert client.stats()["n_jobs"] == 0
 
     def test_invalid_json_body_is_400(self, service):
         client, _, _ = service

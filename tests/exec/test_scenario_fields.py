@@ -78,17 +78,17 @@ def test_new_field_without_an_alternative_is_caught():
 
 
 def test_execution_knobs_stay_off_the_config():
-    """How a batch runs (workers, shards, backend) must never share a
+    """How a batch runs (workers, shards, retries) must never share a
     name with a config field, and so with a digest-bearing one."""
     knobs = {f.name for f in dataclasses.fields(ExecutionContext)}
     assert not knobs & declared_fields()
 
 
-def test_backend_is_an_execution_knob():
-    """The kernel backend picks how a run is computed, not what it
-    computes: it is an ``ExecutionContext`` knob, and a spec document
-    whose config names it is refused rather than digested."""
-    assert "backend" in {f.name for f in dataclasses.fields(ExecutionContext)}
+def test_backend_is_no_config_field():
+    """Every run is evaluated by the stage-wise pass, so no option
+    picks an evaluator: a spec document whose config names ``backend`` is
+    refused rather than digested."""
+    assert "backend" not in {f.name for f in dataclasses.fields(ExecutionContext)}
     assert "backend" not in declared_fields()
     doc = ExperimentSpec(BASE, N_CYCLES, WARMUP).to_jsonable()
     doc["config"]["backend"] = "numpy"

@@ -185,6 +185,40 @@ class TestJsonRoundTrip:
             specs_from_file(path)
 
 
+#: config changes that make a valid document one that cannot run: wrong
+#: types (bools included), values out of range, unknown names, shapes no
+#: topology takes and size mixes no service takes
+UNRUNNABLE_CONFIGS = {
+    "k string": {"k": "x"},
+    "k 1": {"k": 1},
+    "k float": {"k": 2.5},
+    "no stages": {"n_stages": 0},
+    "p above 1": {"p": 5.0},
+    "p negative": {"p": -0.5},
+    "p string": {"p": "0.5"},
+    "p bool": {"p": True},
+    "q above 1": {"topology": "omega", "width": None, "q": 2.0},
+    "q negative": {"q": -0.1},
+    "bulk 0": {"bulk_size": 0},
+    "message_size 0": {"message_size": 0},
+    "buffer 0": {"buffer_capacity": 0},
+    "track_limit float": {"track_limit": 1.5},
+    "unknown topology": {"topology": "nope"},
+    "unknown transfer": {"transfer": "nope"},
+    "random without width": {"topology": "random", "width": None},
+    "random width 0": {"topology": "random", "width": 0},
+    "random width 7": {"topology": "random", "width": 7},
+    "random width 8 at k=3": {"k": 3, "topology": "random", "width": 8},
+    "omega width 16 at 3 stages": {"topology": "omega", "n_stages": 3, "width": 16},
+    "size 0": {"sizes": [0, 2], "probabilities": [0.5, 0.5]},
+    "probabilities sum to 3/5": {"sizes": [1, 2], "probabilities": [0.3, 0.3]},
+    "one probability for two sizes": {"sizes": [1, 2], "probabilities": [1.0]},
+    "seed string": {"seed": "x"},
+    "seed negative": {"seed": -1},
+    "seed float": {"seed": 1.5},
+    "seed bool": {"seed": True},
+}
+
 #: spec documents the service and scenario files must refuse with an
 #: ExecutionError: (what is wrong, the change to a valid document)
 MALFORMED = {
@@ -201,6 +235,9 @@ MALFORMED = {
         "config": {"message_size": 2, "sizes": [1, 2], "probabilities": [0.5, 0.5]}
     },
     "nan load": {"config": {"p": float("nan")}},
+    **{f"config {name}": {"config": change} for name, change in UNRUNNABLE_CONFIGS.items()},
+    "short run without warmup": {"n_cycles": 300},
+    "500 cycles without warmup": {"n_cycles": 500},
 }
 
 

@@ -71,7 +71,7 @@ class TestManifest:
         assert manifest["platform"]  # e.g. "Linux-..."
         assert manifest["python_version"].count(".") == 2
         assert manifest["numpy_version"]
-        assert manifest["backend"] == "numpy"  # serial runs: reference backend
+        assert manifest["backend"] == "numpy"  # the stage-wise pass, the one evaluator
 
     def test_validate_accepts_v1_documents(self):
         """Manifests written before the provenance block must still load."""

@@ -13,6 +13,8 @@ as a serial :class:`~repro.simulation.network.NetworkSimulator`:
   queue discipline shows up first).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -276,3 +278,37 @@ def test_elapsed_seconds_is_amortised():
     results = run_batched(config, [1, 2, 3, 4], 1_500)
     per_replica = {r.elapsed_seconds for r in results}
     assert len(per_replica) == 1 and per_replica.pop() > 0
+
+
+def stacked_engine(config: NetworkConfig, n_replicas: int) -> ClockedEngine:
+    """An engine of ``n_replicas`` copies of ``config``'s network, seeded
+    ``config.seed``, ``+ 1``, ..."""
+    return build_engine(
+        [replace(config, seed=config.seed + r) for r in range(n_replicas)]
+    )
+
+
+class TestStackedEngine:
+    def test_stacked_engine_resumes(self):
+        """A stacked engine carries its pass state into the next run, as a
+        serial one does: 300 + 100 cycles are 400 cycles."""
+        config = NetworkConfig(k=2, n_stages=3, p=0.6, topology="random", width=16, seed=4)
+        split, whole = stacked_engine(config, 3), stacked_engine(config, 3)
+        split.run(300)
+        split.run(100)
+        whole.run(400)
+        for name in ("count", "shift", "total", "total_sq"):
+            assert np.array_equal(getattr(split.stats, name), getattr(whole.stats, name))
+        assert np.array_equal(split.tracker.waits, whole.tracker.waits)
+        for name in ("injected", "completed", "high_water"):
+            assert np.array_equal(
+                getattr(split.evaluator, name), getattr(whole.evaluator, name)
+            )
+        assert split.in_flight == whole.in_flight == split.injected - split.completed
+
+    def test_stacked_engine_refuses_observers(self):
+        from repro.obs.metrics import MetricsCollector
+
+        engine = stacked_engine(NetworkConfig(k=2, n_stages=3, p=0.5, seed=1), 2)
+        with pytest.raises(SimulationError, match="observers"):
+            engine.add_observer(MetricsCollector())

@@ -24,7 +24,12 @@ from repro.obs.metrics import MetricsCollector
 from repro.simulation import stagewise
 from repro.simulation.engine import ClockedEngine
 from repro.simulation.network import NetworkConfig, NetworkSimulator
-from repro.simulation.topology import OmegaTopology, RandomRoutingTopology
+from repro.simulation.topology import (
+    BaselineTopology,
+    ButterflyTopology,
+    OmegaTopology,
+    RandomRoutingTopology,
+)
 from repro.simulation.trace import MessageTracer
 from repro.simulation.traffic import BLOCK_CYCLES, BlockArrivals
 
@@ -404,21 +409,22 @@ class TestStateAndResume:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert np.array_equal(a.tracked.waits, b.tracked.waits)
         for name in ("n_cycles", "warmup", "injected", "completed", "dropped",
-                     "max_occupancy", "backend", "timings", "totals_summary"):
+                     "max_occupancy", "timings", "totals_summary"):
             assert getattr(a, name) == getattr(b, name), name
         assert np.array_equal(plain.engine.evaluator.high_water,
                               observed.engine.evaluator.high_water)
         assert plain.engine.in_flight == observed.engine.in_flight
 
 
-def make_row_script(rng, width, n_cycles, p, sizes, bulk, q):
+def make_row_script(rng, width, n_cycles, p, sizes, bulk, q, dest_space=None):
     """One replica's script: load ``p``, services drawn from ``sizes``,
-    bulks of ``bulk`` packets, favourite (own-output) bias ``q``."""
+    bulks of ``bulk`` packets, favourite (own-output) bias ``q``, and
+    destinations below ``dest_space`` (default ``width``)."""
     script = []
     next_id = 0
     for _ in range(n_cycles):
         active = np.flatnonzero(rng.random(width) < p)
-        dests = rng.integers(0, width, size=active.size)
+        dests = rng.integers(0, width if dest_space is None else dest_space, size=active.size)
         if q > 0:
             dests = np.where(rng.random(active.size) < q, active, dests)
         if bulk > 1:
@@ -439,74 +445,129 @@ ROW_PARAMS = st.tuples(
 )
 
 
+STACK_TOPOLOGIES = {
+    "omega": OmegaTopology,
+    "butterfly": ButterflyTopology,
+    "baseline": BaselineTopology,
+}
+
+
+def stack_topology(kind, k, n_stages):
+    """A banyan of ``kind``, or width-decoupled routing at width ``k**2``."""
+    if kind == "random":
+        return RandomRoutingTopology(k, n_stages, width=k * k)
+    return STACK_TOPOLOGIES[kind](k, n_stages)
+
+
+def check_stack(topo, scripts, transfer, window, n_cycles, warmup):
+    """Run ``scripts`` as the replicas of one engine, each against the
+    reference model fed its own script: statistics of the services that
+    start from ``warmup`` on, tracked waits of the messages injected from
+    then on, per-port high-water marks, end-of-run queues and busy ports,
+    and counts."""
+    n_stages = topo.n_stages
+    n_msgs = [sum(len(cycle[0]) for cycle in script) for script in scripts]
+    # messages injected in the warm-up hold no tracker slot
+    first = [sum(len(cycle[0]) for cycle in script[:warmup]) for script in scripts]
+    limit = max(max(n_msgs), 1)
+    engine = ClockedEngine(
+        topo,
+        [ScriptedTraffic(topo.width, script) for script in scripts],
+        transfer=transfer,
+        track_limit=limit,
+    )
+    with patch.object(stagewise, "WINDOW_MESSAGES", window):
+        engine.run(n_cycles, warmup=warmup)
+
+    n_replicas, ppr = len(scripts), n_stages * topo.width
+    count, total, total_sq = (a.reshape(n_replicas, n_stages) for a in engine.stats.snapshot())
+    high_water = engine.evaluator.high_water.reshape(n_replicas, ppr)
+    busy = np.maximum(engine.evaluator.free - engine.now, 0).reshape(n_replicas, ppr)
+    queued = engine.evaluator.queued()
+    for r, script in enumerate(scripts):
+        ref = make_reference(topo, script, transfer, n_cycles=n_cycles)
+        waits = engine.tracker.waits[r * limit : r * limit + n_msgs[r] - first[r]]
+        tracked = {key: wait for key, wait in ref.waits.items() if key[0] >= first[r]}
+        for (msg_id, stage), ref_wait in tracked.items():
+            assert waits[msg_id - first[r], stage] == ref_wait, (r, msg_id, stage)
+        assert int((waits >= 0).sum()) == len(tracked)
+        for stage in range(n_stages):
+            stage_waits = [
+                w for key, w in ref.waits.items()
+                if key[1] == stage and ref.starts[key] >= warmup
+            ]
+            assert count[r, stage] == len(stage_waits)
+            assert total[r, stage] == sum(stage_waits)
+            assert total_sq[r, stage] == sum(w * w for w in stage_waits)
+        assert high_water[r].tolist() == ref.high_water
+        assert busy[r].tolist() == ref.busy
+        mine = queued.port // ppr == r
+        contents = {}
+        for port, track in zip(
+            (queued.port[mine] - r * ppr).tolist(), queued.track[mine].tolist(), strict=True
+        ):
+            contents.setdefault(port, []).append(track - r * limit if track >= 0 else -1)
+        assert contents == {
+            port: [max(msg.msg_id - first[r], -1) for msg in queue]
+            for port, queue in enumerate(ref.queues)
+            if queue
+        }
+        assert engine.evaluator.injected[r] == n_msgs[r]
+        assert engine.evaluator.completed[r] == len(ref.completed)
+        assert engine.evaluator.dropped[r] == 0
+
+
 class TestStackedDifferential:
     """An engine of R > 1 replicas against one reference model per replica.
 
     Every replica replays its own script (rows differ in load, service
     mix, bulk and favourite bias) and must match the reference model fed
-    the same arrivals: per-stage statistics, tracked waits, per-port
-    high-water marks, end-of-run queues and busy ports, and counts.
+    the same arrivals (:func:`check_stack`), on every topology, with and
+    without a warm-up.
     """
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
-        k=st.sampled_from([2, 3]),
+        k=st.sampled_from([2, 3, 4]),
         n_stages=st.integers(min_value=1, max_value=3),
+        topology=st.sampled_from(["omega", "butterfly", "baseline", "random"]),
         transfer=st.sampled_from(["cut_through", "store_forward"]),
         rows=st.lists(ROW_PARAMS, min_size=2, max_size=4),
         window=st.sampled_from([*WINDOWS, stagewise.WINDOW_MESSAGES]),
         drain=st.sampled_from([0, 6, 200]),
+        warmup=st.sampled_from([0, 0, 10, 29]),
     )
     @settings(max_examples=20, deadline=None)
     def test_replicas_match_their_reference_models(
-        self, seed, k, n_stages, transfer, rows, window, drain
+        self, seed, k, n_stages, topology, transfer, rows, window, drain, warmup
     ):
-        topo = OmegaTopology(k, n_stages)
+        topo = stack_topology(topology, k, n_stages)
         rng = np.random.default_rng(seed)
         scripts = [
-            make_row_script(rng, topo.width, 30, p, sizes, bulk, q)
+            make_row_script(
+                rng, topo.width, 30, p, sizes, bulk,
+                q if topo.supports_destinations else 0.0, topo.destination_space,
+            )
             for p, sizes, bulk, q in rows
         ]
-        n_msgs = [sum(len(cycle[0]) for cycle in script) for script in scripts]
-        limit = max(max(n_msgs), 1)
-        engine = ClockedEngine(
-            topo,
-            [ScriptedTraffic(topo.width, script) for script in scripts],
-            transfer=transfer,
-            track_limit=limit,
-        )
-        with patch.object(stagewise, "WINDOW_MESSAGES", window):
-            engine.run(30 + drain, warmup=0)
+        check_stack(topo, scripts, transfer, window, 30 + drain, warmup)
 
-        n_replicas, ppr = len(scripts), n_stages * topo.width
-        count, total, total_sq = (a.reshape(n_replicas, n_stages) for a in engine.stats.snapshot())
-        high_water = engine.evaluator.high_water.reshape(n_replicas, ppr)
-        busy = np.maximum(engine.evaluator.free - engine.now, 0).reshape(n_replicas, ppr)
-        queued = engine.evaluator.queued()
-        for r, script in enumerate(scripts):
-            ref = make_reference(topo, script, transfer, n_cycles=30 + drain)
-            waits = engine.tracker.waits[r * limit : r * limit + n_msgs[r]]
-            for (msg_id, stage), ref_wait in ref.waits.items():
-                assert waits[msg_id, stage] == ref_wait, (r, msg_id, stage)
-            assert int((waits >= 0).sum()) == len(ref.waits)
-            for stage in range(n_stages):
-                stage_waits = [w for (_, s), w in ref.waits.items() if s == stage]
-                assert count[r, stage] == len(stage_waits)
-                assert total[r, stage] == sum(stage_waits)
-                assert total_sq[r, stage] == sum(w * w for w in stage_waits)
-            assert high_water[r].tolist() == ref.high_water
-            assert busy[r].tolist() == ref.busy
-            mine = queued.port // ppr == r
-            contents = {}
-            for port, track in zip(
-                (queued.port[mine] - r * ppr).tolist(), queued.track[mine].tolist(), strict=True
-            ):
-                contents.setdefault(port, []).append(track - r * limit)
-            assert contents == {
-                port: [msg.msg_id for msg in queue]
-                for port, queue in enumerate(ref.queues)
-                if queue
-            }
-            assert engine.evaluator.injected[r] == n_msgs[r]
-            assert engine.evaluator.completed[r] == len(ref.completed)
-            assert engine.evaluator.dropped[r] == 0
+    @pytest.mark.parametrize("window", [1, 50, stagewise.WINDOW_MESSAGES])
+    def test_wide_cycles(self, window):
+        """Three replicas at width 64 and p = 0.9: about 170 arrivals a
+        cycle, and 30 cycles after the traffic stops."""
+        topo = RandomRoutingTopology(2, 2, width=64)
+        rng = np.random.default_rng(5)
+        scripts = [
+            make_row_script(rng, 64, 60, 0.9, (1,), 1, 0.0, topo.destination_space)
+            for _ in range(3)
+        ]
+        check_stack(topo, scripts, "cut_through", window, 90, 0)
+
+    @pytest.mark.parametrize("window", [1, 50, stagewise.WINDOW_MESSAGES])
+    def test_warmup_inside_a_stack(self, window):
+        """A warm-up of 80 cycles in a 260-cycle run of three replicas."""
+        topo = OmegaTopology(2, 3)
+        rng = np.random.default_rng(6)
+        scripts = [make_row_script(rng, 8, 200, 0.7, (1, 2), 1, 0.3) for _ in range(3)]
+        check_stack(topo, scripts, "cut_through", window, 260, 80)

@@ -98,11 +98,11 @@ def run_serial(configs, n_cycles, warmup):
 
 
 def run_stacked_path(configs, n_cycles, warmup):
-    return run_stacked(configs, n_cycles, warmup=warmup, backend="numpy")
+    return run_stacked(configs, n_cycles, warmup=warmup)
 
 
 def run_streamed_path(configs, n_cycles, warmup):
-    return run_streamed(configs, n_cycles, warmup=warmup, backend="numpy").results
+    return run_streamed(configs, n_cycles, warmup=warmup).results
 
 
 PATHS = {"serial": run_serial, "stacked": run_stacked_path, "streamed": run_streamed_path}

@@ -235,18 +235,17 @@ class TestAmbientContext:
         monkeypatch.setattr(runner_mod, "run_many", spy)
         return calls
 
-    def test_backend_and_shard_mem_reach_run_many(self, run_many_calls):
+    def test_shard_mem_and_retries_reach_run_many(self, run_many_calls):
         from repro.exec import use_execution
 
         cfg = NetworkConfig(k=2, n_stages=3, p=0.5)
-        with use_execution(backend="numpy", shard_mem=1 << 20, retries=2):
+        with use_execution(shard_mem=1 << 20, retries=2):
             replicate(cfg, n_replications=2, n_cycles=300, warmup=40)
             replicate_until(
                 cfg, stage1_mean, 1e-9, 300, warmup=40, r0=2, r_max=2
             )
         assert len(run_many_calls) == 2
         for kwargs in run_many_calls:
-            assert kwargs["backend"] == "numpy"
             assert kwargs["shard_mem"] == 1 << 20
             assert kwargs["retries"] == 2
 
@@ -254,8 +253,7 @@ class TestAmbientContext:
         from repro.exec import use_execution
 
         cfg = NetworkConfig(k=2, n_stages=3, p=0.5)
-        with use_execution(backend="numpy", shard_mem=1 << 20):
+        with use_execution(shard_mem=1 << 20):
             replicate(cfg, n_replications=2, n_cycles=300, warmup=40, vectorize=False)
         (kwargs,) = run_many_calls
         assert kwargs["vectorize"] is False and kwargs["shard_mem"] is None
-        assert kwargs["backend"] == "numpy"

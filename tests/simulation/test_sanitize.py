@@ -6,12 +6,10 @@ Three layers of evidence:
   sanitized run is bit-identical to an unsanitized one;
 * each invariant check raises :class:`SanitizerError` with the
   cycle/stage/replica coordinates a debugger needs;
-* a deliberately poisoned kernel (NaN injected into the waiting-time
+* a deliberately poisoned run (NaN injected into the waiting-time
   stream mid-run) is caught in the window it happens, at the stage-wise
   pass's next window end -- with its replica on stacked and streamed
-  runs, without one on serial runs;
-* a compiled-loop run is checked when the kernel returns: a kernel that
-  miscounts the messages it left queued breaks conservation.
+  runs, without one on serial runs.
 """
 
 import dataclasses
@@ -23,7 +21,6 @@ import pytest
 from repro.errors import SanitizerError
 from repro.exec.context import use_execution
 from repro.simulation import stagewise
-from repro.simulation.backends.jit import cycle_loop_kernel
 from repro.simulation.batched import run_stacked
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.sanitize import (
@@ -112,46 +109,13 @@ class TestCleanRuns:
 
     def test_stacked_run_is_quiet(self, armed):
         cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2, 3)]
-        results = run_stacked(cfgs, 300, warmup=30, backend="numpy")
+        results = run_stacked(cfgs, 300, warmup=30)
         assert len(results) == 3
 
     def test_streamed_run_is_quiet(self, armed):
         cfgs = [dataclasses.replace(CFG, seed=s, track_limit=0) for s in (1, 2)]
         batch = run_streamed(cfgs, 300, warmup=30)
         assert batch.totals is not None and batch.totals.count > 0
-
-    @pytest.mark.parametrize("track_limit", [200_000, 0])
-    def test_kernel_runs_are_quiet(self, armed, track_limit):
-        """The end-of-run check after the kernel: conservation holds
-        against the messages the kernel left queued."""
-        cfgs = [dataclasses.replace(CFG, seed=s, track_limit=track_limit) for s in (1, 2)]
-        if track_limit:
-            run_stacked(cfgs, 300, warmup=30, backend=cycle_loop_kernel)
-        run_streamed(cfgs, 300, warmup=30, backend=cycle_loop_kernel)
-
-
-def miscounting_kernel(*args):
-    """The interpreted kernel, reporting one message too many in flight."""
-    return cycle_loop_kernel(*args) + 1
-
-
-class TestKernelEndOfRun:
-    def test_stacked_conservation_break_raises(self, armed):
-        cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
-        with pytest.raises(SanitizerError, match="conservation") as info:
-            run_stacked(cfgs, 300, warmup=30, backend=miscounting_kernel)
-        assert info.value.cycle == 299
-
-    @pytest.mark.parametrize("track_limit", [200_000, 0])
-    def test_streamed_conservation_break_raises(self, armed, track_limit):
-        cfgs = [dataclasses.replace(CFG, seed=s, track_limit=track_limit) for s in (1, 2)]
-        with pytest.raises(SanitizerError, match="conservation"):
-            run_streamed(cfgs, 300, warmup=30, backend=miscounting_kernel)
-
-    def test_unarmed_kernel_run_is_not_checked(self, monkeypatch):
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
-        cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
-        assert len(run_stacked(cfgs, 300, warmup=30, backend=miscounting_kernel)) == 2
 
 
 class TestNanInjection:
@@ -175,7 +139,7 @@ class TestNanInjection:
         poison_nan_at(monkeypatch, 5)
         cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
         with pytest.raises(SanitizerError) as info:
-            run_stacked(cfgs, 2_000, warmup=0, backend="numpy")
+            run_stacked(cfgs, 2_000, warmup=0)
         err = info.value
         assert err.cycle is not None and err.cycle < 2_000
         assert err.stage is not None and 0 <= err.stage < CFG.n_stages
@@ -189,7 +153,7 @@ class TestNanInjection:
         poison_nan_at(monkeypatch, 5)
         cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
         with pytest.raises(SanitizerError) as info:
-            run_streamed(cfgs, 2_000, warmup=0, backend="numpy")
+            run_streamed(cfgs, 2_000, warmup=0)
         err = info.value
         assert err.cycle is not None and err.cycle < 2_000
         assert err.stage is not None and 0 <= err.stage < CFG.n_stages

@@ -4,11 +4,9 @@ The expected SHA-256 fingerprints cover every deterministic
 :class:`NetworkResult` field (the tracked rows included), the streamed
 runs' :class:`~repro.simulation.stats.StreamingTotals`, and the spec
 digests of a vectorized and a sharded ``run_many`` batch (one digest
-family: both equal the serial digests, and their results agree).  Each case is
-evaluated by the stage-wise pass (``backend="numpy"``) and by the
-interpreted per-cycle kernel; both must reproduce the same fingerprint,
-so a change to how stacked or streamed runs are driven cannot move a
-sample path unnoticed.
+family: both equal the serial digests, and their results agree), so a
+change to how stacked or streamed runs are driven cannot move a sample
+path unnoticed.
 
 A stack holds seeds of one scenario, so rows of different scenarios are
 pinned one run per row: a replica's result does not depend on its
@@ -24,26 +22,16 @@ import pytest
 
 from repro.exec.runner import run_many
 from repro.exec.spec import ExperimentSpec
-from repro.simulation.backends.jit import cycle_loop_kernel, numba_available
 from repro.simulation.batched import run_batched, run_stacked
 from repro.simulation.network import NetworkConfig
 from repro.simulation.streamed import run_streamed
 
 from tests.simulation.test_serial_pins import fingerprint, result_fields
 
-#: the evaluators every case is pinned under: the pass and the
-#: interpreted kernel always, the compiled kernel when numba is importable
-BACKENDS = [
-    pytest.param("numpy", id="numpy"),
-    pytest.param(cycle_loop_kernel, id="interpreted-kernel"),
-]
-if numba_available():
-    BACKENDS.append(pytest.param("numba", id="njit"))
-
 
 def pinned_fields(result) -> dict:
-    """Every deterministic result field less the backend label, which
-    names the evaluator and is asserted separately."""
+    """Every deterministic result field less the evaluator label, which
+    these fingerprints never covered."""
     fields = result_fields(result)
     del fields["backend"]
     if result.totals_summary is not None:
@@ -68,14 +56,12 @@ def totals_fields(totals) -> dict:
     }
 
 
-def per_row(rows, n_cycles, warmup, backend):
+def per_row(rows, n_cycles, warmup):
     """One streamed run per row."""
-    return [run_streamed([row], n_cycles, warmup=warmup, backend=backend) for row in rows]
+    return [run_streamed([row], n_cycles, warmup=warmup) for row in rows]
 
 
-def check_results(results, backend, expected):
-    label = "numpy" if backend == "numpy" else "numba"
-    assert all(r.backend == label for r in results)
+def check_results(results, expected):
     assert fingerprint([pinned_fields(r) for r in results]) == expected
 
 
@@ -88,60 +74,58 @@ HETEROGENEOUS_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestStackedPins:
-    def test_run_batched_single_replica(self, backend):
+    def test_run_batched_single_replica(self):
         config = NetworkConfig(k=2, n_stages=3, p=0.5, seed=42)
-        results = run_batched(config, [42], 1_500, warmup=300, backend=backend)
-        check_results(results, backend, "a955fff978ce3c02")
+        results = run_batched(config, [42], 1_500, warmup=300)
+        check_results(results, "a955fff978ce3c02")
 
-    def test_run_batched_four_replicas(self, backend):
+    def test_run_batched_four_replicas(self):
         config = NetworkConfig(k=2, n_stages=3, p=0.6, topology="random", width=16)
-        results = run_batched(config, [11, 12, 13, 14], 1_200, warmup=200, backend=backend)
-        check_results(results, backend, "f830d9e81925d9aa")
+        results = run_batched(config, [11, 12, 13, 14], 1_200, warmup=200)
+        check_results(results, "f830d9e81925d9aa")
 
-    def test_run_stacked_heterogeneous_rows(self, backend):
+    def test_run_stacked_heterogeneous_rows(self):
         results = [
             result
             for row in HETEROGENEOUS_ROWS
-            for result in run_stacked([row], 1_000, warmup=150, backend=backend)
+            for result in run_stacked([row], 1_000, warmup=150)
         ]
-        check_results(results, backend, "d4fce0cd37a9b857")
+        check_results(results, "d4fce0cd37a9b857")
 
-    def test_run_stacked_store_and_forward(self, backend):
+    def test_run_stacked_store_and_forward(self):
         config = NetworkConfig(
             k=2, n_stages=3, p=0.2, message_size=3, transfer="store_forward"
         )
         configs = [replace(config, seed=s) for s in (5, 6, 7)]
-        results = run_stacked(configs, 1_000, warmup=100, backend=backend)
-        check_results(results, backend, "9c73ccf0bc78cf25")
+        results = run_stacked(configs, 1_000, warmup=100)
+        check_results(results, "9c73ccf0bc78cf25")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestStreamedPins:
-    def test_run_streamed_tracked(self, backend):
+    def test_run_streamed_tracked(self):
         configs = [
             NetworkConfig(k=2, n_stages=3, p=p, seed=60 + i)
             for i, p in enumerate([0.2, 0.5, 0.7, 0.4])
         ]
-        batches = per_row(configs, 600, 80, backend)
+        batches = per_row(configs, 600, 80)
         assert all(batch.totals is None for batch in batches)
-        check_results([b.results[0] for b in batches], backend, "b7f9f247dfea9432")
+        check_results([b.results[0] for b in batches], "b7f9f247dfea9432")
 
-    def test_run_streamed_summary_mode(self, backend):
+    def test_run_streamed_summary_mode(self):
         configs = [
             NetworkConfig(k=2, n_stages=3, p=p, seed=70 + i, track_limit=0)
             for i, p in enumerate([0.3, 0.6, 0.45])
         ]
-        batches = per_row(configs, 600, 80, backend)
-        check_results([b.results[0] for b in batches], backend, "fbb5c9e184d2ea85")
+        batches = per_row(configs, 600, 80)
+        check_results([b.results[0] for b in batches], "fbb5c9e184d2ea85")
 
-    def test_run_streamed_summary_mode_seeds(self, backend):
+    def test_run_streamed_summary_mode_seeds(self):
         """Three seeds of one scenario: the totals a stack merges."""
         config = NetworkConfig(k=2, n_stages=3, p=0.45, track_limit=0)
         configs = [replace(config, seed=s) for s in (70, 71, 72)]
-        batch = run_streamed(configs, 600, warmup=80, backend=backend)
-        check_results(batch.results, backend, "8ee9898a91afd330")
+        batch = run_streamed(configs, 600, warmup=80)
+        check_results(batch.results, "8ee9898a91afd330")
         assert fingerprint(totals_fields(batch.totals)) == "0bb705942ac42b05"
 
 
@@ -157,7 +141,6 @@ ONE_BLOCK_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestOneBlockPins:
     """Streamed runs of exactly one 256-cycle draw block.
 
@@ -176,10 +159,10 @@ class TestOneBlockPins:
         ],
         ids=["R1", "R4"],
     )
-    def test_tracked(self, backend, rows, expected):
-        batches = per_row(rows, 256, 40, backend)
+    def test_tracked(self, rows, expected):
+        batches = per_row(rows, 256, 40)
         assert all(batch.totals is None for batch in batches)
-        check_results([b.results[0] for b in batches], backend, expected)
+        check_results([b.results[0] for b in batches], expected)
 
     @pytest.mark.parametrize(
         "rows, expected, expected_totals",
@@ -189,10 +172,10 @@ class TestOneBlockPins:
         ],
         ids=["R1", "R4"],
     )
-    def test_summary_mode(self, backend, rows, expected, expected_totals):
+    def test_summary_mode(self, rows, expected, expected_totals):
         rows = [replace(row, track_limit=0) for row in rows]
-        batches = per_row(rows, 256, 40, backend)
-        check_results([b.results[0] for b in batches], backend, expected)
+        batches = per_row(rows, 256, 40)
+        check_results([b.results[0] for b in batches], expected)
         if expected_totals is not None:
             (batch,) = batches
             assert fingerprint(totals_fields(batch.totals)) == expected_totals
@@ -207,7 +190,7 @@ def batch_specs():
 
 
 def test_vectorized_run_many_batch():
-    batch = run_many(batch_specs(), vectorize=True, backend="numpy")
+    batch = run_many(batch_specs(), vectorize=True)
     assert batch.n_failed == 0
     digests = [o.spec.digest for o in batch.outcomes]
     assert fingerprint(digests) == "7e307cbda6e5acb6"
@@ -215,7 +198,7 @@ def test_vectorized_run_many_batch():
 
 
 def test_streamed_run_many_batch():
-    batch = run_many(batch_specs(), shard_mem=1 << 20, backend="numpy")
+    batch = run_many(batch_specs(), shard_mem=1 << 20)
     assert batch.n_failed == 0
     digests = [o.spec.digest for o in batch.outcomes]
     assert fingerprint(digests) == "7e307cbda6e5acb6"

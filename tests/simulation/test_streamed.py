@@ -1,11 +1,9 @@
-"""Streamed engine: shard invariance, backend equivalence, summary mode."""
+"""Streamed engine: shard invariance, summary mode, refusals."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError, SimulationError
-from repro.simulation import stagewise
-from repro.simulation.backends.jit import cycle_loop_kernel, numba_available
 from repro.simulation.batched import run_stacked
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.stats import StreamingTotals
@@ -32,63 +30,6 @@ def assert_results_identical(a, b):
     assert a.injected == b.injected
     assert a.completed == b.completed
     assert a.max_occupancy == b.max_occupancy
-
-
-class TestBackendEquivalence:
-    """NumPy stage-wise pass == pre-drawn cycle-loop kernel, bit for bit."""
-
-    def test_basic_stack(self):
-        cfgs = configs()
-        a = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend="numpy")
-        b = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend=cycle_loop_kernel)
-        for ra, rb in zip(a.results, b.results, strict=True):
-            assert_results_identical(ra, rb)
-        assert b.results[0].backend == "numba"
-        assert a.results[0].backend == "numpy"
-
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(k=2, n_stages=2, p=0.4, bulk_size=3),
-            dict(k=2, n_stages=2, p=0.4, sizes=(1, 3), probabilities=(0.5, 0.5)),
-            dict(k=2, n_stages=3, p=0.5, q=0.3),
-            dict(k=2, n_stages=2, p=0.4, message_size=2, transfer="store_forward"),
-            dict(k=2, n_stages=4, p=0.7, topology="butterfly"),
-        ],
-        ids=["bulk", "multisize", "favourite", "store_forward", "butterfly"],
-    )
-    def test_variants(self, kw):
-        cfgs = [NetworkConfig(seed=7 + i, **kw) for i in range(3)]
-        a = run_streamed(cfgs, 300, warmup=40, backend="numpy")
-        b = run_streamed(cfgs, 300, warmup=40, backend=cycle_loop_kernel)
-        for ra, rb in zip(a.results, b.results, strict=True):
-            assert_results_identical(ra, rb)
-
-    @pytest.mark.skipif(not numba_available(), reason="numba is not installed")
-    def test_compiled_kernel(self):
-        cfgs = configs(q=0.2)
-        a = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend="numpy")
-        b = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend="numba")
-        for ra, rb in zip(a.results, b.results, strict=True):
-            assert_results_identical(ra, rb)
-
-    def test_streaming_mode_equivalence(self):
-        cfgs = configs(track_limit=0)
-        a = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend="numpy")
-        b = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend=cycle_loop_kernel)
-        assert a.totals is not None and b.totals is not None
-        assert a.totals.count == b.totals.count
-        assert a.totals.mean == b.totals.mean
-        assert a.totals.variance == b.totals.variance
-        assert np.array_equal(a.totals.tail, b.totals.tail)
-
-
-class TestBackendEquivalenceWindows(TestBackendEquivalence):
-    """The same comparisons with the pass's windows closed far more often."""
-
-    @pytest.fixture(autouse=True, params=[0, 1, 50, 700])
-    def window(self, request, monkeypatch):
-        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", request.param)
 
 
 class TestShardInvariance:
@@ -215,10 +156,6 @@ class TestRefusals:
         ]
         with pytest.raises(SimulationError, match="one scenario: p="):
             run_streamed(cfgs, N_CYCLES, warmup=WARMUP)
-
-    def test_unknown_backend_refused(self):
-        with pytest.raises(SimulationError, match="unknown compute backend"):
-            run_streamed(configs(1), 100, warmup=10, backend="cuda")
 
 
 class TestDefaults:

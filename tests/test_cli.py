@@ -169,20 +169,17 @@ class TestBatchCommand:
 
 
 class TestExecutionOptions:
-    """The six execution options are declared once for batch and serve."""
+    """The five execution options are declared once for batch and serve."""
 
     FLAGS = [
-        "--workers", "3", "--backend", "numpy", "--shard-mem", "4",
-        "--retries", "2", "--timeout", "9.5",
+        "--workers", "3", "--shard-mem", "4", "--retries", "2", "--timeout", "9.5",
     ]
     DESTS = {
-        "workers": 3, "backend": "numpy", "shard_mem": 4, "retries": 2,
-        "timeout": 9.5, "cache": "DIR",
+        "workers": 3, "shard_mem": 4, "retries": 2, "timeout": 9.5, "cache": "DIR",
     }
     #: what FLAGS ask of each run_many call (the budget in bytes)
     SETTINGS = {
-        "workers": 3, "retries": 2, "timeout": 9.5, "backend": "numpy",
-        "shard_mem": 4 * 1024 * 1024,
+        "workers": 3, "retries": 2, "timeout": 9.5, "shard_mem": 4 * 1024 * 1024,
     }
 
     @classmethod
@@ -196,9 +193,18 @@ class TestExecutionOptions:
             assert {k: getattr(args, k) for k in self.DESTS} == self.DESTS
             defaults = parser.parse_args([command])
             assert (defaults.workers, defaults.retries, defaults.timeout) == (1, 1, None)
-            assert (defaults.backend, defaults.shard_mem, defaults.cache) == (
-                "auto", None, None,
-            )
+            assert (defaults.shard_mem, defaults.cache) == (None, None)
+
+    def test_backend_flag_is_gone(self, capsys):
+        """Every run is evaluated by the stage-wise pass: no command takes
+        ``--backend``."""
+        parser = build_parser()
+        for command in ("batch", "serve", "table"):
+            argv = [command, "I"] if command == "table" else [command]
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args([*argv, "--backend", "numpy"])
+            assert info.value.code == 2
+            assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     @pytest.fixture
     def managers(self, monkeypatch):
@@ -223,8 +229,7 @@ class TestExecutionOptions:
             assert (kwargs["executors"], kwargs["max_queue"]) == (2, 64)
             assert kwargs["db"] is None
         assert self.settings(plain) == {
-            "workers": 1, "retries": 1, "timeout": None, "backend": "auto",
-            "shard_mem": None,
+            "workers": 1, "retries": 1, "timeout": None, "shard_mem": None,
         }
         assert self.settings(flagged) == self.SETTINGS
         assert flagged["cache"] is None and not flagged["use_cache"]
