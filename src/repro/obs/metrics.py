@@ -17,10 +17,13 @@ depth is the pushes up to ``t`` less the service starts up to ``t``
 less the drops), busy ports are the starts up to ``t`` less the
 services over by ``t``, and the wait moments are sums of the measured
 waits started by ``t`` (exact: waits are integers).  The starts arrive
-sorted by cycle, so each is a ``searchsorted`` at the window's sample
-cycles plus a running total.  Observing a run perturbs neither its
-sample path (observers never touch RNG streams) nor, materially, its
-wall clock (the overhead benchmark holds it under 10%).
+sorted by cycle, so a window costs one ``searchsorted`` per stage at
+its sample cycles (the starts by each and, when the service time is
+fixed, the services over by each) and one ``reduceat`` per stage over
+the waits and their squares, plus running totals.  Observing a run
+perturbs neither its sample path (observers never touch RNG streams)
+nor, materially, its wall clock (the overhead benchmark holds it under
+10%).
 
 Memory is O(``capacity``) regardless of run length: samples live in a
 ring buffer and the oldest are overwritten once ``capacity`` is
@@ -35,6 +38,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.obs.base import EngineObserver
+from repro.service.base import ServiceProcess
 
 __all__ = ["MetricsCollector", "METRICS_RECORD_FIELDS"]
 
@@ -53,37 +57,6 @@ METRICS_RECORD_FIELDS = {
     "dropped": int,
     "in_flight": int,
 }
-
-
-def _sums_before(values: np.ndarray, bounds: np.ndarray) -> tuple:
-    """The sums of ``values[:b]`` for each of the non-decreasing ``bounds``,
-    and the sum of all ``values`` (exact: the waits are integers).
-
-    One ``reduceat`` over the segments between the bounds costs a third
-    of a full ``cumsum`` when there are few bounds, and allocates nothing
-    the size of ``values``.
-    """
-    if values.size == 0:
-        return np.zeros(bounds.size, dtype=np.int64), 0
-    inner = bounds < values.size  # the others take the total
-    cuts = np.concatenate(([0], bounds[inner]))
-    segments = np.add.reduceat(values, cuts)
-    segments[:-1][cuts[1:] == cuts[:-1]] = 0  # reduceat's empty segments
-    sums = np.cumsum(segments)
-    before = np.full(bounds.size, sums[-1])
-    before[inner] = sums[:-1]
-    return before, sums[-1]
-
-
-def _services_over(cycle: np.ndarray, service: np.ndarray, points: np.ndarray):
-    """How many of the services begun at ``cycle`` (ascending) are over by
-    the end of each point: ``cycle + service <= t``."""
-    if cycle.size == 0:
-        return np.zeros(points.size, dtype=np.int64)
-    low = service.min()
-    if low == service.max():  # one service time: the end cycles keep the start order
-        return np.searchsorted(cycle, points - low, side="right")
-    return np.searchsorted(np.sort(cycle + service), points, side="right")
 
 
 class MetricsCollector(EngineObserver):
@@ -107,6 +80,7 @@ class MetricsCollector(EngineObserver):
         self.capacity = capacity
         self._engine = None
         self._taken = 0  # total samples ever taken (>= kept)
+        self._scratch = np.empty((2, 0), dtype=np.int64)  # see _waits
 
     # -- observer protocol ----------------------------------------------
     def on_attach(self, engine) -> None:
@@ -129,6 +103,11 @@ class MetricsCollector(EngineObserver):
         )
         self._busy_until = self._next_free()
         self._moments = engine.stats.snapshot()
+        # the one service time of a model without variance, else 0 (a
+        # source without a model, such as a scripted one, counts as mixed)
+        service = getattr(engine.traffic[0], "service", None)
+        fixed = isinstance(service, ServiceProcess) and service.variance() == 0
+        self._service = int(service.mean) if fixed else 0
         self._counts = np.array(
             [engine.injected, engine.completed, engine.dropped], dtype=np.int64
         )
@@ -139,30 +118,59 @@ class MetricsCollector(EngineObserver):
         if points.size > self.capacity:  # only the newest fit the ring
             self._taken += points.size - self.capacity
             points = points[-self.capacity:]
-        stages = enumerate(window.stages)
-        by_t, totals = zip(
-            *(self._stage_counts(s, stage, points, window) for s, stage in stages), strict=True
-        )
-        started, refused, measured, sums, sumsq, busy_before, over = np.stack(by_t, axis=1)
-        n_started, n_refused, n_measured, sum_total, sumsq_total = np.array(totals).T
-        self._busy_until = self._next_free()
+        stages, m = window.stages, points.size
+        n_started = np.array([stage.cycle.size for stage in stages])
+        n_refused = np.array([stage.dropped.size for stage in stages])
+        # one search per stage: its starts before measure_from, by each
+        # point and, for one service time (the end cycles then keep the
+        # start order), the services over by each point
+        fixed = self._service
+        probes = np.concatenate(([window.measure_from - 1], points, points - fixed))
+        counts = np.array([np.searchsorted(stage.cycle, probes, side="right") for stage in stages])
+        lo, started, over = counts[:, 0], counts[:, 1 : m + 1], counts[:, m + 1 :]
+        if not fixed:
+            over = np.array([
+                np.searchsorted(np.sort(stage.cycle + stage.service), points, side="right")
+                for stage in stages
+            ])
+        if n_refused.any():
+            refused = np.array(
+                [np.searchsorted(stage.dropped, points, side="right") for stage in stages]
+            )
+        else:
+            refused = np.zeros_like(started)
+        # the measured waits and their squares summed between cuts at
+        # measure_from and at each point, the last segment to the stage's
+        # end: [sums, sums of squares] by each point, then in all
+        measured_by = np.maximum(started, lo[:, None])
+        cuts = np.hstack((lo[:, None], measured_by))
+        segments = np.empty((2, len(stages), m + 1), dtype=np.int64)
+        for s, stage in enumerate(stages):
+            segments[:, s] = np.add.reduceat(self._waits(stage.wait), cuts[s], axis=1)
+        segments[:, :, :m] *= cuts[:, :-1] < cuts[:, 1:]  # reduceat's empty segments
+        sums = np.cumsum(segments, axis=2)
+        busy_until, self._busy_until = self._busy_until, self._next_free()
         injections = window.stages[0].injections
         injected_by = np.searchsorted(injections.cycle, points, side="right")
         pushed = np.vstack([injected_by, started[:-1]]) - refused
         depth = self._depth[:, None] + pushed - started
         self._depth += np.append(injections.cycle.size, n_started[:-1]) - n_refused - n_started
         count, total, total_sq = self._moments
-        wait_count = count[:, None] + measured
-        wait_sum = total[:, None] + sums
-        wait_sumsq = total_sq[:, None] + sumsq
-        count += n_measured
-        total += sum_total
-        total_sq += sumsq_total
+        wait_count = count[:, None] + measured_by - lo[:, None]
+        wait_sum = total[:, None] + sums[0, :, :m]
+        wait_sumsq = total_sq[:, None] + sums[1, :, :m]
+        count += n_started - lo
+        total += sums[0, :, m]
+        total_sq += sums[1, :, m]
         injected, completed, dropped = self._counts
         self._counts += (injections.cycle.size, n_started[-1], n_refused.sum())
-        if points.size == 0:
+        if m == 0:
             return
-        i = (self._taken + np.arange(points.size)) % self.capacity
+        # ports still busy at each point with a service begun before the window
+        busy_before = busy_until.shape[1] - np.array(
+            [np.searchsorted(row, points, side="right") for row in busy_until]
+        )
+        i = (self._taken + np.arange(m)) % self.capacity
         self._cycle[i] = points
         self._queue_depth[i] = depth.T
         self._busy_ports[i] = (busy_before + started - over).T
@@ -172,30 +180,21 @@ class MetricsCollector(EngineObserver):
         self._injected[i] = injected + injected_by
         self._completed[i] = completed + started[-1]
         self._dropped[i] = dropped + refused.sum(axis=0)
-        self._taken += points.size
+        self._taken += m
 
-    def _stage_counts(self, s: int, stage, points: np.ndarray, window) -> tuple:
-        """Stage ``s`` by each sample cycle ``t`` -- its starts, drops,
-        measured waits and their sum and sum of squares, the ports still
-        busy with a service begun before the window, and the window's
-        services over -- and, over the whole window, the first five."""
-        cycle, busy_until = stage.cycle, self._busy_until[s]
-        lo = int(np.searchsorted(cycle, window.measure_from, side="left"))
-        started = np.searchsorted(cycle, points, side="right")
-        measured = np.maximum(started - lo, 0)
-        waits = stage.wait[lo:]
-        sums, sum_total = _sums_before(waits, measured)
-        sumsq, sumsq_total = _sums_before(np.square(waits), measured)
-        by_t = (
-            started,
-            np.searchsorted(stage.dropped, points, side="right"),
-            measured,
-            sums,
-            sumsq,
-            busy_until.size - np.searchsorted(busy_until, points, side="right"),
-            _services_over(cycle, stage.service, points),
-        )
-        return by_t, (cycle.size, stage.dropped.size, waits.size, sum_total, sumsq_total)
+    def _waits(self, wait: np.ndarray) -> np.ndarray:
+        """One stage's waits and their squares, with a zero column after
+        them so that a ``reduceat`` may cut at the stage's end, in a
+        scratch buffer kept across stages and windows: a stage's rows
+        stay in cache while they are summed."""
+        n = wait.size
+        if self._scratch.shape[1] <= n:
+            self._scratch = np.full((2, 2 * n + 1), 0, dtype=np.int64)
+        rows = self._scratch[:, : n + 1]
+        rows[0, :n] = wait
+        rows[:, n] = 0
+        np.square(rows[0, :n], out=rows[1, :n])
+        return rows
 
     def _next_free(self) -> np.ndarray:
         """Each port's next-free cycle, sorted within each stage: a port is

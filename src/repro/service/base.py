@@ -4,12 +4,24 @@ from __future__ import annotations
 
 import abc
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
 from repro.series.pgf import PGF
 
-__all__ = ["ServiceProcess"]
+__all__ = ["ServiceProcess", "is_int"]
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool (``True`` is no message size).
+
+    The one integer check of the model's parameters: services and
+    :class:`~repro.simulation.network.NetworkConfig` refuse anything
+    else rather than coerce it.  Plain ints take an exact-type test
+    before the slower ABC ``isinstance`` checks.
+    """
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
 class ServiceProcess(abc.ABC):

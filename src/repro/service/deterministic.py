@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.series.pgf import PGF
-from repro.service.base import ServiceProcess
+from repro.service.base import ServiceProcess, is_int
 
 __all__ = ["DeterministicService"]
 
@@ -36,8 +36,9 @@ class DeterministicService(ServiceProcess):
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
+        if not is_int(self.m) or self.m < 1:
             raise ModelError(f"constant service time must be an int >= 1, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
 
     def pgf(self) -> PGF:
         return PGF.degenerate(self.m)

@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.series.pgf import PGF
 from repro.series.polynomial import as_exact
-from repro.service.base import ServiceProcess
+from repro.service.base import ServiceProcess, is_int
 
 __all__ = ["MultiSizeService", "check_size_mix"]
 
@@ -60,6 +60,9 @@ class MultiSizeService(ServiceProcess):
     probabilities: Tuple
 
     def __init__(self, sizes: Sequence[int], probabilities: Sequence) -> None:
+        for m in sizes:
+            if not is_int(m):
+                raise ModelError(f"sizes must be ints, got {m!r}")
         sizes = tuple(int(m) for m in sizes)
         probs = tuple(as_exact(g) for g in probabilities)
         check_size_mix(sizes, probs)

@@ -50,15 +50,18 @@ __all__ = ["ClockedEngine", "build_routing_tables"]
 
 
 def build_routing_tables(topology: MultistageTopology):
-    """Stacked per-stage wiring permutations and digit divisors.
+    """One replica's next-port table and the destination-digit divisors.
 
-    Returns ``(perm_stack, shifts)``: ``perm_stack[s]`` is stage ``s``'s
-    input wiring permutation and ``shifts`` the destination-digit
-    divisors.  Forwarding a mixed-stage batch then needs one gather, no
-    per-stage Python loop; shared by every replica (each runs the
-    *same* network, so one table serves all).  The engines route by
-    destination digits, so a topology without a digit table
-    (``routing_shifts()`` is ``None``; no built-in one) is refused.
+    Returns ``(next_port, shifts)``.  ``next_port[s, line]`` is the
+    replica-local port ``(s + 1) * width + switch * k``: the first output
+    port of the stage ``s + 1`` switch that output ``line`` of stage
+    ``s`` feeds through the stage ``s + 1`` input wiring (-1 at the last
+    stage).  A message leaves for that port plus its destination digit
+    ``dest // shifts[s + 1] % k``, so forwarding a mixed-stage batch
+    needs one gather and no per-stage Python loop.  Every replica runs
+    the *same* network, so the pass tiles one table over them.  The
+    engines route by destination digits, so a topology without a digit
+    table (``routing_shifts()`` is ``None``; no built-in one) is refused.
     """
     shifts = topology.routing_shifts()
     if shifts is None:
@@ -66,10 +69,11 @@ def build_routing_tables(topology: MultistageTopology):
             f"{type(topology).__name__} has no digit routing table "
             "(routing_shifts() is None); the engines route by destination digits"
         )
-    perm_stack = np.stack(
-        [topology.input_wiring(s) for s in range(topology.n_stages)]
-    )
-    return perm_stack, shifts
+    n, width, k = topology.n_stages, topology.width, topology.k
+    next_port = np.full((n, width), -1, dtype=np.int64)
+    for s in range(n - 1):
+        next_port[s] = (s + 1) * width + topology.input_wiring(s + 1) // k * k
+    return next_port, shifts
 
 
 class ClockedEngine:
@@ -128,7 +132,7 @@ class ClockedEngine:
             raise SimulationError(f"unknown transfer mode {transfer!r}")
         if buffer_capacity is not None and buffer_capacity < 1:
             raise SimulationError(f"capacity must be >= 1, got {buffer_capacity}")
-        perm_stack, shifts = build_routing_tables(topology)
+        next_port, shifts = build_routing_tables(topology)
         self.topology = topology
         self.traffic = traffic
         self.transfer = transfer
@@ -158,7 +162,7 @@ class ClockedEngine:
         self.measure_from = 0
         #: the stage-wise pass that evaluates every window of every run
         self.evaluator = StagewisePass(
-            perm_stack,
+            next_port,
             shifts,
             topology.k,
             self.n_replicas,

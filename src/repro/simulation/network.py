@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from numbers import Integral, Real
+from numbers import Real
 from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ModelError, SimulationError, TopologyError
 from repro.obs.session import current_session
-from repro.service.base import ServiceProcess
+from repro.service.base import ServiceProcess, is_int
 from repro.service.deterministic import DeterministicService
 from repro.service.multisize import MultiSizeService, check_size_mix
 from repro.simulation.engine import ClockedEngine
@@ -47,6 +47,7 @@ from repro.simulation.topology import (
 from repro.simulation.traffic import NetworkTrafficGenerator, check_load
 
 __all__ = [
+    "MAX_PORTS",
     "NetworkConfig",
     "NetworkResult",
     "NetworkSimulator",
@@ -61,6 +62,12 @@ _TOPOLOGIES = {
 }
 _TRANSFERS = ("cut_through", "store_forward")
 
+#: The most ports (``n_stages * width``) one replica may have: the engine
+#: keeps several arrays of one entry per port, so a 30-stage banyan
+#: (2**30 ports a stage) is refused where it is configured, not when a
+#: job first tries to build it.
+MAX_PORTS = 2**20
+
 
 def default_warmup(n_cycles: int) -> int:
     """The warm-up of a run that names none: a tenth of it, at least 500
@@ -73,18 +80,30 @@ def default_warmup(n_cycles: int) -> int:
 # take the exact-type test and skip the slower ABC isinstance checks.
 
 
-def _is_int(value) -> bool:
-    """An integer that is not a bool (``True`` is no switch degree)."""
-    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
-
-
 def _check_int(name: str, value, minimum: int) -> None:
-    if not _is_int(value) or value < minimum:
+    if not is_int(value) or value < minimum:
         raise ModelError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
+def _check_ports(k: int, n_stages: int, width: Optional[int]) -> None:
+    """Refuse a network of more than :data:`MAX_PORTS` ports per replica.
+
+    ``width`` defaults to ``k**n_stages``, which is formed only up to the
+    limit: ``n_stages`` may be absurd.
+    """
+    shown = f"{k}**{n_stages}" if width is None else str(width)
+    if width is None:
+        width = 1
+        for _ in range(min(n_stages, MAX_PORTS.bit_length())):
+            width *= k
+    if n_stages * width > MAX_PORTS:
+        raise ModelError(
+            f"{n_stages} stages of width {shown} exceed the {MAX_PORTS} ports a network may have"
+        )
+
+
 def _check_real(name: str, value) -> None:
-    number = type(value) is float or _is_int(value) or (
+    number = type(value) is float or is_int(value) or (
         isinstance(value, Real) and not isinstance(value, bool)
     )
     if not number or not isfinite(value):
@@ -177,6 +196,7 @@ class NetworkConfig:
             check_shape(self.k, self.n_stages, self.width, "virtual" if random else "digits")
         except TopologyError as exc:
             raise ModelError(str(exc)) from None
+        _check_ports(self.k, self.n_stages, self.width)
         if self.sizes is not None:
             if self.probabilities is None:
                 raise ModelError("sizes need probabilities")

@@ -7,10 +7,11 @@ Lindley's recursion (the max-plus view of FIFO departures)::
     start_i = max(arrival_i, start_{i-1} + service_{i-1})
 
 over the port's messages in queue order, seeded with the cycle the port
-is next free.  Unrolled, ``start_i = D_i + max(free, max_{j<=i}(arrival_j
-- D_j))`` with ``D`` the exclusive running sum of service times, so a
-whole stage of ports is one *segmented* exclusive cumsum plus one
-segmented running maximum -- no clock cycle is simulated at all.
+is next free.  Unrolled, ``start_i = D_i + max(free - D_h, max_{h<=j<=i}
+(arrival_j - D_j))`` with ``D`` the exclusive running sum of service
+times over the whole stage, port after port, and ``h`` the port's first
+message, so a whole stage of ports is one exclusive cumsum plus one
+*segmented* running maximum -- no clock cycle is simulated at all.
 
 :class:`StagewisePass` evaluates pre-drawn arrivals that way, in windows
 of cycles closed at about :data:`WINDOW_MESSAGES` injected messages.
@@ -32,10 +33,13 @@ The results are those of a cycle-by-cycle simulation, bit for bit:
 * statistics are handed to :meth:`StageAccumulator.add` sorted by
   ``(start cycle, port)``, the order a cycle-by-cycle simulation records
   them in, so each bin's first value -- its shift -- is the same; waits
-  are integers, so every sum is exact in any order;
+  are integers, so every sum is exact in any order.  The order is a
+  stable sort on the start cycle alone over port-ascending arrays;
 * a port's occupancy when a message is pushed is the number of
-  messages ahead of it in FIFO order that have not started yet, found
-  with one ``searchsorted`` per stage, so the high-water marks match;
+  messages ahead of it in FIFO order that have not started yet, so the
+  high-water marks match.  It is one unless the message's predecessor
+  at the port is still queued, and only those messages are searched
+  for;
 * a run that ends mid-window leaves the exact queue contents and
   next-free cycles, so the next :meth:`StagewisePass.advance` resumes
   from them.
@@ -102,11 +106,12 @@ class Hops(NamedTuple):
         return cls(*(np.concatenate(fields) for fields in zip(*parts, strict=True)))
 
 
-def _port_order(port: np.ndarray, n_ports: int) -> np.ndarray:
-    """Stable permutation grouping ``port`` ascending (radix when it fits)."""
-    if n_ports <= np.iinfo(np.uint16).max:
-        port = port.astype(np.uint16)
-    return np.argsort(port, kind="stable")
+def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """Stable permutation sorting ``key``, whose values lie in ``[0,
+    bound)``, ascending: a radix sort when they fit ``uint16``."""
+    if bound <= np.iinfo(np.uint16).max:
+        key = key.astype(np.uint16)
+    return np.argsort(key, kind="stable")
 
 
 def _segment_starts(port: np.ndarray) -> np.ndarray:
@@ -121,22 +126,41 @@ def _queue_depths(
     port: np.ndarray,
     start: np.ndarray,
     pushed: np.ndarray,
+    first: np.ndarray,
     t0: int,
     inclusive: bool,
 ) -> np.ndarray:
     """Each message's queue length right after its push, itself included.
 
-    Arrays are grouped by port in FIFO order.  The queue then holds the
-    messages at or before the pushed one in FIFO order that have not
-    started yet: ``start >= push`` at stage 0 (``inclusive``), ``start >
-    push`` after it.  Starts increase along a port's run, so those
-    messages are a contiguous block that ends at the message itself.
+    Arrays are grouped by port in FIFO order (``first`` marks where each
+    port's run begins).  The queue then holds the messages at or before
+    the pushed one in FIFO order that have not started yet: ``start >=
+    push`` at stage 0 (``inclusive``), ``start > push`` after it.  Starts
+    increase along a port's run, so those messages are a contiguous
+    block that ends at the message itself.  It is the message alone
+    unless its predecessor at the port is still queued, and the two of
+    them unless the message before that is too: only the messages behind
+    two queued ones are searched for.
     """
+    depth = np.ones(port.size, dtype=np.int64)
+    later = np.greater_equal if inclusive else np.greater  # still queued at a push
+    behind = later(start[:-1], pushed[1:])
+    behind &= ~first[1:]
+    queued = np.flatnonzero(behind) + 1
+    push = pushed[queued]
+    # two deep, unless the message before the predecessor is queued too
+    depth[queued] = 2
+    deeper = later(start[queued - 2], push)
+    deeper &= ~first[queued - 1]
+    queued, push = queued[deeper], push[deeper]
+    if queued.size == 0:
+        return depth
     span = int(start.max()) - t0 + 2
     key = port * span + (start - t0)
-    probe = port * span + (pushed - t0)
+    probe = port[queued] * span + (push - t0)
     begin = np.searchsorted(key, probe, side="left" if inclusive else "right")
-    return np.arange(1, port.size + 1) - begin
+    depth[queued] = queued + 1 - begin
+    return depth
 
 
 def _admitted(
@@ -231,16 +255,16 @@ def _lindley_starts(
 
     ``free[q]`` is the first cycle port ``q`` may start a service and
     ``first`` marks where each port's run begins.  Segmented form of
-    ``start_i = max(arrival_i, start_{i-1} + service_{i-1})``.
+    ``start_i = max(arrival_i, start_{i-1} + service_{i-1})``: with ``D``
+    the exclusive running sum of the services over the whole array,
+    ``start_i = D_i + max(free - D_head, max_{head<=j<=i}(arrival_j -
+    D_j))`` within a port's run.
     """
     done = np.cumsum(service)
     done -= service  # exclusive running sum over the whole array
-    base = np.where(first, done, 0)
-    np.maximum.accumulate(base, out=base)  # the running sum at each run's start
-    done -= base     # exclusive running sum within each port's run
     lead = arrival - done
     heads = np.flatnonzero(first)
-    lead[heads] = np.maximum(lead[heads], free[port[heads]])
+    lead[heads] = np.maximum(lead[heads], free[port[heads]] - done[heads])
     # a running maximum that restarts at every run: lift each run above
     # all earlier ones, accumulate, and drop the lift again
     low = int(lead.min())
@@ -257,7 +281,11 @@ class StagewisePass:
 
     Ports are numbered ``replica * n_stages * width + stage * width +
     line`` and statistic bins ``replica * n_stages + stage``, as in the
-    stacked engines; one replica is the serial engine.  Feed injections
+    stacked engines; one replica is the serial engine.  ``next_port`` and
+    ``shifts`` are one replica's routing tables
+    (:func:`~repro.simulation.engine.build_routing_tables`); the pass
+    tiles the next-port table over its replicas once, so forwarding is
+    one gather plus a destination digit.  Feed injections
     window by window to :meth:`advance`; the pass updates ``stats``,
     calls ``record`` for measured service starts, and keeps
     :attr:`completed`, :attr:`injected`, :attr:`dropped`,
@@ -270,7 +298,7 @@ class StagewisePass:
 
     def __init__(
         self,
-        perm_stack: np.ndarray,
+        next_port: np.ndarray,
         shifts: np.ndarray,
         k: int,
         n_replicas: int,
@@ -281,7 +309,7 @@ class StagewisePass:
         capacity: Optional[int] = None,
         sanitize: bool = False,
     ) -> None:
-        self.n_stages, self.width = perm_stack.shape
+        self.n_stages, self.width = next_port.shape
         self.k = k
         self.n_replicas = n_replicas
         self.ports_per_replica = self.n_stages * self.width
@@ -295,8 +323,10 @@ class StagewisePass:
         self.observers: list = []
         self._events = np.empty((5, 0), dtype=np.int64)  # see reserve_events
         self._events_used = 0
-        #: the routing tables (:func:`~repro.simulation.engine.build_routing_tables`)
-        self.perm_stack = perm_stack.astype(np.int64, copy=False)
+        #: the next-port table over every replica: ``next_port[q]`` is the
+        #: first port of the switch that port ``q`` feeds (-1 at the last stage)
+        offsets = np.arange(n_replicas, dtype=np.int64)[:, None, None] * self.ports_per_replica
+        self.next_port = np.where(next_port < 0, -1, next_port + offsets).ravel()
         self.shifts = np.asarray(shifts, dtype=np.int64)
         #: cycle the pass has reached (the next window opens here)
         self.now = 0
@@ -392,14 +422,14 @@ class StagewisePass:
             # counts the queue as it stood when this window opened, which
             # never exceeds the mark already set
             push = np.concatenate([np.full(n_held, t0 - 1, dtype=np.int64), push])
-        order = _port_order(hops.port, self.n_ports)
+        order = _stable_order(hops.port, self.n_ports)
         port = hops.port[order]
         arrival = hops.arrival[order]
         service = hops.service[order]
         push = push[order]
         first = _segment_starts(port)
         start = _lindley_starts(port, arrival, service, self.free, first)
-        depth = _queue_depths(port, start, push, t0, stage == 0)
+        depth = _queue_depths(port, start, push, first, t0, stage == 0)
         dropped = _EMPTY
         if self.capacity is not None and int(depth.max()) > self.capacity:
             keep = _admitted(
@@ -414,8 +444,10 @@ class StagewisePass:
             )
             first = _segment_starts(port)
             start = _lindley_starts(port, arrival, service, self.free, first)
-            depth = _queue_depths(port, start, push, t0, stage == 0)
-        np.maximum.at(self.high_water, port, depth)
+            depth = _queue_depths(port, start, push, first, t0, stage == 0)
+        heads = np.flatnonzero(first)  # one run per port
+        at = port[heads]
+        self.high_water[at] = np.maximum(self.high_water[at], np.maximum.reduceat(depth, heads))
 
         begun = start < t1  # a prefix of every port's run
         if begun.all():
@@ -430,8 +462,9 @@ class StagewisePass:
             last[:-1] = first[1:]
             last[-1] = True
             self.free[port[last]] = start[last] + service[last]
-            # the recording order: by start cycle, then port
-            by_time = np.argsort((start - t0) * self.n_ports + port)
+            # the recording order: by start cycle, then port (the arrays
+            # are port-ascending, and a stable sort keeps that for ties)
+            by_time = _stable_order(start - t0, t1 - t0)
             rows = None if events is None else self._event_rows(start.size)
             hops, start, wait = _in_time_order(hops, order[by_time], start, by_time, rows)
             self._record(stage, hops, start, wait, measure_from)
@@ -480,13 +513,12 @@ class StagewisePass:
         self.record(hops.track, stage, waits)
 
     def _forward(self, stage: int, hops: Hops, start: np.ndarray) -> Hops:
-        """Route started messages to their stage ``stage + 1`` queues."""
-        width, k = self.width, self.k
-        stage_base = hops.port - hops.port % width  # replica and stage offset
-        line = hops.port - stage_base
-        in_line = self.perm_stack[stage + 1, line]
-        digit = hops.dest // self.shifts[stage + 1] % k
-        port = stage_base + width + in_line // k * k + digit
+        """Route started messages to their stage ``stage + 1`` queues: the
+        first port of the switch each one enters plus its destination
+        digit there (``q % k`` as ``q - q // k * k``: NumPy divides by a
+        scalar far faster than it takes a remainder)."""
+        q = hops.dest // self.shifts[stage + 1]
+        port = self.next_port[hops.port] + (q - q // self.k * self.k)
         arrival = start + 1 if self.cut_through else start + hops.service
         return Hops(port, arrival, hops.dest, hops.service, hops.track)
 

@@ -152,6 +152,14 @@ def assign_track_ids(replicas: np.ndarray, taken: np.ndarray, limit: int) -> np.
     return np.where(local < limit, replicas * limit + local, -1)
 
 
+def _tracked(track_ids: np.ndarray, waits: np.ndarray) -> tuple:
+    """The ids ``>= 0`` and their waits; both as given when every id is."""
+    if track_ids.size and track_ids.min() < 0:
+        live = track_ids >= 0
+        return track_ids[live], waits[live]
+    return track_ids, waits
+
+
 class TrackedMessages:
     """Per-message waiting times across all stages, for a bounded cohort.
 
@@ -223,10 +231,8 @@ class TrackedMessages:
 
     def record(self, track_ids: np.ndarray, stage: int, waits: np.ndarray) -> None:
         """Record stage ``stage`` waits for the tracked subset (ids ``>= 0``)."""
-        mask = track_ids >= 0
-        if not mask.any():
-            return
-        self.waits[track_ids[mask], stage] = waits[mask]
+        track_ids, waits = _tracked(track_ids, waits)
+        self.waits[track_ids, stage] = waits
 
     def complete_rows(self) -> np.ndarray:
         """Waiting-time matrix of messages that finished every stage."""
@@ -297,10 +303,8 @@ class BatchedTrackedMessages:
 
     def record(self, track_ids: np.ndarray, stage: int, waits: np.ndarray) -> None:
         """Record stage ``stage`` waits for the tracked subset (ids ``>= 0``)."""
-        mask = track_ids >= 0
-        if not mask.any():
-            return
-        self.waits[track_ids[mask], stage] = waits[mask]
+        track_ids, waits = _tracked(track_ids, waits)
+        self.waits[track_ids, stage] = waits
 
     def replica_tracker(self, replica: int) -> TrackedMessages:
         """A standalone :class:`TrackedMessages` view of one replica.
@@ -347,9 +351,8 @@ class MessageTotals:
 
     def record(self, track_ids: np.ndarray, stage: int, waits: np.ndarray) -> None:
         """Add stage ``stage`` waits to their messages' totals (ids ``>= 0``)."""
-        live = track_ids >= 0
-        ids = track_ids[live]
-        self.total[ids] += waits[live]
+        ids, waits = _tracked(track_ids, waits)
+        self.total[ids] += waits
         if stage == self.n_stages - 1:
             self.done[ids] = 1
 

@@ -14,7 +14,7 @@ from repro.exec.spec import (
     spec_from_jsonable,
     specs_from_file,
 )
-from repro.simulation.network import NetworkConfig
+from repro.simulation.network import MAX_PORTS, NetworkConfig
 
 
 def spec(**overrides):
@@ -210,6 +210,8 @@ UNRUNNABLE_CONFIGS = {
     "random width 7": {"topology": "random", "width": 7},
     "random width 8 at k=3": {"k": 3, "topology": "random", "width": 8},
     "omega width 16 at 3 stages": {"topology": "omega", "n_stages": 3, "width": 16},
+    "banyan of 17 stages": {"topology": "omega", "width": None, "n_stages": 17},
+    "banyan of 30 stages": {"topology": "omega", "width": None, "n_stages": 30},
     "size 0": {"sizes": [0, 2], "probabilities": [0.5, 0.5]},
     "probabilities sum to 3/5": {"sizes": [1, 2], "probabilities": [0.3, 0.3]},
     "one probability for two sizes": {"sizes": [1, 2], "probabilities": [1.0]},
@@ -280,6 +282,14 @@ class TestMalformedDocuments:
     def test_refused_with_an_execution_error(self, change):
         with pytest.raises(ExecutionError):
             spec_from_jsonable(malformed_document(change))
+
+    def test_network_size_limit(self):
+        # 16 stages of 2**16 ports are exactly MAX_PORTS; one more stage is over
+        doc = {"config": {"k": 2, "n_stages": 16, "p": 0.5}, "n_cycles": 1000}
+        assert spec_from_jsonable(doc).config.n_stages * 2**16 == MAX_PORTS
+        doc["config"]["n_stages"] = 30
+        with pytest.raises(ExecutionError, match="ports"):
+            spec_from_jsonable(doc)
 
     @settings(max_examples=300, deadline=None)
     @given(doc=spec_documents() | JSON_VALUES)

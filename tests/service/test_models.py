@@ -39,6 +39,16 @@ class TestDeterministicService:
         with pytest.raises(ModelError):
             DeterministicService(2.5)
 
+    def test_refuses_a_bool(self):
+        with pytest.raises(ModelError):
+            DeterministicService(True)
+
+    def test_any_integer_is_stored_as_an_int(self):
+        s = DeterministicService(np.int64(3))
+        assert type(s.m) is int
+        assert s == DeterministicService(3)
+        assert repr(s) == repr(DeterministicService(3))
+
 
 class TestGeometricService:
     def test_paper_moments(self):
@@ -90,6 +100,16 @@ class TestMultiSizeService:
             MultiSizeService([2, 2], [0.5, 0.5])
         with pytest.raises(ModelError):
             MultiSizeService([1, 2], [0.4, 0.4])
+
+    @pytest.mark.parametrize("sizes", [(1.5, 2), (True, 2), (2.0, 3)])
+    def test_refuses_sizes_it_would_coerce(self, sizes):
+        with pytest.raises(ModelError):
+            MultiSizeService(sizes, (0.5, 0.5))
+
+    def test_any_integer_size_is_stored_as_an_int(self):
+        s = MultiSizeService((np.int64(1), np.int32(2)), (0.5, 0.5))
+        assert s.sizes == (1, 2)
+        assert all(type(m) is int for m in s.sizes)
 
 
 class TestGeneralService:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import formulas
 from repro.errors import ModelError, SimulationError
-from repro.simulation.network import NetworkConfig, NetworkSimulator
+from repro.simulation.network import MAX_PORTS, NetworkConfig, NetworkSimulator
 from repro.simulation.traffic import NetworkTrafficGenerator
 from repro.service import DeterministicService
 
@@ -176,6 +176,18 @@ class TestConfigValidation:
     def test_favorite_needs_destination_routing(self):
         with pytest.raises(ModelError):
             NetworkConfig(k=2, n_stages=2, p=0.1, q=0.5, topology="random", width=16)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(n_stages=17), dict(n_stages=30), dict(n_stages=12, topology="random", width=2**17)],
+    )
+    def test_networks_over_the_port_limit_are_refused(self, shape):
+        with pytest.raises(ModelError, match="ports"):
+            NetworkConfig(k=2, p=0.5, **shape)
+
+    def test_the_port_limit_is_inclusive(self):
+        cfg = NetworkConfig(k=2, n_stages=16, p=0.5)
+        assert cfg.n_stages * 2**cfg.n_stages == MAX_PORTS
 
     def test_random_needs_width(self):
         cfg = NetworkConfig(k=2, n_stages=2, p=0.1, topology="random")

@@ -113,3 +113,37 @@ def test_split_run_continues_the_sample_path(first, n_replicas, window, monkeypa
     for a, b in zip(split.evaluator.queued(), whole.evaluator.queued(), strict=True):
         assert np.array_equal(a, b)
     assert np.array_equal(split.tracker.waits, whole.tracker.waits)
+
+
+class TestSortFallbacks:
+    """The pass orders a stage's messages by port and its committed starts
+    by cycle with radix sorts of ``uint16`` keys.  A stack of more than
+    65 535 ports, or a window of 65 536 cycles or more, takes the stable
+    comparison sort instead -- no workload does, so these runs do."""
+
+    def test_a_window_of_100000_cycles(self, monkeypatch):
+        config = NetworkConfig(k=2, n_stages=2, p=0.01, topology="omega", seed=21)
+        windows = []
+        advance = stagewise.StagewisePass.advance
+
+        def counted(evaluator, end, *args):
+            windows.append((evaluator.now, end))
+            return advance(evaluator, end, *args)
+
+        monkeypatch.setattr(stagewise.StagewisePass, "advance", counted)
+        whole = fields(NetworkSimulator(config).run(100_000))
+        assert windows == [(0, 100_000)]
+        monkeypatch.setattr(stagewise, "WINDOW_MESSAGES", 300)
+        windowed = fields(NetworkSimulator(config).run(100_000))
+        assert len(windows) > 10
+        assert windowed == whole
+
+    def test_a_stack_of_65600_ports(self):
+        configs = [
+            NetworkConfig(k=2, n_stages=2, p=0.1, topology="omega", seed=seed)
+            for seed in range(8_200)
+        ]
+        stacked = run_stacked(configs, 200, warmup=20)
+        for replica in (0, 4_100, 8_199):
+            serial = NetworkSimulator(configs[replica]).run(200, warmup=20)
+            assert fields(stacked[replica]) == fields(serial), replica
