@@ -155,7 +155,6 @@ class JobManager:
         workers: int = 1,
         retries: int = 1,
         timeout: Optional[float] = None,
-        shard_mem: Optional[int] = None,
         max_queue: int = 64,
         cache: Optional[ResultCache] = None,
         use_cache: bool = True,
@@ -171,9 +170,6 @@ class JobManager:
         self._workers = workers
         self._retries = retries
         self._timeout = timeout
-        #: per-shard byte budget forwarded to each job's run_many call: a
-        #: budget runs each job's spec as a stacked shard (docs/scaling.md)
-        self._shard_mem = shard_mem
         self._max_queue = max_queue
         # SQLite connections are thread-bound, so the manager keeps the
         # ledger *path* and opens one handle per thread that ingests.
@@ -288,7 +284,6 @@ class JobManager:
                 "max_queue": self._max_queue,
                 "executors": len(self._threads),
                 "workers": self._workers,
-                "shard_mem": self._shard_mem,
                 "uptime_seconds": time.time() - self._started_unix,
                 "ledger": self._db_path is not None,
             }
@@ -353,7 +348,6 @@ class JobManager:
                 timeout=self._timeout,
                 progress=progress,
                 task_fn=self._task_fn,
-                shard_mem=self._shard_mem,
             )
             outcome = batch.outcomes[0]
         except Exception as exc:

@@ -257,23 +257,16 @@ class ApiHandler(BaseHTTPRequestHandler):
             self._send_error_json(404, "not_found", f"no POST route {self.path!r}")
             return
         try:
-            doc = self._read_body()
-            specs = _submission_specs(doc)
-        except JobQueueFullError as exc:
-            self._send_error_json(429, "queue_full", str(exc))
-            return
+            self._submit(_submission_specs(self._read_body()))
         except (ApiError, ExecutionError) as exc:
             status, code = (400, "bad_request")
             if "has no entry labelled" in str(exc) or "unknown scenario set" in str(exc):
                 status, code = (404, "not_found")
             self._send_error_json(status, code, str(exc))
-            return
         except BrokenPipeError:
-            return  # client hung up; the response is unsendable
+            pass  # client hung up; the response is unsendable
         except Exception as exc:
             self._send_error_json(500, "internal", repr(exc))
-            return
-        self._submit(specs)
 
     def _submit(self, specs: List[ExperimentSpec]) -> None:
         manager = self.server.manager

@@ -62,16 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed result cache directory (default: off; "
         "'batch', 'cache' and 'serve' default to .repro-cache)",
     )
-    execution.add_argument(
-        "--shard-mem",
-        type=int,
-        default=None,
-        metavar="MIB",
-        dest="shard_mem",
-        help="per-shard memory budget in MiB of stacked runs; implies "
-        "stacked execution (--vectorize-replicas); results are "
-        "bit-identical under any budget (see docs/scaling.md)",
-    )
     dispatch = argparse.ArgumentParser(add_help=False)
     dispatch.add_argument(
         "--retries", type=int, default=1,
@@ -504,8 +494,8 @@ def _run_batch(args) -> int:
             note += f"  ({event['error']})"
         print(note, file=sys.stderr)
 
-    # workers, retries, timeout and the stacked options come from the
-    # execution context main installs
+    # workers, retries, timeout and vectorize come from the execution
+    # context main installs
     batch = run_batch(specs, cache=cache, progress=progress, db=db)
     lines = [
         f"batch of {batch.n_tasks} scenarios (workers={batch.workers}, "
@@ -752,7 +742,6 @@ def _run_serve(args) -> int:
         workers=ctx.workers,
         retries=ctx.retries,
         timeout=ctx.timeout,
-        shard_mem=ctx.shard_mem,
         max_queue=args.max_queue,
         cache=None if args.no_cache else ResultCache(args.cache or DEFAULT_CACHE_DIR),
         use_cache=not args.no_cache,
@@ -877,7 +866,6 @@ def _execution_context(args):
         retries=getattr(args, "retries", 1),
         timeout=getattr(args, "timeout", None),
         vectorize=getattr(args, "vectorize_replicas", False),
-        shard_mem=None if args.shard_mem is None else args.shard_mem * 1024 * 1024,
         target_ci=getattr(args, "target_ci", None),
         sanitize=getattr(args, "sanitize", False),
     )

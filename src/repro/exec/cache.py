@@ -44,6 +44,7 @@ import os
 import shutil
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -224,9 +225,12 @@ class CacheStats:
 class ResultCache:
     """Digest-keyed result store under one root directory.
 
-    ``get``/``put`` never raise on cache trouble: a corrupt, partial,
-    or stale entry is simply a miss (and a run is never *wrong* because
-    of the cache -- at worst it is re-simulated).
+    ``get``/``put`` never raise on cache trouble: an absent entry is a
+    miss, a damaged, partial or stale one a miss with a
+    :class:`RuntimeWarning` that the next ``put`` overwrites, and a
+    ``put`` that cannot write (an unwritable root, a full disk) a
+    :class:`RuntimeWarning`.  A run is never *wrong* because of the
+    cache -- at worst it is re-simulated.
     """
 
     def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR) -> None:
@@ -256,18 +260,28 @@ class ResultCache:
                 for name, dtype in _ARRAYS.items():
                     payload[name] = np.asarray(data[name], dtype=dtype)
             result = payload_to_result(payload, spec.config)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        except OSError:  # no entry, or no root to read it from
+            self.misses += 1
+            return None
+        except Exception as exc:
+            # damaged bytes make np.load alone raise half a dozen types
+            warnings.warn(
+                f"cache entry {digest[:12]} is unreadable ({exc!r}); "
+                "it is a miss and the next put overwrites it",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             self.misses += 1
             return None
         self.hits += 1
         return result
 
     def put(self, spec, result: Union[NetworkResult, dict]) -> None:
-        """Store a result (or its payload form) under ``spec``'s digest."""
+        """Store a result (or its payload form) under ``spec``'s digest;
+        a write that fails is a :class:`RuntimeWarning`, not an error."""
         payload = result_to_payload(result) if isinstance(result, NetworkResult) else result
         digest = spec.digest
         meta_path, npz_path = self._entry_paths(digest)
-        meta_path.parent.mkdir(parents=True, exist_ok=True)
         meta = {
             "schema_version": CACHE_SCHEMA_VERSION,
             "digest": digest,
@@ -282,11 +296,19 @@ class ResultCache:
         }
         arrays = {k: np.asarray(payload[k], dtype=dtype) for k, dtype in _ARRAYS.items()}
         arrays["tracked_rows"] = _narrowest(arrays["tracked_rows"])
-        self._atomic_write(npz_path, lambda fh: np.savez(fh, **arrays))
-        self._atomic_write(
-            meta_path,
-            lambda fh: fh.write(json.dumps(meta, separators=(",", ":")).encode() + b"\n"),
-        )
+        try:
+            meta_path.parent.mkdir(parents=True, exist_ok=True)
+            self._atomic_write(npz_path, lambda fh: np.savez(fh, **arrays))
+            self._atomic_write(
+                meta_path,
+                lambda fh: fh.write(json.dumps(meta, separators=(",", ":")).encode() + b"\n"),
+            )
+        except Exception as exc:  # an unwritable root, a full disk
+            warnings.warn(
+                f"cache entry {digest[:12]} was not written: {exc!r}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     @staticmethod
     def _atomic_write(path: Path, writer) -> None:

@@ -47,10 +47,6 @@ class ExecutionContext:
     #: bounded shards (:mod:`repro.simulation.batched`); composes with
     #: ``workers`` and never changes a result
     vectorize: bool = False
-    #: per-shard byte budget of the stacked path (``None`` = the 256 MiB
-    #: default; setting it implies ``vectorize``); never enters digests
-    #: or results
-    shard_mem: Optional[int] = None
     #: when set, adaptive replication helpers
     #: (:func:`repro.simulation.replication.replicate_until`, sweep
     #: generators) grow replicas until the t-interval half-width of
@@ -113,7 +109,6 @@ def run_batch(specs: Sequence[ExperimentSpec], **overrides) -> BatchResult:
         "retries": ctx.retries,
         "timeout": ctx.timeout,
         "vectorize": ctx.vectorize,
-        "shard_mem": ctx.shard_mem,
     }
     kwargs.update(overrides)
     return run_many(specs, **kwargs)

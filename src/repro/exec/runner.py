@@ -115,14 +115,10 @@ def _run_shard(specs: List[ExperimentSpec]) -> List[tuple]:
 
     The specs are seeds of one scenario
     (:func:`~repro.exec.spec.group_by_shape`).  Each result equals a
-    serial run of its spec, whatever the shard holds.  A finite-buffer
-    spec runs on the serial path instead (stacked engines refuse finite
-    buffers).
+    serial run of its spec, whatever the shard holds.
     Shard failure is atomic: an exception reports every spec of the
     shard as one failed attempt.
     """
-    if specs[0].config.buffer_capacity is not None:
-        return _run_chunk(specs, None)
     started = perf_counter()
     try:
         from repro.simulation.streamed import run_streamed
@@ -143,7 +139,7 @@ def _run_shard(specs: List[ExperimentSpec]) -> List[tuple]:
         return [("err", traceback.format_exc(limit=20))] * len(specs)
 
 
-def _plan_jobs(specs, pending, *, workers, vectorize, shard_mem) -> List[List[int]]:
+def _plan_jobs(specs, pending, *, workers, vectorize) -> List[List[int]]:
     """Split the pending spec indices into dispatch jobs.
 
     Per-spec work runs one spec per job in-process, so each progress
@@ -151,9 +147,9 @@ def _plan_jobs(specs, pending, *, workers, vectorize, shard_mem) -> List[List[in
     worker on a pool, which keeps the pool fed without making one slow
     chunk the long pole.  Stacked work groups the specs by scenario
     (seeds of one scenario stack) and splits each group into shards of
-    :func:`~repro.exec.sharded.plan_shard_size` specs under the byte
-    budget ``shard_mem`` (finite-buffer specs run one by one).  A
-    spec's result depends neither on its job-mates nor on the job size.
+    :func:`~repro.exec.sharded.plan_shard_size` specs under the default
+    byte budget.  A spec's result depends neither on its job-mates nor
+    on the job size.
     """
     if not vectorize:
         size = 1 if workers == 1 else -(-len(pending) // (workers * 4))
@@ -164,10 +160,7 @@ def _plan_jobs(specs, pending, *, workers, vectorize, shard_mem) -> List[List[in
     for group in group_by_shape([specs[i] for i in pending]):
         members = [pending[j] for j in group]
         first = specs[members[0]]
-        if first.config.buffer_capacity is not None:
-            size = 1
-        else:
-            size = plan_shard_size(first.config, first.n_cycles, shard_mem)
+        size = plan_shard_size(first.config, first.n_cycles, None)
         jobs.extend(members[j : j + size] for j in range(0, len(members), size))
     return jobs
 
@@ -441,7 +434,6 @@ def run_many(
     progress: Optional[Callable[[dict], None]] = None,
     task_fn: Optional[Callable[[ExperimentSpec], NetworkResult]] = None,
     vectorize: bool = False,
-    shard_mem: Optional[int] = None,
     db: Optional["ExperimentDB"] = None,
 ) -> BatchResult:
     """Execute a batch of specs; see the module docstring for the contract.
@@ -472,21 +464,14 @@ def run_many(
     vectorize:
         Run the seeds of each scenario in stacked engines
         (:mod:`repro.simulation.batched`), in shards of
-        :func:`~repro.exec.sharded.plan_shard_size` specs -- composing
+        :func:`~repro.exec.sharded.plan_shard_size` specs under
+        :data:`~repro.exec.sharded.DEFAULT_SHARD_MEM` -- composing
         with ``workers`` (shards are pool jobs) and the cache (cached
         specs are skipped).  Specs share a stack iff they differ in
         nothing but the config seed
         (:func:`~repro.exec.spec.group_by_shape`).  Every spec's result,
         and so its digest and cache entry, is the one a serial run gives
-        it.  Finite-buffer specs run serially.
-        ``track_limit=0`` specs return streaming totals summaries instead
-        of per-message panels (see ``docs/scaling.md``).  Incompatible
-        with ``task_fn``.
-    shard_mem:
-        Per-shard working-set budget in bytes of the stacked path
-        (default :data:`~repro.exec.sharded.DEFAULT_SHARD_MEM`,
-        256 MiB); giving one implies ``vectorize=True``.  Purely an
-        execution knob: it never enters digests or results.
+        it.  Incompatible with ``task_fn``.
     db:
         Optional :class:`~repro.expdb.db.ExperimentDB`; every outcome
         (completed, cached, and failed) is recorded in the ledger after
@@ -499,7 +484,6 @@ def run_many(
         raise ExecutionError(f"workers must be >= 1, got {workers}")
     if retries < 0:
         raise ExecutionError(f"retries must be >= 0, got {retries}")
-    vectorize = vectorize or shard_mem is not None
     if vectorize and task_fn is not None:
         raise ExecutionError("vectorize=True cannot run a custom task_fn")
     started = perf_counter()
@@ -519,9 +503,7 @@ def run_many(
 
     if pending:
         execute = _run_shard if vectorize else partial(_run_chunk, task_fn=task_fn)
-        jobs = _plan_jobs(
-            specs, pending, workers=workers, vectorize=vectorize, shard_mem=shard_mem
-        )
+        jobs = _plan_jobs(specs, pending, workers=workers, vectorize=vectorize)
         _dispatch_jobs(
             specs, jobs, outcomes, workers=workers, retries=retries,
             timeout=timeout, cache=cache, progress=progress, execute=execute,

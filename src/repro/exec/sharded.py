@@ -7,8 +7,7 @@ Two layers live here:
   arrivals, tracker or streaming per-message scalars) and
   :func:`plan_shard_size` turns a byte budget into a replica count.
   The shard size is an *execution* knob: a replica's result does not
-  depend on its shard, so it never enters a spec digest and the same
-  cache entries serve every budget.
+  depend on its shard.
 * **The direct driver** -- :func:`stream_totals` runs ``R`` replicas of
   one scenario in streaming summary mode (``track_limit=0``) without
   materialising specs, results, or cache entries: shards are dispatched
@@ -19,9 +18,10 @@ Two layers live here:
   invariance).  This is the R >= 1e5 path used by the scale benchmark
   and the figure overlays.
 
-Spec-level sharded execution (cache-aware, per-spec results) is
-``run_many(vectorize=True, shard_mem=...)`` in :mod:`repro.exec.runner`,
-which plans its shards with the same functions.
+Spec-level stacked execution (cache-aware, per-spec results) is
+``run_many(vectorize=True)`` in :mod:`repro.exec.runner`, which plans
+its shards with the same functions under :data:`DEFAULT_SHARD_MEM`; a
+byte budget of its own is a parameter of :func:`stream_totals` alone.
 """
 
 from __future__ import annotations

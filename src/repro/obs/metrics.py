@@ -19,11 +19,11 @@ services over by ``t``, and the wait moments are sums of the measured
 waits started by ``t`` (exact: waits are integers).  The starts arrive
 sorted by cycle, so a window costs one ``searchsorted`` per stage at
 its sample cycles (the starts by each and, when the service time is
-fixed, the services over by each) and one ``reduceat`` per stage over
-the waits and their squares, plus running totals.  Observing a run
-perturbs neither its sample path (observers never touch RNG streams)
-nor, materially, its wall clock (the overhead benchmark holds it under
-10%).
+fixed, the services over by each; a varying one counts its end cycles)
+and one ``reduceat`` per stage over the waits and their squares, plus
+running totals.  Observing a run perturbs neither its sample path
+(observers never touch RNG streams) nor, materially, its wall clock
+(the overhead benchmark holds it under 10%).
 
 Memory is O(``capacity``) regardless of run length: samples live in a
 ring buffer and the oldest are overwritten once ``capacity`` is
@@ -129,8 +129,14 @@ class MetricsCollector(EngineObserver):
         counts = np.array([np.searchsorted(stage.cycle, probes, side="right") for stage in stages])
         lo, started, over = counts[:, 0], counts[:, 1 : m + 1], counts[:, m + 1 :]
         if not fixed:
+            # the end cycles lose the start order: count them by offset
+            # into the window (the last bin holds every end past it)
+            span, at = window.end - window.start, points - window.start
             over = np.array([
-                np.searchsorted(np.sort(stage.cycle + stage.service), points, side="right")
+                np.bincount(
+                    np.minimum(stage.cycle + stage.service - window.start, span),
+                    minlength=span + 1,
+                ).cumsum()[at]
                 for stage in stages
             ])
         if n_refused.any():

@@ -22,11 +22,13 @@ run of that config, at any position of any batch, in any shard
 :func:`~repro.simulation.streamed.run_streamed` are entry points over
 one driver, :func:`run_replicas`.
 
+A stack takes every config a serial run takes: finite buffers (each
+replica's ports admit and drop their own messages) and streaming summary
+mode (``track_limit=0``; :func:`~repro.simulation.streamed.run_streamed`
+also returns the batch's merged totals).
+
 Limitations
 -----------
-* Finite buffers are refused (the serial engine takes them), and so is
-  ``track_limit=0`` here: its batch totals come back from
-  :func:`~repro.simulation.streamed.run_streamed`.
 * Observers and metrics collectors are refused: they read one
   network's ports.  Run serially when you need instrumentation.
 * ``warmup="auto"`` (MSER-5) is refused: the detector is a per-run
@@ -42,17 +44,18 @@ from operator import attrgetter
 from time import perf_counter
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.simulation.network import (
     NetworkConfig,
     NetworkResult,
     build_engine,
     default_warmup,
+    summary_fields,
 )
 from repro.simulation.stagewise import StagewisePass
 from repro.simulation.stats import (
+    DEFAULT_SKETCH_MARKERS,
+    DEFAULT_TAIL_K,
     BatchedTrackedMessages,
     MessageTotals,
     StreamingTotals,
@@ -60,11 +63,6 @@ from repro.simulation.stats import (
 )
 
 __all__ = ["run_batched", "run_replicas", "run_stacked"]
-
-#: default quantile-sketch resolution / tail-reservoir size of a
-#: streaming summary run (shared with the sharded exec driver)
-DEFAULT_SKETCH_MARKERS = 129
-DEFAULT_TAIL_K = 1024
 
 #: every config field but the seed: the configs of one stack agree on all
 _SCENARIO_FIELDS = tuple(f.name for f in fields(NetworkConfig) if f.name != "seed")
@@ -77,9 +75,8 @@ def stack_warmup(
     """Check that ``configs`` stack, and resolve the batch's warm-up.
 
     Stacked and streamed runs alike need at least one config, configs
-    that differ in nothing but the seed, infinite buffers and an
-    explicit warm-up; ``None`` means
-    :func:`~repro.simulation.network.default_warmup`.
+    that differ in nothing but the seed, and an explicit warm-up;
+    ``None`` means :func:`~repro.simulation.network.default_warmup`.
     """
     if not configs:
         raise SimulationError("need at least one scenario config")
@@ -93,11 +90,6 @@ def stack_warmup(
                 if getattr(other, name) != getattr(first, name)
             )
             raise SimulationError(f"a stack holds seeds of one scenario: {diff}")
-    if first.buffer_capacity is not None:
-        raise SimulationError(
-            "stacked replicas support infinite buffers only; run finite-"
-            "buffer scenarios serially"
-        )
     if warmup == "auto":
         raise SimulationError(
             'warmup="auto" is a per-run pilot; give an explicit warm-up '
@@ -125,8 +117,10 @@ def replica_results(
 
     ``evaluator`` holds the run's statistics and per-replica counters;
     ``tracker`` its tracked waits -- or, in streaming summary mode, its
-    message totals, summarised in ``totals``.  ``elapsed_seconds`` is the run's wall clock divided by
-    ``R`` (the amortised per-replica cost).
+    message totals, summarised in ``totals``
+    (:func:`~repro.simulation.network.summary_fields`).
+    ``elapsed_seconds`` is the run's wall clock divided by ``R`` (the
+    amortised per-replica cost).
     """
     n_replicas = len(configs)
     n_stages = evaluator.n_stages
@@ -136,6 +130,10 @@ def replica_results(
     max_occupancy = evaluator.high_water.reshape(n_replicas, -1).max(axis=1)
     results: List[NetworkResult] = []
     for i, config in enumerate(configs):
+        if totals is None:
+            tracked, summary = tracker.replica_tracker(i), None
+        else:
+            tracked, summary = summary_fields(totals, i, n_stages)
         results.append(
             NetworkResult(
                 config=config,
@@ -144,21 +142,13 @@ def replica_results(
                 stage_means=means[i].copy(),
                 stage_variances=variances[i].copy(),
                 stage_counts=counts[i].copy(),
-                tracked=(
-                    tracker.replica_tracker(i)
-                    if not isinstance(tracker, MessageTotals)
-                    else TrackedMessages.from_rows(
-                        np.empty((0, n_stages), dtype=np.float32), n_stages
-                    )
-                ),
+                tracked=tracked,
                 injected=int(evaluator.injected[i]),
                 completed=int(evaluator.completed[i]),
                 dropped=int(evaluator.dropped[i]),
                 max_occupancy=int(max_occupancy[i]),
                 elapsed_seconds=elapsed / n_replicas,
-                totals_summary=(
-                    totals.replica_summary(i) if totals is not None else None
-                ),
+                totals_summary=summary,
             )
         )
     return results
@@ -213,13 +203,6 @@ def run_stacked(
     -- the same schema serial runs produce, so downstream analysis and
     the result cache need no batch awareness.
     """
-    configs = list(configs)
-    if configs and configs[0].track_limit == 0:
-        raise SimulationError(
-            "track_limit=0 (streaming summary mode) is only supported by "
-            "the streamed engine -- use repro.simulation.streamed."
-            "run_streamed; see docs/scaling.md"
-        )
     return run_replicas(configs, n_cycles, warmup)[0]
 
 

@@ -35,7 +35,7 @@ from repro.service.deterministic import DeterministicService
 from repro.service.multisize import MultiSizeService, check_size_mix
 from repro.simulation.engine import ClockedEngine
 from repro.simulation.rng import spawn_rngs
-from repro.simulation.stats import TotalsSummary, TrackedMessages
+from repro.simulation.stats import MessageTotals, StreamingTotals, TotalsSummary, TrackedMessages
 from repro.simulation.topology import (
     BaselineTopology,
     ButterflyTopology,
@@ -53,6 +53,7 @@ __all__ = [
     "NetworkSimulator",
     "build_engine",
     "default_warmup",
+    "summary_fields",
 ]
 
 _TOPOLOGIES = {
@@ -151,7 +152,9 @@ class NetworkConfig:
     seed:
         Master seed (deterministic streams per subsystem).
     track_limit:
-        Per-message rows kept for totals/correlations.
+        Per-message rows kept for totals/correlations; ``0`` keeps each
+        measured message's total wait instead, summarised in the
+        result's ``totals_summary`` (streaming summary mode).
     """
 
     k: int
@@ -296,6 +299,17 @@ def build_engine(
     )
 
 
+def summary_fields(
+    totals: StreamingTotals, replica: int, n_stages: int
+) -> Tuple[TrackedMessages, TotalsSummary]:
+    """The ``tracked`` and ``totals_summary`` fields of one replica's
+    result in streaming summary mode: an empty cohort (the run kept no
+    rows) and the replica's moments from its run's ``totals``.  Serial
+    and stacked runs both build their summary-mode results here."""
+    empty = np.empty((0, n_stages), dtype=np.float32)
+    return TrackedMessages.from_rows(empty, n_stages), totals.replica_summary(replica)
+
+
 @dataclass
 class NetworkResult:
     """Everything the paper reports about one run."""
@@ -318,7 +332,7 @@ class NetworkResult:
     #: manifest written for this run (observation session only)
     manifest_path: Optional[str] = None
     #: streaming summary of the total waiting times (``track_limit=0``
-    #: streamed runs only; ``None`` = per-message tracking)
+    #: runs only; ``None`` = per-message tracking)
     totals_summary: Optional[TotalsSummary] = None
 
     # -- totals ---------------------------------------------------------
@@ -387,13 +401,6 @@ class NetworkSimulator:
     """
 
     def __init__(self, config: NetworkConfig) -> None:
-        if config.track_limit == 0:
-            raise SimulationError(
-                "track_limit=0 (streaming summary mode) is only supported "
-                "by the streamed engine -- use "
-                "repro.simulation.streamed.run_streamed or the sharded "
-                "exec driver; see docs/scaling.md"
-            )
         self.config = config
         self.engine = build_engine([config])
         self.topology = self.engine.topology
@@ -435,6 +442,9 @@ class NetworkSimulator:
         stats = self.engine.stats
         warmup = int(warmup)
         timers = self.engine.timers
+        tracked, summary = self.engine.tracker, None
+        if isinstance(tracked, MessageTotals):
+            tracked, summary = summary_fields(tracked.summary(), 0, self.engine.n_stages)
         result = NetworkResult(
             config=self.config,
             n_cycles=n_cycles,
@@ -442,13 +452,14 @@ class NetworkSimulator:
             stage_means=stats.means(),
             stage_variances=stats.variances(),
             stage_counts=stats.count.copy(),
-            tracked=self.engine.tracker,
+            tracked=tracked,
             injected=self.engine.injected,
             completed=self.engine.completed,
             dropped=self.engine.dropped,
             max_occupancy=self.engine.max_occupancy,
             elapsed_seconds=elapsed,
             timings=timers.as_dict() if timers is not None else None,
+            totals_summary=summary,
         )
         if self._session is not None:
             path = self._session.record_run(

@@ -102,8 +102,7 @@ def replicate(
     ``vectorize=True`` runs the replications in stacked engines
     (:mod:`repro.simulation.batched`) instead of ``R`` serial ones, with
     the same results; metrics/manifests are then off (stacked runs are
-    uninstrumented).  ``vectorize=False`` runs serially even under an
-    ambient shard budget.
+    uninstrumented).
     """
     if n_replications < 2:
         raise SimulationError("need at least 2 replications for an interval")
@@ -119,8 +118,6 @@ def replicate(
         overrides["workers"] = workers
     if vectorize is not None:
         overrides["vectorize"] = vectorize
-        if not vectorize:
-            overrides["shard_mem"] = None  # a shard budget implies stacking
     ctx = replace(current_execution(), **overrides)
     specs = [
         ExperimentSpec(
@@ -134,7 +131,7 @@ def replicate(
     batch = run_batch(specs, **overrides).raise_on_failure()
     out = batch.results()
     session = current_session()
-    inline = ctx.workers == 1 and not ctx.vectorize and ctx.shard_mem is None
+    inline = ctx.workers == 1 and not ctx.vectorize
     if session is not None and inline and batch.n_cached == 0:
         # tie the per-run manifests together as one reproducible batch
         # (run manifests only exist when the runs happened inline in
@@ -187,7 +184,6 @@ def replicate_until(
     r0: int = 8,
     r_max: int = 4096,
     workers: Optional[int] = None,
-    shard_mem: Optional[int] = None,
 ) -> AdaptiveReplication:
     """Grow replications until the t-interval is tight enough.
 
@@ -203,11 +199,10 @@ def replicate_until(
 
     Replications are executed through
     :func:`repro.exec.context.run_batch` under the ambient
-    :class:`~repro.exec.context.ExecutionContext`; ``workers`` and
-    ``shard_mem`` override it (``shard_mem`` implies stacked shards).
-    Every replica's result depends only on its own spec, so a grown
-    round re-submits the earlier rounds' specs and the cache (when
-    ambient) serves them; without a cache they are re-simulated,
+    :class:`~repro.exec.context.ExecutionContext`; ``workers``
+    overrides it.  Every replica's result depends only on its own spec,
+    so a grown round re-submits the earlier rounds' specs and the cache
+    (when ambient) serves them; without a cache they are re-simulated,
     bit-identically.
 
     The early-stopping contract asserted by the tests: for a
@@ -231,8 +226,6 @@ def replicate_until(
     overrides: dict = {}
     if workers is not None:
         overrides["workers"] = workers
-    if shard_mem is not None:
-        overrides["shard_mem"] = shard_mem
 
     def specs_for(count: int) -> list:
         return [

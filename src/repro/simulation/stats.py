@@ -40,6 +40,11 @@ __all__ = [
     "histogram_pmf",
 ]
 
+#: default quantile-sketch resolution and tail-reservoir size of a
+#: streaming summary run (``track_limit=0``)
+DEFAULT_SKETCH_MARKERS = 129
+DEFAULT_TAIL_K = 1024
+
 
 class StageAccumulator:
     """Streaming first/second-moment accumulator per network stage.
@@ -356,7 +361,9 @@ class MessageTotals:
         if stage == self.n_stages - 1:
             self.done[ids] = 1
 
-    def summary(self, n_markers: int, tail_k: int) -> "StreamingTotals":
+    def summary(
+        self, n_markers: int = DEFAULT_SKETCH_MARKERS, tail_k: int = DEFAULT_TAIL_K
+    ) -> "StreamingTotals":
         """The completed messages' totals, per replica and merged."""
         done = self.done[: self.allocated].astype(bool)
         return StreamingTotals.from_totals(
@@ -534,8 +541,8 @@ class StreamingTotals:
         replicas: np.ndarray,
         n_replicas: int,
         *,
-        n_markers: int = 129,
-        tail_k: int = 1024,
+        n_markers: int = DEFAULT_SKETCH_MARKERS,
+        tail_k: int = DEFAULT_TAIL_K,
     ) -> "StreamingTotals":
         """Summarise one contiguous run (or shard) of ``n_replicas`` replicas.
 

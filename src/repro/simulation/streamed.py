@@ -19,7 +19,10 @@ flagged complete at the last stage
 totals are reduced to a :class:`~repro.simulation.stats.StreamingTotals`
 (exact per-replica moments, a bounded quantile sketch, an exact top-k
 tail).  Memory per shard is O(messages-in-shard); nothing scales with
-the full ``R``.
+the full ``R``.  Serial and stacked runs take the same mode, and each
+result carries the same per-replica
+:class:`~repro.simulation.stats.TotalsSummary` whatever its path; only
+:func:`run_streamed` also returns the merged summary.
 """
 
 from __future__ import annotations
@@ -27,13 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.simulation.batched import (
-    DEFAULT_SKETCH_MARKERS,
-    DEFAULT_TAIL_K,
-    run_replicas,
-)
+from repro.simulation.batched import run_replicas
 from repro.simulation.network import NetworkConfig, NetworkResult
-from repro.simulation.stats import StreamingTotals
+from repro.simulation.stats import DEFAULT_SKETCH_MARKERS, DEFAULT_TAIL_K, StreamingTotals
 
 __all__ = ["DEFAULT_SKETCH_MARKERS", "DEFAULT_TAIL_K", "StreamedBatch", "run_streamed"]
 
@@ -63,8 +62,7 @@ def run_streamed(
     :func:`~repro.simulation.batched.run_stacked` and to serial runs of
     the same configs (test-asserted).
 
-    The configs may differ in ``seed`` and nothing else; finite buffers
-    are refused.
+    The configs may differ in ``seed`` and nothing else.
 
     With ``track_limit == 0`` (streaming summary mode) the returned
     :class:`StreamedBatch` carries a merged

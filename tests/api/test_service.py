@@ -360,6 +360,34 @@ class TestRoutes:
         final = client.wait(doc["runs"][0]["digest"], timeout=60)
         assert final["status"] == "done"
 
+    def test_streaming_summary_spec_runs_at_default_options(self, tmp_path):
+        """A ``track_limit: 0`` spec needs no service option: a default
+        manager runs it and reports streamed, not tracked, totals."""
+        manager = JobManager(cache=ResultCache(tmp_path / "cache"))
+        server = make_server(port=0, manager=manager, quiet=True)
+        start_in_thread(server)
+        client = ApiClient(f"http://127.0.0.1:{server.port}", timeout=60.0)
+        try:
+            spec = ExperimentSpec(
+                config=NetworkConfig(
+                    k=2, n_stages=2, p=0.5, topology="random", width=16, seed=23,
+                    track_limit=0,
+                ),
+                n_cycles=600,
+                label="summary-mode",
+            )
+            doc = client.submit({"spec": spec.to_jsonable()})
+            final = client.wait(doc["runs"][0]["digest"], timeout=60)
+            assert final["status"] == "done"
+            assert final["result"]["streamed_messages"] > 0
+            assert final["result"]["tracked_messages"] == 0
+            assert "shard_mem" not in client.stats()
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            manager.stop()
+
 
 class TestErrors:
     def test_unknown_run_is_404(self, service):
@@ -452,6 +480,28 @@ class TestErrors:
             assert json.loads(health.read())["status"] == "ok"
         finally:
             conn.close()
+
+    def test_a_failing_submit_is_a_json_500(self, service, monkeypatch):
+        """Whatever the manager raises, the client gets an answer."""
+        client, manager, _ = service
+
+        def broken(spec):
+            raise RuntimeError("submit broke")
+
+        monkeypatch.setattr(manager, "submit", broken)
+        body = json.dumps(make_spec_doc()[1]).encode("utf-8")
+        conn = http.client.HTTPConnection(urlsplit(client.base_url).netloc, timeout=10)
+        try:
+            conn.request(
+                "POST", "/v1/runs", body=body, headers={"Content-Type": "application/json"}
+            )
+            reply = conn.getresponse()
+            doc = json.loads(reply.read())
+        finally:
+            conn.close()
+        assert reply.status == 500
+        assert doc["error"]["code"] == "internal"
+        assert "submit broke" in doc["error"]["message"]
 
     def test_unknown_route_is_404(self, service):
         client, _, _ = service

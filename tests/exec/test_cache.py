@@ -7,6 +7,7 @@ import pytest
 
 import repro.exec.cache as cache_mod
 from repro.exec.cache import ResultCache, payload_to_result, result_to_payload
+from repro.exec.runner import run_many
 from repro.exec.spec import ExperimentSpec
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 
@@ -101,6 +102,27 @@ class TestHitMiss:
         assert cache.get(spec) is None
 
 
+#: damages of an entry's ``.npz`` next to valid metadata
+DAMAGES = ["half", "ten-bytes", "flipped-byte", "garbled-member-header", "empty"]
+
+
+def damaged(data: bytes) -> dict:
+    """Each of :data:`DAMAGES` done to ``data``: truncations, one flipped
+    byte in the arrays, and the second member's header signature garbled."""
+    member = data.find(b"PK\x03\x04", 4)
+    flipped = bytearray(data)
+    flipped[len(data) // 3] ^= 0xFF
+    garbled = bytearray(data)
+    garbled[member : member + 4] = b"XXXX"
+    return {
+        "half": data[: len(data) // 2],
+        "ten-bytes": data[:10],
+        "flipped-byte": bytes(flipped),
+        "garbled-member-header": bytes(garbled),
+        "empty": b"",
+    }
+
+
 class TestRobustness:
     def test_corrupt_metadata_is_miss(self, tmp_path, spec, result):
         cache = ResultCache(tmp_path / "cache")
@@ -119,6 +141,38 @@ class TestRobustness:
     def test_get_on_empty_dir_never_raises(self, tmp_path, spec):
         cache = ResultCache(tmp_path / "nonexistent")
         assert cache.get(spec) is None
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_damaged_arrays_are_a_miss(self, tmp_path, spec, result, damage):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(spec, result)
+        _, npz_path = cache._entry_paths(spec.digest)
+        npz_path.write_bytes(damaged(npz_path.read_bytes())[damage])
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            assert cache.get(spec) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_run_many_rewrites_a_damaged_entry(self, tmp_path, spec, result):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(spec, result)
+        _, npz_path = cache._entry_paths(spec.digest)
+        npz_path.write_bytes(npz_path.read_bytes()[:10])
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            batch = run_many([spec], cache=cache)
+        assert batch.outcomes[0].status == "completed"
+        assert_results_identical(batch.results()[0], result)
+        hit = cache.get(spec)
+        assert hit is not None
+        assert_results_identical(hit, result)
+
+    def test_a_root_that_is_a_file_warns_and_completes(self, tmp_path, spec, result):
+        root = tmp_path / "not-a-directory"
+        root.write_text("a file")
+        with pytest.warns(RuntimeWarning, match="not written"):
+            batch = run_many([spec], cache=ResultCache(root))
+        assert batch.outcomes[0].status == "completed"
+        assert_results_identical(batch.results()[0], result)
+
 
 
 def stored_rows(cache, spec):

@@ -56,9 +56,9 @@ class TestGroupStructure:
         assert group_by_shape(specs) == [[0, 2, 4], [1], [3]]
         assert [s.digest for s in specs] == digests
 
-    def test_finite_buffer_groups_never_stack(self):
-        """Finite-buffer seeds of one scenario share a group, but the
-        stacked path runs each of them serially: results equal serial runs."""
+    def test_finite_buffer_groups_stack(self):
+        """Finite-buffer seeds of one scenario share a group, and the
+        stacked path runs it as one stack: results equal serial runs."""
         specs = [spec(n_cycles=800, seed=s, p=0.8, buffer_capacity=2) for s in (1, 2)]
         assert group_by_shape(specs) == [[0, 1]]
         batch = run_many(specs, vectorize=True).raise_on_failure()

@@ -353,6 +353,7 @@ class TestWorkerDeath:
             assert o.status == "completed" or "BrokenProcessPool" in o.error
 
     def test_dead_shard_worker_is_retried_on_a_fresh_pool(self, tmp_path, monkeypatch):
+        from repro.exec import sharded
         from repro.simulation import streamed
 
         real = streamed.run_streamed
@@ -368,7 +369,8 @@ class TestWorkerDeath:
         specs = make_specs(n=4)
         # a one-byte budget puts every spec in a shard of its own: four
         # pool jobs
-        batch = run_many(specs, workers=2, retries=1, shard_mem=1)
+        monkeypatch.setattr(sharded, "DEFAULT_SHARD_MEM", 1)
+        batch = run_many(specs, workers=2, retries=1, vectorize=True)
         assert flag.exists()
         assert [o.status for o in batch.outcomes] == ["completed"] * 4
         assert sum(o.attempts == 2 for o in batch.outcomes) >= 1

@@ -1,4 +1,9 @@
-"""Sharded stacked execution: digests, cache reuse, bit-identity."""
+"""Sharded stacked execution: digests, cache reuse, bit-identity.
+
+``run_many(vectorize=True)`` shards under the fixed
+:data:`~repro.exec.sharded.DEFAULT_SHARD_MEM`; the tests move that
+default (the ``budget`` fixture) to vary the shards.
+"""
 
 import dataclasses
 
@@ -14,10 +19,17 @@ from repro.exec import (
     run_many,
     stream_totals,
 )
+from repro.exec import sharded as sharded_mod
 from repro.simulation.network import NetworkConfig, build_engine
 
 N_CYCLES = 300
 WARMUP = 40
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """Set the shard budget ``run_many(vectorize=True)`` plans under."""
+    return lambda nbytes: monkeypatch.setattr(sharded_mod, "DEFAULT_SHARD_MEM", nbytes)
 
 
 def make_specs(n=8, *, track_limit=0, **kw):
@@ -44,12 +56,13 @@ def assert_batches_identical(a, b):
 
 
 class TestDigests:
-    def test_digest_is_shard_configuration_free(self, tmp_path):
+    def test_digest_is_shard_configuration_free(self, tmp_path, budget):
         """A spec carries its serial digest in any shard of any batch,
         so entries a sharded batch writes serve a serial repeat."""
         specs = make_specs(6, track_limit=1000)
         cache = ResultCache(tmp_path / "cache")
-        sharded = run_many(specs, shard_mem=200_000, cache=cache).raise_on_failure()
+        budget(200_000)
+        sharded = run_many(specs, vectorize=True, cache=cache).raise_on_failure()
         serial = run_many(specs, cache=cache).raise_on_failure()
         assert [o.spec.digest for o in sharded.outcomes] == [s.digest for s in specs]
         assert serial.n_cached == len(specs)
@@ -57,28 +70,27 @@ class TestDigests:
 
 
 class TestShardedRunMany:
-    def test_bit_identical_across_shard_budgets_and_workers(self, tmp_path):
+    def test_bit_identical_across_shard_budgets_and_workers(self, tmp_path, budget):
         specs = make_specs()
-        mono = run_many(
-            specs, shard_mem=1 << 30
-        ).raise_on_failure()
+        budget(1 << 30)
+        mono = run_many(specs, vectorize=True).raise_on_failure()
+        budget(200_000)
         tiny = run_many(
-            specs, shard_mem=200_000, workers=2,
-            cache=ResultCache(tmp_path / "c"),
+            specs, vectorize=True, workers=2, cache=ResultCache(tmp_path / "c"),
         ).raise_on_failure()
         assert_batches_identical(mono, tiny)
 
-    def test_cache_hits_cross_shard_configurations(self, tmp_path):
-        """shard_mem is an execution knob: results cached under one
-        budget are served verbatim under any other."""
+    def test_cache_hits_cross_shard_configurations(self, tmp_path, budget):
+        """The shard budget is an execution knob: results cached under
+        one budget are served verbatim under any other."""
         cache = ResultCache(tmp_path / "cache")
         specs = make_specs()
-        first = run_many(
-            specs, shard_mem=1 << 30, cache=cache
-        ).raise_on_failure()
+        budget(1 << 30)
+        first = run_many(specs, vectorize=True, cache=cache).raise_on_failure()
         assert first.n_simulated == len(specs)
+        budget(150_000)
         second = run_many(
-            specs, shard_mem=150_000, workers=2, cache=cache
+            specs, vectorize=True, workers=2, cache=cache
         ).raise_on_failure()
         assert second.n_cached == len(specs)
         assert_batches_identical(first, second)
@@ -93,11 +105,10 @@ class TestShardedRunMany:
         mono = run_many(specs, vectorize=True).raise_on_failure()
         assert_batches_identical(batch, mono)
 
-    def test_tracked_mode_streams_too(self):
+    def test_tracked_mode_streams_too(self, budget):
         specs = make_specs(4, track_limit=1000)
-        batch = run_many(
-            specs, shard_mem=300_000
-        ).raise_on_failure()
+        budget(300_000)
+        batch = run_many(specs, vectorize=True).raise_on_failure()
         result = batch.results()[0]
         assert result.totals_summary is None
         assert result.total_waits().size > 0
@@ -112,11 +123,10 @@ class TestShardedRunMany:
         assert hit.total_waiting_mean() == fresh.results()[0].total_waiting_mean()
 
     def test_incompatible_options_refused(self):
-        """A shard budget implies the stacked path, which shards specs
-        itself and runs no custom task."""
+        """The stacked path shards specs itself and runs no custom task."""
         specs = make_specs(2)
         with pytest.raises(ExecutionError, match="task_fn"):
-            run_many(specs, shard_mem=1 << 20, task_fn=lambda s: None)
+            run_many(specs, vectorize=True, task_fn=lambda s: None)
 
 
 class TestShardPlanning:

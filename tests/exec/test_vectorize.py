@@ -2,8 +2,8 @@
 
 Contract under test:
 
-* grouping is by scenario (identical specs up to the config seed), with
-  finite-buffer specs left on the serial path;
+* grouping is by scenario (identical specs up to the config seed),
+  finite-buffer scenarios included;
 * every spec keeps its serial digest and result, so cache entries cross
   the serial and vectorized paths in both directions;
 * ``vectorize=True`` composes with workers and the cache: pool runs are
@@ -21,7 +21,7 @@ from repro.errors import ExecutionError
 from repro.exec.cache import ResultCache
 from repro.exec.runner import run_many
 from repro.exec.spec import ExperimentSpec, group_by_shape
-from repro.simulation.network import NetworkConfig
+from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.replication import replicate
 
 
@@ -53,25 +53,37 @@ class TestGrouping:
         ]
         assert group_by_shape(specs) == [[0, 3], [1, 4], [2, 5]]
 
-    def test_finite_buffer_groups_stay_serial(self, monkeypatch):
-        """Finite-buffer specs never reach a stacked engine."""
+    def test_finite_buffer_groups_stack_and_equal_serial_runs(self, monkeypatch):
+        """Finite-buffer seeds of one scenario run in one stacked engine,
+        and each result is its serial run's."""
         import repro.simulation.streamed as streamed_mod
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("stacked engine used")
+        stacks = []
+        real = streamed_mod.run_streamed
 
-        monkeypatch.setattr(streamed_mod, "run_streamed", boom)
+        def spy(configs, *args, **kwargs):
+            stacks.append(len(configs))
+            return real(configs, *args, **kwargs)
+
+        monkeypatch.setattr(streamed_mod, "run_streamed", spy)
         specs = [
             ExperimentSpec(
                 config=NetworkConfig(
-                    k=2, n_stages=3, p=0.5, buffer_capacity=4, seed=s
+                    k=2, n_stages=3, p=0.8, buffer_capacity=2, seed=s
                 ),
                 n_cycles=1_200,
             )
             for s in (1, 2)
         ]
-        batch = run_many(specs, vectorize=True, retries=0)
-        assert batch.n_simulated == 2
+        batch = run_many(specs, vectorize=True, retries=0).raise_on_failure()
+        assert stacks == [2]
+        for spec, result in zip(specs, batch.results(), strict=True):
+            serial = NetworkSimulator(spec.config).run(spec.n_cycles, warmup=spec.warmup)
+            assert np.array_equal(result.stage_means, serial.stage_means)
+            assert np.array_equal(
+                result.tracked.complete_rows(), serial.tracked.complete_rows()
+            )
+            assert result.dropped == serial.dropped > 0
 
     def test_grouping_ignores_labels(self):
         specs = spec_batch(2)

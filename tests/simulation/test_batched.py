@@ -187,10 +187,9 @@ def test_stacked_rejects_shape_mismatches():
         run_stacked([], 1_000)
 
 
-def test_rejects_finite_buffers_and_auto_warmup():
-    config = NetworkConfig(k=2, n_stages=3, p=0.5, buffer_capacity=4)
-    with pytest.raises(SimulationError, match="infinite buffers"):
-        run_batched(config, [1, 2], 1_000)
+def test_rejects_auto_warmup_and_bad_batches():
+    """Finite buffers stack (``test_one_contract.py``); a per-run warm-up
+    pilot, an empty batch and a warm-up past the run do not."""
     ok = NetworkConfig(k=2, n_stages=3, p=0.5)
     with pytest.raises(SimulationError, match="auto"):
         run_batched(ok, [1, 2], 1_000, warmup="auto")

@@ -7,8 +7,9 @@ warm-up alone.  Each case here runs one target spec through every route
 the program offers -- a serial simulator, stacked batches with other
 seeds of its scenario in another order, streamed shards of several
 sizes, and ``run_many`` serially, vectorized and sharded -- and demands
-the same result bit for bit.  Split runs must continue the sample path across
-block and run boundaries.
+the same result bit for bit; finite buffers and streaming summary mode
+included.  Split runs must continue the sample path across block and run
+boundaries.
 """
 
 from dataclasses import replace
@@ -16,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.exec import sharded
 from repro.exec.runner import run_many
 from repro.exec.spec import ExperimentSpec
 from repro.simulation import stagewise
@@ -37,6 +39,8 @@ CASES = {
     "m4": replace(CUT_THROUGH, p=0.12, message_size=4, seed=14),
     "sizes": replace(CUT_THROUGH, p=0.3, sizes=(1, 3), probabilities=(0.6, 0.4), seed=15),
     "store-forward": replace(STORE_FORWARD, p=0.15, message_size=3, seed=16),
+    "finite-buffers": replace(CUT_THROUGH, p=0.8, buffer_capacity=2, seed=17),
+    "summary-mode": replace(CUT_THROUGH, p=0.5, track_limit=0, seed=18),
 }
 
 
@@ -57,15 +61,20 @@ def fields(result) -> dict:
         "completed": result.completed,
         "dropped": result.dropped,
         "max_occupancy": result.max_occupancy,
+        "totals_summary": result.totals_summary,
     }
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_every_route_gives_one_result(case):
+def test_every_route_gives_one_result(case, monkeypatch):
     target = CASES[case]
     a, b, c = companions(target)
     expected = fields(NetworkSimulator(target).run(N_CYCLES, warmup=WARMUP))
     assert expected["injected"] > 0
+    if target.buffer_capacity is not None:
+        assert expected["dropped"] > 0
+    if target.track_limit == 0:
+        assert expected["totals_summary"].count > 0 and not expected["rows"]
 
     routes = {
         "stacked-first": run_stacked([target, a, b], N_CYCLES, warmup=WARMUP)[0],
@@ -80,12 +89,15 @@ def test_every_route_gives_one_result(case):
         ]
         routes[f"streamed-shards-of-{size}"] = results[1]
     specs = [ExperimentSpec(config, N_CYCLES, WARMUP) for config in batch]
-    for name, options in {
-        "run_many-serial": {},
-        "run_many-vectorized": {"vectorize": True},
-        "run_many-sharded": {"shard_mem": 1},
+    default = sharded.DEFAULT_SHARD_MEM
+    for name, (vectorize, budget) in {
+        "run_many-serial": (False, default),
+        "run_many-vectorized": (True, default),
+        # a one-byte budget gives shards of one spec
+        "run_many-sharded": (True, 1),
     }.items():
-        outcome = run_many(specs, **options).raise_on_failure().outcomes[1]
+        monkeypatch.setattr(sharded, "DEFAULT_SHARD_MEM", budget)
+        outcome = run_many(specs, vectorize=vectorize).raise_on_failure().outcomes[1]
         assert outcome.spec.digest == specs[1].digest
         routes[name] = outcome.result
     for name, result in routes.items():

@@ -177,29 +177,30 @@ class TestReplicateUntil:
         assert out.engine_cycles == out.n_replications * 400
 
     def test_streamed_execution_path(self):
-        """A shard budget routes rounds through stacked shards, which
-        re-derive earlier replicas bit-identically without a cache."""
+        """An ambient ``vectorize`` routes rounds through stacked shards,
+        which re-derive earlier replicas bit-identically without a cache."""
+        from repro.exec import use_execution
+
         cfg = NetworkConfig(k=2, n_stages=3, p=0.5)
-        out = replicate_until(
-            cfg,
-            stage1_mean,
-            target_half_width=1e-9,
-            n_cycles=300,
-            warmup=40,
-            r0=2,
-            r_max=8,
-            shard_mem=1 << 20,
-        )
-        fixed = replicate_until(
-            cfg,
-            stage1_mean,
-            target_half_width=1e-9,
-            n_cycles=300,
-            warmup=40,
-            r0=8,
-            r_max=8,
-            shard_mem=1 << 20,
-        )
+        with use_execution(vectorize=True):
+            out = replicate_until(
+                cfg,
+                stage1_mean,
+                target_half_width=1e-9,
+                n_cycles=300,
+                warmup=40,
+                r0=2,
+                r_max=8,
+            )
+            fixed = replicate_until(
+                cfg,
+                stage1_mean,
+                target_half_width=1e-9,
+                n_cycles=300,
+                warmup=40,
+                r0=8,
+                r_max=8,
+            )
         # growth rounds extend, never perturb: the final 8-replica
         # statistic is identical whether grown 2->4->8 or run at 8
         assert out.statistic.values == fixed.statistic.values
@@ -235,25 +236,25 @@ class TestAmbientContext:
         monkeypatch.setattr(runner_mod, "run_many", spy)
         return calls
 
-    def test_shard_mem_and_retries_reach_run_many(self, run_many_calls):
+    def test_vectorize_and_retries_reach_run_many(self, run_many_calls):
         from repro.exec import use_execution
 
         cfg = NetworkConfig(k=2, n_stages=3, p=0.5)
-        with use_execution(shard_mem=1 << 20, retries=2):
+        with use_execution(vectorize=True, retries=2):
             replicate(cfg, n_replications=2, n_cycles=300, warmup=40)
             replicate_until(
                 cfg, stage1_mean, 1e-9, 300, warmup=40, r0=2, r_max=2
             )
         assert len(run_many_calls) == 2
         for kwargs in run_many_calls:
-            assert kwargs["shard_mem"] == 1 << 20
+            assert kwargs["vectorize"] is True
             assert kwargs["retries"] == 2
 
-    def test_explicit_serial_beats_an_ambient_shard_budget(self, run_many_calls):
+    def test_explicit_serial_beats_ambient_vectorize(self, run_many_calls):
         from repro.exec import use_execution
 
         cfg = NetworkConfig(k=2, n_stages=3, p=0.5)
-        with use_execution(shard_mem=1 << 20):
+        with use_execution(vectorize=True):
             replicate(cfg, n_replications=2, n_cycles=300, warmup=40, vectorize=False)
         (kwargs,) = run_many_calls
-        assert kwargs["vectorize"] is False and kwargs["shard_mem"] is None
+        assert kwargs["vectorize"] is False

@@ -17,12 +17,14 @@ import hashlib
 import io
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.obs.metrics import MetricsCollector
+from repro.service.geometric import GeometricService
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.trace import MessageTracer
 
@@ -95,6 +97,24 @@ METRICS_CASES = {
         dict(k=2, n_stages=4, p=0.6, topology="random", width=16, seed=9),
         1200, 300, 1, 50,
         "26ac69f7794f84a5",
+    ),
+    # service times that vary: the collector counts the services over by
+    # each point from the end cycles, which no longer keep the start order
+    "sizes13-stride4-warmup": (
+        dict(k=2, n_stages=3, p=0.3, sizes=(1, 3), probabilities=(0.6, 0.4), seed=31),
+        1500, 100, 4, 4096,
+        "7f6383c085520003",
+    ),
+    "sizes128-capacity3-random-stride1": (
+        dict(k=2, n_stages=4, p=0.2, sizes=(1, 2, 8), probabilities=(0.5, 0.3, 0.2),
+             buffer_capacity=3, topology="random", width=16, seed=32),
+        1000, 0, 1, 4096,
+        "d1c576283e416439",
+    ),
+    "geometric-stride1-wraparound": (
+        dict(k=2, n_stages=3, p=0.3, service=GeometricService(Fraction(1, 2)), seed=33),
+        1200, 200, 1, 300,
+        "121576e969730551",
     ),
 }
 

@@ -197,8 +197,12 @@ def test_vectorized_run_many_batch():
     assert fingerprint([pinned_fields(r) for r in batch.results()]) == "049725e82fb3b1b8"
 
 
-def test_streamed_run_many_batch():
-    batch = run_many(batch_specs(), shard_mem=1 << 20)
+def test_streamed_run_many_batch(monkeypatch):
+    """Shards of one spec each: the default budget set to one byte."""
+    import repro.exec.sharded as sharded
+
+    monkeypatch.setattr(sharded, "DEFAULT_SHARD_MEM", 1)
+    batch = run_many(batch_specs(), vectorize=True)
     assert batch.n_failed == 0
     digests = [o.spec.digest for o in batch.outcomes]
     assert fingerprint(digests) == "7e307cbda6e5acb6"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError, SimulationError
-from repro.simulation.batched import run_stacked
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.stats import StreamingTotals
 from repro.simulation.streamed import run_streamed
@@ -111,17 +110,20 @@ class TestStreamingSummary:
         assert r.totals_summary is None
         assert r.total_waits().size > 0
 
+    def test_serial_run_equals_its_streamed_replica(self):
+        cfgs = configs(3, track_limit=0)
+        streamed = run_streamed(cfgs, N_CYCLES, warmup=WARMUP).results
+        for config, expected in zip(cfgs, streamed, strict=True):
+            serial = NetworkSimulator(config).run(N_CYCLES, warmup=WARMUP)
+            assert_results_identical(serial, expected)
+            assert serial.totals_summary == expected.totals_summary
+            assert serial.totals_summary.count > 0
+            assert serial.tracked.complete_rows().shape == (0, 3)
+            with pytest.raises(SimulationError, match="streaming summary"):
+                serial.total_waits()
+
 
 class TestRefusals:
-    def test_serial_simulator_refuses_streaming_mode(self):
-        with pytest.raises(SimulationError, match="streamed engine"):
-            NetworkSimulator(NetworkConfig(k=2, n_stages=2, p=0.4, track_limit=0))
-
-    def test_stacked_engine_refuses_streaming_mode(self):
-        cfgs = [NetworkConfig(k=2, n_stages=2, p=0.4, seed=1, track_limit=0)]
-        with pytest.raises(SimulationError, match="streamed engine"):
-            run_stacked(cfgs, n_cycles=100, warmup=10)
-
     def test_negative_track_limit_refused(self):
         with pytest.raises(ModelError, match="track_limit"):
             NetworkConfig(k=2, n_stages=2, p=0.4, track_limit=-1)
@@ -133,11 +135,6 @@ class TestRefusals:
     def test_auto_warmup_refused(self):
         with pytest.raises(SimulationError, match="explicit warm-up"):
             run_streamed(configs(1), 100, warmup="auto")
-
-    def test_finite_buffers_refused(self):
-        cfgs = [NetworkConfig(k=2, n_stages=2, p=0.4, buffer_capacity=4, seed=1)]
-        with pytest.raises(SimulationError, match="infinite buffers"):
-            run_streamed(cfgs, 100)
 
     def test_shape_mismatch_refused(self):
         cfgs = [

@@ -169,18 +169,12 @@ class TestBatchCommand:
 
 
 class TestExecutionOptions:
-    """The five execution options are declared once for batch and serve."""
+    """The four execution options are declared once for batch and serve."""
 
-    FLAGS = [
-        "--workers", "3", "--shard-mem", "4", "--retries", "2", "--timeout", "9.5",
-    ]
-    DESTS = {
-        "workers": 3, "shard_mem": 4, "retries": 2, "timeout": 9.5, "cache": "DIR",
-    }
-    #: what FLAGS ask of each run_many call (the budget in bytes)
-    SETTINGS = {
-        "workers": 3, "retries": 2, "timeout": 9.5, "shard_mem": 4 * 1024 * 1024,
-    }
+    FLAGS = ["--workers", "3", "--retries", "2", "--timeout", "9.5"]
+    DESTS = {"workers": 3, "retries": 2, "timeout": 9.5, "cache": "DIR"}
+    #: what FLAGS ask of each run_many call
+    SETTINGS = {"workers": 3, "retries": 2, "timeout": 9.5}
 
     @classmethod
     def settings(cls, kwargs):
@@ -193,7 +187,7 @@ class TestExecutionOptions:
             assert {k: getattr(args, k) for k in self.DESTS} == self.DESTS
             defaults = parser.parse_args([command])
             assert (defaults.workers, defaults.retries, defaults.timeout) == (1, 1, None)
-            assert (defaults.shard_mem, defaults.cache) == (None, None)
+            assert defaults.cache is None
 
     def test_backend_flag_is_gone(self, capsys):
         """Every run is evaluated by the stage-wise pass: no command takes
@@ -205,6 +199,17 @@ class TestExecutionOptions:
                 parser.parse_args([*argv, "--backend", "numpy"])
             assert info.value.code == 2
             assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_shard_mem_flag_is_gone(self, capsys):
+        """A shard budget is ``stream_totals``' own parameter: no command
+        takes ``--shard-mem``."""
+        parser = build_parser()
+        for command in ("batch", "serve", "table"):
+            argv = [command, "I"] if command == "table" else [command]
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args([*argv, "--shard-mem", "8"])
+            assert info.value.code == 2
+            assert "unrecognized arguments: --shard-mem" in capsys.readouterr().err
 
     @pytest.fixture
     def managers(self, monkeypatch):
@@ -228,9 +233,7 @@ class TestExecutionOptions:
         for kwargs in managers:
             assert (kwargs["executors"], kwargs["max_queue"]) == (2, 64)
             assert kwargs["db"] is None
-        assert self.settings(plain) == {
-            "workers": 1, "retries": 1, "timeout": None, "shard_mem": None,
-        }
+        assert self.settings(plain) == {"workers": 1, "retries": 1, "timeout": None}
         assert self.settings(flagged) == self.SETTINGS
         assert flagged["cache"] is None and not flagged["use_cache"]
 
